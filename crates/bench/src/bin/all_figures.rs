@@ -1,26 +1,44 @@
-//! Regenerates every table and figure of the paper in order.
+//! Regenerates the tables and figures of the paper: every entry of
+//! `figures::REGISTRY` in order, or only the entries named on the
+//! command line (`all_figures fig24_fault_matrix`). An unknown name
+//! prints the valid names and exits with status 2.
 //!
 //! `--trace PATH` additionally runs the CoServe configuration on the
 //! first (device, task) cell with tracing enabled and writes the
 //! Chrome trace-event JSON to `PATH` (open it in Perfetto). The traced
 //! run is an extra pass: every figure output stays byte-identical to
 //! an untraced invocation.
-use coserve_bench::{emit, emit_json, figures, Bench};
+use coserve_bench::figures::{self, Figure};
+use coserve_bench::Bench;
 
-fn trace_path_arg() -> Option<std::path::PathBuf> {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    match args.as_slice() {
-        [] => None,
-        [flag, path] if flag == "--trace" => Some(path.into()),
-        [flag] if flag == "--trace" => {
-            eprintln!("missing value for --trace");
-            std::process::exit(2);
-        }
-        _ => {
-            eprintln!("usage: all_figures [--trace PATH]");
+/// The `--trace` path and the figures to run (the whole registry when
+/// no name is given).
+fn parse_args() -> (Option<std::path::PathBuf>, Vec<&'static Figure>) {
+    let mut trace = None;
+    let mut selected = Vec::new();
+    let mut args = std::env::args().skip(1);
+    while let Some(arg) = args.next() {
+        if arg == "--trace" {
+            let Some(path) = args.next() else {
+                eprintln!("missing value for --trace");
+                std::process::exit(2);
+            };
+            trace = Some(path.into());
+        } else if let Some(figure) = figures::REGISTRY.iter().find(|f| f.name == arg) {
+            selected.push(figure);
+        } else {
+            eprintln!("unknown figure `{arg}`; valid names:");
+            for figure in figures::REGISTRY {
+                eprintln!("  {}", figure.name);
+            }
+            eprintln!("usage: all_figures [--trace PATH] [NAME...]");
             std::process::exit(2);
         }
     }
+    if selected.is_empty() {
+        selected = figures::REGISTRY.iter().collect();
+    }
+    (trace, selected)
 }
 
 /// One traced CoServe run on the first paper cell: writes the Perfetto
@@ -57,46 +75,9 @@ fn emit_trace(path: &std::path::Path) {
 }
 
 fn main() {
-    let trace_path = trace_path_arg();
-    emit(&figures::table1_hardware(), "table1_hardware");
-    emit(&figures::fig01_switch_share(), "fig01_switch_share");
-    emit(&figures::fig05_avg_latency(), "fig05_avg_latency");
-    emit(&figures::fig06_mem_footprint(), "fig06_mem_footprint");
-    for (i, t) in figures::fig11_usage_cdf().iter().enumerate() {
-        emit(t, &format!("fig11_usage_cdf_{i}"));
-    }
-    for (i, t) in figures::fig12_exec_latency().iter().enumerate() {
-        emit(t, &format!("fig12_exec_latency_{i}"));
-    }
-    let (thr, sw) = figures::fig13_14_throughput_and_switches();
-    emit(&thr, "fig13_throughput");
-    emit(&sw, "fig14_switches");
-    let (athr, asw) = figures::fig15_16_ablation();
-    emit(&athr, "fig15_ablation_throughput");
-    emit(&asw, "fig16_ablation_switches");
-    emit(&figures::fig17_executors(), "fig17_executors");
-    emit(&figures::fig18_window_search(), "fig18_window_search");
-    emit(&figures::fig19_overhead(), "fig19_overhead");
-    emit(&figures::fig20_latency_vs_load(), "fig20_latency_vs_load");
-    let (cluster, artifacts) = figures::fig21_cluster_scaling();
-    emit(&cluster, "fig21_cluster_scaling");
-    for (stem, json) in &artifacts {
-        emit_json(json, stem);
-    }
-    let (recovery, artifacts) = figures::fig22_failure_recovery();
-    emit(&recovery, "fig22_failure_recovery");
-    for (stem, json) in &artifacts {
-        emit_json(json, stem);
-    }
-    let (engine_scale, artifacts) = figures::fig23_engine_scale();
-    emit(&engine_scale, "fig23_engine_scale");
-    for (stem, json) in &artifacts {
-        emit_json(json, stem);
-    }
-    let (faults, artifacts) = figures::fig24_fault_matrix();
-    emit(&faults, "fig24_fault_matrix");
-    for (stem, json) in &artifacts {
-        emit_json(json, stem);
+    let (trace_path, selected) = parse_args();
+    for figure in selected {
+        (figure.run)().emit();
     }
     if let Some(path) = trace_path {
         emit_trace(&path);

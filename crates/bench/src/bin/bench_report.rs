@@ -10,7 +10,7 @@
 use coserve_bench::{out_dir, perf_report};
 
 fn main() {
-    let report = perf_report::collect(true);
+    let report = perf_report::collect();
     let json = report.to_json();
     let path = out_dir().join("BENCH_core.json");
     if let Some(parent) = path.parent() {

@@ -1,10 +1,13 @@
-//! One function per paper table/figure.
+//! One function per paper table/figure, and [`REGISTRY`], the one list
+//! of them.
 //!
-//! Every function returns the [`Table`]s that regenerate the artifact;
-//! the `fig*` binaries and `all_figures` print them and write CSVs.
-//! Paper-reported reference bands are asserted in
-//! `tests/figures_smoke.rs`; `PAPER.md` at the workspace root
-//! summarizes the source paper.
+//! Every function returns the [`Table`]s that regenerate the artifact
+//! (the extension figures also return JSON artifacts). A [`REGISTRY`]
+//! entry names each figure and gives its outputs their file stems;
+//! `all_figures` and `bench_report` iterate the registry to print the
+//! tables and write the CSV and JSON files. Paper-reported reference
+//! bands are asserted in `tests/figures_smoke.rs`; `PAPER.md` at the
+//! workspace root summarizes the source paper.
 //!
 //! The sweep figures (fig13–fig22) fan their independent points out
 //! over [`crate::sweep::run_ordered`] worker threads and reassemble
@@ -38,6 +41,160 @@ use coserve_workload::arrivals::ArrivalProcess;
 use coserve_workload::stream::{RequestStream, StreamOrder};
 
 use crate::{paper_devices, paper_tasks, scale, Bench};
+
+/// What one figure regenerates, in emission order.
+#[derive(Debug)]
+pub struct FigureOutput {
+    /// `(file stem, table)` pairs, written as `<stem>.csv`.
+    pub tables: Vec<(String, Table)>,
+    /// `(file stem, JSON)` artifacts, written as `<stem>.json`.
+    pub artifacts: Vec<(String, String)>,
+}
+
+impl FigureOutput {
+    /// Data rows across the tables.
+    #[must_use]
+    pub fn rows(&self) -> usize {
+        self.tables.iter().map(|(_, t)| t.len()).sum()
+    }
+
+    /// Prints every table and writes it as a CSV, then writes every
+    /// JSON artifact, into [`crate::out_dir`]. A failed write is
+    /// reported on stderr and does not stop the others.
+    pub fn emit(&self) {
+        let dir = crate::out_dir();
+        for (stem, table) in &self.tables {
+            print!("{}", table.render());
+            let path = dir.join(format!("{stem}.csv"));
+            report_write("csv", &path, table.write_csv(&path));
+        }
+        for (stem, json) in &self.artifacts {
+            let path = dir.join(format!("{stem}.json"));
+            let written = std::fs::create_dir_all(&dir).and_then(|()| std::fs::write(&path, json));
+            report_write("json", &path, written);
+        }
+    }
+}
+
+/// Reports one artifact write. Harness output shared by every figure —
+/// stdout is the product here, not debug residue.
+fn report_write(kind: &str, path: &std::path::Path, written: std::io::Result<()>) {
+    match written {
+        Ok(()) => println!("[{kind}] {}\n", path.display()), // tidy:allow(trace-hygiene)
+        Err(err) => eprintln!("[{kind}] failed to write {}: {err}\n", path.display()), // tidy:allow(trace-hygiene)
+    }
+}
+
+/// One entry of [`REGISTRY`].
+#[derive(Debug, Clone, Copy)]
+pub struct Figure {
+    /// The name `all_figures NAME` selects and `BENCH_core.json` times.
+    pub name: &'static str,
+    /// Regenerates the figure.
+    pub run: fn() -> FigureOutput,
+}
+
+/// Every table and figure of the evaluation, in emission order.
+pub const REGISTRY: &[Figure] = &[
+    Figure {
+        name: "table1_hardware",
+        run: || csv("table1_hardware", table1_hardware()),
+    },
+    Figure {
+        name: "fig01_switch_share",
+        run: || csv("fig01_switch_share", fig01_switch_share()),
+    },
+    Figure {
+        name: "fig05_avg_latency",
+        run: || csv("fig05_avg_latency", fig05_avg_latency()),
+    },
+    Figure {
+        name: "fig06_mem_footprint",
+        run: || csv("fig06_mem_footprint", fig06_mem_footprint()),
+    },
+    Figure {
+        name: "fig11_usage_cdf",
+        run: || numbered("fig11_usage_cdf", fig11_usage_cdf()),
+    },
+    Figure {
+        name: "fig12_exec_latency",
+        run: || numbered("fig12_exec_latency", fig12_exec_latency()),
+    },
+    Figure {
+        name: "fig13_14_throughput_and_switches",
+        run: || {
+            let stems = ["fig13_throughput", "fig14_switches"];
+            pair(stems, fig13_14_throughput_and_switches())
+        },
+    },
+    Figure {
+        name: "fig15_16_ablation",
+        run: || {
+            let stems = ["fig15_ablation_throughput", "fig16_ablation_switches"];
+            pair(stems, fig15_16_ablation())
+        },
+    },
+    Figure {
+        name: "fig17_executors",
+        run: || csv("fig17_executors", fig17_executors()),
+    },
+    Figure {
+        name: "fig18_window_search",
+        run: || csv("fig18_window_search", fig18_window_search()),
+    },
+    Figure {
+        name: "fig19_overhead",
+        run: || csv("fig19_overhead", fig19_overhead()),
+    },
+    Figure {
+        name: "fig20_latency_vs_load",
+        run: || csv("fig20_latency_vs_load", fig20_latency_vs_load()),
+    },
+    Figure {
+        name: "fig21_cluster_scaling",
+        run: || with_json("fig21_cluster_scaling", fig21_cluster_scaling()),
+    },
+    Figure {
+        name: "fig22_failure_recovery",
+        run: || with_json("fig22_failure_recovery", fig22_failure_recovery()),
+    },
+    Figure {
+        name: "fig23_engine_scale",
+        run: || with_json("fig23_engine_scale", fig23_engine_scale()),
+    },
+    Figure {
+        name: "fig24_fault_matrix",
+        run: || with_json("fig24_fault_matrix", fig24_fault_matrix()),
+    },
+];
+
+fn csv(stem: &str, table: Table) -> FigureOutput {
+    with_json(stem, (table, Vec::new()))
+}
+
+/// One table plus the JSON artifacts its figure function returns.
+fn with_json(stem: &str, (table, artifacts): (Table, Vec<(String, String)>)) -> FigureOutput {
+    FigureOutput {
+        tables: vec![(stem.to_string(), table)],
+        artifacts,
+    }
+}
+
+/// Tables stemmed `<stem>_0`, `<stem>_1`, ….
+fn numbered(stem: &str, tables: Vec<Table>) -> FigureOutput {
+    let tables = tables.into_iter().enumerate();
+    FigureOutput {
+        tables: tables.map(|(i, t)| (format!("{stem}_{i}"), t)).collect(),
+        artifacts: Vec::new(),
+    }
+}
+
+fn pair([a, b]: [&str; 2], (first, second): (Table, Table)) -> FigureOutput {
+    FigureOutput {
+        tables: vec![(a.to_string(), first), (b.to_string(), second)],
+        artifacts: Vec::new(),
+    }
+}
 
 /// Table 1: hardware for evaluation.
 #[must_use]
@@ -551,7 +708,7 @@ pub fn fig20_latency_vs_load() -> Table {
 ///
 /// Returns the table plus machine-readable JSON artifacts (the
 /// single-node `RunReport` and the 4-node usage-aware/residency-first
-/// `ClusterReport`), emitted as `.json` files by the figure binaries.
+/// `ClusterReport`), which the registry entry writes as `.json` files.
 #[must_use]
 pub fn fig21_cluster_scaling() -> (Table, Vec<(String, String)>) {
     let mut t = Table::new(

@@ -1,10 +1,11 @@
 //! # coserve-bench
 //!
 //! The benchmark harness that regenerates every table and figure of the
-//! CoServe paper. Each `fig*`/`table*` binary prints the paper-style
-//! rows to stdout and writes a CSV into the output directory
-//! (`target/figures/` under the workspace root by default,
-//! `COSERVE_OUT_DIR` to override). `all_figures` runs the lot.
+//! CoServe paper, listed once in [`figures::REGISTRY`]. `all_figures`
+//! runs the lot, or `all_figures NAME…` the named entries: it prints
+//! the paper-style rows to stdout and writes a CSV per table (and a
+//! JSON per artifact) into the output directory (`target/figures/`
+//! under the workspace root by default, `COSERVE_OUT_DIR` to override).
 //!
 //! Scaling: the full evaluation (2,500–3,500 requests per task) runs in
 //! seconds in release mode; set `COSERVE_SCALE=0.1` to smoke-test the
@@ -22,7 +23,6 @@ use coserve_core::engine::Engine;
 use coserve_core::perf::PerfMatrix;
 use coserve_core::profiler::{Profiler, UsageSource};
 use coserve_metrics::report::RunReport;
-use coserve_metrics::table::Table;
 use coserve_model::coe::CoeModel;
 use coserve_model::devices;
 use coserve_sim::device::DeviceProfile;
@@ -31,8 +31,8 @@ use coserve_workload::task::TaskSpec;
 
 /// Where CSV outputs land: `COSERVE_OUT_DIR` when set, otherwise
 /// `target/figures/` under the workspace root. The default is anchored to
-/// the workspace (not the current working directory) so figure binaries
-/// and tests behave the same from any invocation path.
+/// the workspace (not the current working directory) so the harness
+/// binaries and tests behave the same from any invocation path.
 #[must_use]
 pub fn out_dir() -> PathBuf {
     coserve_metrics::output::out_dir_anchored(std::path::Path::new(env!("CARGO_MANIFEST_DIR")))
@@ -173,37 +173,6 @@ impl Bench {
         );
         let reports = systems.iter().map(|c| self.run(c)).collect();
         (reports, tuned)
-    }
-}
-
-/// Prints a table and writes its CSV next to the other experiment
-/// outputs; the file name gets a `.csv` suffix.
-pub fn emit(table: &Table, file_stem: &str) {
-    print!("{}", table.render());
-    let path = out_dir().join(format!("{file_stem}.csv"));
-    // Harness output shared by every figure binary — stdout is the
-    // product here, not debug residue.
-    match table.write_csv(&path) {
-        Ok(()) => println!("[csv] {}\n", path.display()), // tidy:allow(trace-hygiene)
-        Err(err) => eprintln!("[csv] failed to write {}: {err}\n", path.display()), // tidy:allow(trace-hygiene)
-    }
-}
-
-/// Writes a machine-readable JSON artifact (a `RunReport::to_json()` or
-/// `ClusterReport::to_json()` payload) next to the figure CSVs; the
-/// file name gets a `.json` suffix.
-pub fn emit_json(json: &str, file_stem: &str) {
-    let path = out_dir().join(format!("{file_stem}.json"));
-    let write = || -> std::io::Result<()> {
-        if let Some(parent) = path.parent() {
-            std::fs::create_dir_all(parent)?;
-        }
-        std::fs::write(&path, json)
-    };
-    // Same as `emit`: the artifact line is the figure binaries' UI.
-    match write() {
-        Ok(()) => println!("[json] {}\n", path.display()), // tidy:allow(trace-hygiene)
-        Err(err) => eprintln!("[json] failed to write {}: {err}\n", path.display()), // tidy:allow(trace-hygiene)
     }
 }
 

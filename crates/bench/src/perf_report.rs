@@ -1,12 +1,12 @@
 //! The tracked perf baseline: `BENCH_core.json`.
 //!
-//! [`collect`] regenerates every paper figure (like the `all_figures`
-//! binary) while timing each one, then times the serving engine end to
-//! end (wall-clock requests/sec of simulated work), and packages the
-//! measurements as a machine-readable JSON report. The `bench_report`
-//! binary writes it next to the figure CSVs as `BENCH_core.json`; a
-//! copy committed at the workspace root seeds the perf trajectory each
-//! PR is held against.
+//! [`collect`] regenerates every figure of [`figures::REGISTRY`] (like
+//! the `all_figures` binary) while timing each one, then times the
+//! serving engine end to end (wall-clock requests/sec of simulated
+//! work), and packages the measurements as a machine-readable JSON
+//! report. The `bench_report` binary writes it next to the figure CSVs
+//! as `BENCH_core.json`; a copy committed at the workspace root seeds
+//! the perf trajectory each PR is held against.
 //!
 //! Timings are wall-clock and therefore machine-dependent; the report
 //! records the sweep width (`COSERVE_JOBS`) and workload scale
@@ -17,7 +17,7 @@ use std::time::Instant;
 use coserve_core::presets;
 use coserve_metrics::report::{json_f64, json_str};
 
-use crate::{emit, emit_json, figures, paper_devices, paper_tasks, scale, sweep, Bench};
+use crate::{figures, paper_devices, paper_tasks, scale, sweep, Bench};
 
 /// Schema version of `BENCH_core.json`; bump on breaking layout
 /// changes.
@@ -26,7 +26,7 @@ pub const SCHEMA_VERSION: u32 = 1;
 /// Wall-clock timing of one regenerated figure.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FigureTiming {
-    /// The artifact stem (e.g. `fig13_throughput`).
+    /// The registry name (e.g. `fig13_14_throughput_and_switches`).
     pub name: String,
     /// Wall-clock milliseconds to compute the figure (excluding
     /// printing/CSV writes).
@@ -104,163 +104,23 @@ impl PerfReport {
     }
 }
 
-/// Regenerates every figure (emitting tables, CSVs and JSON artifacts
-/// exactly like `all_figures` when `emit_artifacts` is set) while
-/// timing each, then times an end-to-end engine run, and returns the
-/// assembled [`PerfReport`].
+/// Regenerates every figure, emitting its tables, CSVs and JSON
+/// artifacts exactly like `all_figures`, while timing each; then times
+/// an end-to-end engine run, and returns the assembled [`PerfReport`].
 #[must_use]
-pub fn collect(emit_artifacts: bool) -> PerfReport {
-    let mut figures = Vec::new();
+pub fn collect() -> PerfReport {
+    let mut timings = Vec::new();
     let suite_start = Instant::now();
-    let mut record =
-        |name: &str, started: Instant, tables: Vec<(String, coserve_metrics::table::Table)>| {
-            let wall_ms = started.elapsed().as_secs_f64() * 1e3;
-            let rows = tables.iter().map(|(_, t)| t.len()).sum();
-            if emit_artifacts {
-                for (stem, table) in &tables {
-                    emit(table, stem);
-                }
-            }
-            figures.push(FigureTiming {
-                name: name.to_string(),
-                wall_ms,
-                rows,
-            });
-        };
-
-    let one = |stem: &str, t: coserve_metrics::table::Table| vec![(stem.to_string(), t)];
-
-    let s = Instant::now();
-    record(
-        "table1_hardware",
-        s,
-        one("table1_hardware", figures::table1_hardware()),
-    );
-    let s = Instant::now();
-    record(
-        "fig01_switch_share",
-        s,
-        one("fig01_switch_share", figures::fig01_switch_share()),
-    );
-    let s = Instant::now();
-    record(
-        "fig05_avg_latency",
-        s,
-        one("fig05_avg_latency", figures::fig05_avg_latency()),
-    );
-    let s = Instant::now();
-    record(
-        "fig06_mem_footprint",
-        s,
-        one("fig06_mem_footprint", figures::fig06_mem_footprint()),
-    );
-    let s = Instant::now();
-    let t11 = figures::fig11_usage_cdf();
-    record(
-        "fig11_usage_cdf",
-        s,
-        t11.into_iter()
-            .enumerate()
-            .map(|(i, t)| (format!("fig11_usage_cdf_{i}"), t))
-            .collect(),
-    );
-    let s = Instant::now();
-    let t12 = figures::fig12_exec_latency();
-    record(
-        "fig12_exec_latency",
-        s,
-        t12.into_iter()
-            .enumerate()
-            .map(|(i, t)| (format!("fig12_exec_latency_{i}"), t))
-            .collect(),
-    );
-    let s = Instant::now();
-    let (thr, sw) = figures::fig13_14_throughput_and_switches();
-    record(
-        "fig13_14_throughput_and_switches",
-        s,
-        vec![
-            ("fig13_throughput".to_string(), thr),
-            ("fig14_switches".to_string(), sw),
-        ],
-    );
-    let s = Instant::now();
-    let (athr, asw) = figures::fig15_16_ablation();
-    record(
-        "fig15_16_ablation",
-        s,
-        vec![
-            ("fig15_ablation_throughput".to_string(), athr),
-            ("fig16_ablation_switches".to_string(), asw),
-        ],
-    );
-    let s = Instant::now();
-    record(
-        "fig17_executors",
-        s,
-        one("fig17_executors", figures::fig17_executors()),
-    );
-    let s = Instant::now();
-    record(
-        "fig18_window_search",
-        s,
-        one("fig18_window_search", figures::fig18_window_search()),
-    );
-    let s = Instant::now();
-    record(
-        "fig19_overhead",
-        s,
-        one("fig19_overhead", figures::fig19_overhead()),
-    );
-    let s = Instant::now();
-    record(
-        "fig20_latency_vs_load",
-        s,
-        one("fig20_latency_vs_load", figures::fig20_latency_vs_load()),
-    );
-    let s = Instant::now();
-    let (cluster, artifacts) = figures::fig21_cluster_scaling();
-    record(
-        "fig21_cluster_scaling",
-        s,
-        one("fig21_cluster_scaling", cluster),
-    );
-    if emit_artifacts {
-        for (stem, json) in &artifacts {
-            emit_json(json, stem);
-        }
-    }
-    let s = Instant::now();
-    let (recovery, artifacts) = figures::fig22_failure_recovery();
-    record(
-        "fig22_failure_recovery",
-        s,
-        one("fig22_failure_recovery", recovery),
-    );
-    if emit_artifacts {
-        for (stem, json) in &artifacts {
-            emit_json(json, stem);
-        }
-    }
-    let s = Instant::now();
-    let (engine_scale, artifacts) = figures::fig23_engine_scale();
-    record(
-        "fig23_engine_scale",
-        s,
-        one("fig23_engine_scale", engine_scale),
-    );
-    if emit_artifacts {
-        for (stem, json) in &artifacts {
-            emit_json(json, stem);
-        }
-    }
-    let s = Instant::now();
-    let (faults, artifacts) = figures::fig24_fault_matrix();
-    record("fig24_fault_matrix", s, one("fig24_fault_matrix", faults));
-    if emit_artifacts {
-        for (stem, json) in &artifacts {
-            emit_json(json, stem);
-        }
+    for figure in figures::REGISTRY {
+        let started = Instant::now();
+        let output = (figure.run)();
+        let wall_ms = started.elapsed().as_secs_f64() * 1e3;
+        output.emit();
+        timings.push(FigureTiming {
+            name: figure.name.to_string(),
+            wall_ms,
+            rows: output.rows(),
+        });
     }
     let all_figures_wall_ms = suite_start.elapsed().as_secs_f64() * 1e3;
 
@@ -289,7 +149,7 @@ pub fn collect(emit_artifacts: bool) -> PerfReport {
     PerfReport {
         scale: scale(),
         jobs: sweep::jobs(),
-        figures,
+        figures: timings,
         all_figures_wall_ms,
         engine,
     }

@@ -40,7 +40,7 @@ use coserve_sim::device::ProcessorKind;
 use coserve_sim::memory::Bytes;
 use coserve_sim::network::{Fabric, NodeId};
 use coserve_sim::time::{SimSpan, SimTime};
-use coserve_workload::stream::{Job, RequestStream};
+use coserve_workload::stream::Job;
 
 use crate::placement::PlacementPlan;
 
@@ -139,19 +139,6 @@ pub enum Routing {
     Paced,
 }
 
-/// The routing decision for every job of a stream (the one-shot
-/// [`dispatch`] API).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct DispatchOutcome {
-    /// Jobs per node, in dispatch order, with arrivals already shifted
-    /// by their fabric delays. Ids are *not* yet node-dense.
-    pub per_node: Vec<Vec<Job>>,
-    /// Stages whose expert lived off the routed node.
-    pub cross_node_hops: u64,
-    /// Total fabric time charged across all hops.
-    pub fabric_time_total: SimSpan,
-}
-
 /// The stateful cluster front-end: routes jobs one at a time against a
 /// (possibly re-versioned) placement plan and a live-node mask,
 /// maintaining work-left estimates across calls and — under
@@ -162,11 +149,6 @@ pub struct Dispatcher {
     route: RoutePolicy,
     activation_bytes: Bytes,
     feedback: FeedbackMode,
-    /// When strict, a chain stage whose expert has no live holder makes
-    /// the job [`Routing::Unhosted`] (the runtime's failure semantics);
-    /// when lax, the stage simply pays no hop (the legacy one-shot
-    /// behaviour, where plans always cover every expert).
-    strict_hosting: bool,
     seq: usize,
     busy_until: Vec<SimTime>,
     /// Per-node EWMA of observed/predicted busy time (1.0 = predictions
@@ -206,14 +188,12 @@ impl Dispatcher {
         route: RoutePolicy,
         activation_bytes: Bytes,
         feedback: FeedbackMode,
-        strict_hosting: bool,
     ) -> Self {
         assert!(nodes > 0, "dispatch needs at least one node");
         Dispatcher {
             route,
             activation_bytes,
             feedback,
-            strict_hosting,
             seq: 0,
             busy_until: vec![SimTime::ZERO; nodes],
             service_scale: vec![1.0; nodes],
@@ -327,42 +307,28 @@ impl Dispatcher {
         (self.err_samples > 0).then(|| self.err_sum_ms / self.err_samples as f64)
     }
 
-    /// Routes one job against the current plan and live mask: picks the
-    /// target by the routing policy over live nodes, charges one fabric
-    /// hop per off-node chain stage (from the nearest live holder), and
-    /// advances the target's work-left estimate by the predicted
-    /// (feedback-scaled) service time.
+    /// Routes one job against the current plan and live mask: rejects it
+    /// as [`Routing::Unhosted`] when some chain stage's expert has no
+    /// live holder, picks the target by the routing policy over live
+    /// nodes, charges one fabric hop per off-node chain stage (from the
+    /// nearest live holder), and advances the target's work-left
+    /// estimate by the predicted (feedback-scaled) service time.
+    ///
+    /// With `faults` set, a deterministic fault plan applies to the
+    /// fabric: dilated links stretch the charged hops, and when a
+    /// partition cuts the chosen target off from every live holder of a
+    /// stage, recovery either hedges the job to the best reachable
+    /// candidate ([`RouteFaults::hedge`]) or degrades that stage to the
+    /// target's local checkpoint. With `faults` `None` the fault plan is
+    /// never consulted and no float math runs.
     ///
     /// # Panics
     ///
     /// Panics when the plan/mask sizes disagree with the dispatcher, no
     /// node is live, or a perf matrix lacks an entry the prediction
     /// needs.
+    #[allow(clippy::too_many_arguments)] // the routing context + one fault context
     pub fn route_job(
-        &mut self,
-        job: &Job,
-        model: &CoeModel,
-        plan: &PlacementPlan,
-        fabric: &Fabric,
-        nodes: &[NodeLoadModel<'_>],
-        alive: &[bool],
-    ) -> Routing {
-        self.route_job_with_faults(job, model, plan, fabric, nodes, alive, None)
-    }
-
-    /// [`Dispatcher::route_job`] with a deterministic fault plan applied
-    /// to the fabric: dilated links stretch the charged hops, and when a
-    /// partition cuts the chosen target off from every live holder of a
-    /// stage, recovery either hedges the job to the best reachable
-    /// candidate ([`RouteFaults::hedge`]) or degrades that stage to the
-    /// target's local checkpoint. With `faults` `None` this is exactly
-    /// `route_job` — the plan is never consulted and no float math runs.
-    ///
-    /// # Panics
-    ///
-    /// As [`Dispatcher::route_job`].
-    #[allow(clippy::too_many_arguments)] // route_job + one fault context
-    pub fn route_job_with_faults(
         &mut self,
         job: &Job,
         model: &CoeModel,
@@ -381,11 +347,9 @@ impl Dispatcher {
         let seq = self.seq;
         self.seq += 1;
 
-        if self.strict_hosting {
-            for &expert in &job.stages {
-                if !plan.is_hosted(expert, alive) {
-                    return Routing::Unhosted { expert };
-                }
+        for &expert in &job.stages {
+            if !plan.is_hosted(expert, alive) {
+                return Routing::Unhosted { expert };
             }
         }
 
@@ -662,48 +626,6 @@ fn select_target(
     }
 }
 
-/// Routes every job of `stream` to a node — the one-shot convenience
-/// over a [`Dispatcher`] with every node live and open-loop estimates
-/// (exactly the paper-style offline front-end).
-///
-/// Fully deterministic: a pure function of its inputs, so two identical
-/// dispatches produce identical per-node schedules.
-///
-/// # Panics
-///
-/// Panics when the plan, fabric and `nodes` disagree on the node count,
-/// or a perf matrix lacks an entry the prediction needs.
-#[must_use]
-pub fn dispatch(
-    stream: &RequestStream,
-    model: &CoeModel,
-    plan: &PlacementPlan,
-    fabric: &Fabric,
-    nodes: &[NodeLoadModel<'_>],
-    route: RoutePolicy,
-    activation_bytes: Bytes,
-) -> DispatchOutcome {
-    let n = nodes.len();
-    assert!(n > 0, "dispatch needs at least one node");
-    let mut dispatcher = Dispatcher::new(n, route, activation_bytes, FeedbackMode::OpenLoop, false);
-    let alive = vec![true; n];
-    let mut per_node: Vec<Vec<Job>> = vec![Vec::new(); n];
-    for job in stream.jobs() {
-        match dispatcher.route_job(job, model, plan, fabric, nodes, &alive) {
-            Routing::Routed { node, job } => per_node[node].push(job),
-            Routing::Unhosted { expert } => {
-                unreachable!("lax dispatch never rejects (expert {expert})")
-            }
-            Routing::Paced => unreachable!("one-shot dispatch never paces"),
-        }
-    }
-    DispatchOutcome {
-        per_node,
-        cross_node_hops: dispatcher.cross_node_hops(),
-        fabric_time_total: dispatcher.fabric_time_total(),
-    }
-}
-
 /// Predicted service time of one request chain on a node: the measured
 /// `K + B` per stage, divided by the executors draining in parallel.
 fn predicted_service(model: &CoeModel, node: &NodeLoadModel<'_>, stages: &[ExpertId]) -> SimSpan {
@@ -730,9 +652,11 @@ mod tests {
     use coserve_model::devices;
     use coserve_sim::network::LinkProfile;
     use coserve_workload::board::BoardSpec;
-    use coserve_workload::stream::StreamOrder;
+    use coserve_workload::stream::{RequestStream, StreamOrder};
 
-    fn setup(nodes: usize) -> (CoeModel, PerfMatrix, RequestStream, Fabric) {
+    type Fixture = (CoeModel, PerfMatrix, RequestStream, Fabric);
+
+    fn setup(nodes: usize) -> Fixture {
         let board = BoardSpec::synthetic("disp", 30, 3, 1.2, 40.0, 0.5);
         let model = board.build_model().unwrap();
         let device = devices::numa_rtx3080ti();
@@ -761,93 +685,84 @@ mod tests {
         ]
     }
 
+    /// A dispatcher over `n` nodes shipping 8 MiB of activations per hop.
+    fn dispatcher(n: usize, route: RoutePolicy, feedback: FeedbackMode) -> Dispatcher {
+        Dispatcher::new(n, route, Bytes::mib(8), feedback)
+    }
+
+    /// Routes the fixture's whole stream through a fresh open-loop
+    /// dispatcher with every node live: the jobs each node receives, in
+    /// routing order, plus the dispatcher with its hop and fabric
+    /// counters.
+    fn route_all(
+        (model, perf, stream, fabric): &Fixture,
+        plan: &PlacementPlan,
+        route: RoutePolicy,
+    ) -> (Vec<Vec<Job>>, Dispatcher) {
+        let n = plan.num_nodes();
+        let nodes = load_models(perf, n);
+        let alive = vec![true; n];
+        let mut d = dispatcher(n, route, FeedbackMode::OpenLoop);
+        let mut per_node = vec![Vec::new(); n];
+        for job in stream.jobs() {
+            match d.route_job(job, model, plan, fabric, &nodes, &alive, None) {
+                Routing::Routed { node, job } => per_node[node].push(job),
+                other => panic!("every node is live and pacing is off: {other:?}"),
+            }
+        }
+        (per_node, d)
+    }
+
     #[test]
     fn every_job_is_routed_exactly_once() {
-        let (model, perf, stream, fabric) = setup(4);
-        let plan = plan_placement(&model, &perf, 4, PlacementStrategy::UsageAware, 7);
+        let fx = setup(4);
+        let (model, perf, stream, _) = &fx;
+        let plan = plan_placement(model, perf, 4, PlacementStrategy::UsageAware, 7);
         for route in RoutePolicy::ALL {
-            let out = dispatch(
-                &stream,
-                &model,
-                &plan,
-                &fabric,
-                &load_models(&perf, 4),
-                route,
-                Bytes::mib(8),
-            );
-            let total: usize = out.per_node.iter().map(Vec::len).sum();
+            let (per_node, _) = route_all(&fx, &plan, route);
+            let total: usize = per_node.iter().map(Vec::len).sum();
             assert_eq!(total, stream.len(), "{route} lost or duplicated jobs");
         }
     }
 
     #[test]
     fn round_robin_rotates_evenly() {
-        let (model, perf, stream, fabric) = setup(4);
-        let plan = plan_placement(&model, &perf, 4, PlacementStrategy::UsageAware, 7);
-        let out = dispatch(
-            &stream,
-            &model,
-            &plan,
-            &fabric,
-            &load_models(&perf, 4),
-            RoutePolicy::RoundRobin,
-            Bytes::mib(8),
-        );
-        for node in &out.per_node {
+        let fx = setup(4);
+        let (model, perf, stream, _) = &fx;
+        let plan = plan_placement(model, perf, 4, PlacementStrategy::UsageAware, 7);
+        let (per_node, _) = route_all(&fx, &plan, RoutePolicy::RoundRobin);
+        for node in &per_node {
             assert_eq!(node.len(), stream.len() / 4);
         }
     }
 
     #[test]
     fn residency_first_avoids_hops_round_robin_pays_them() {
-        let (model, perf, stream, fabric) = setup(4);
-        let plan = plan_placement(&model, &perf, 4, PlacementStrategy::UsageAware, 7);
-        let nodes = load_models(&perf, 4);
-        let rf = dispatch(
-            &stream,
-            &model,
-            &plan,
-            &fabric,
-            &nodes,
-            RoutePolicy::ResidencyFirst,
-            Bytes::mib(8),
-        );
-        let rr = dispatch(
-            &stream,
-            &model,
-            &plan,
-            &fabric,
-            &nodes,
-            RoutePolicy::RoundRobin,
-            Bytes::mib(8),
-        );
+        let fx = setup(4);
+        let (model, perf, ..) = &fx;
+        let plan = plan_placement(model, perf, 4, PlacementStrategy::UsageAware, 7);
+        let (_, rf) = route_all(&fx, &plan, RoutePolicy::ResidencyFirst);
+        let (_, rr) = route_all(&fx, &plan, RoutePolicy::RoundRobin);
         assert!(
-            rf.cross_node_hops < rr.cross_node_hops,
+            rf.cross_node_hops() < rr.cross_node_hops(),
             "residency-first {} vs round-robin {}",
-            rf.cross_node_hops,
-            rr.cross_node_hops
+            rf.cross_node_hops(),
+            rr.cross_node_hops()
         );
-        assert!(rr.cross_node_hops > 0, "sharded tail must cause hops");
-        assert!(rr.fabric_time_total > SimSpan::ZERO);
+        assert!(rr.cross_node_hops() > 0, "sharded tail must cause hops");
+        assert!(rr.fabric_time_total() > SimSpan::ZERO);
     }
 
     #[test]
     fn replicated_placement_never_crosses_nodes() {
-        let (model, perf, stream, fabric) = setup(3);
-        let plan = plan_placement(&model, &perf, 3, PlacementStrategy::Replicated, 7);
-        let out = dispatch(
-            &stream,
-            &model,
-            &plan,
-            &fabric,
-            &load_models(&perf, 3),
-            RoutePolicy::LeastLoaded,
-            Bytes::mib(8),
-        );
-        assert_eq!(out.cross_node_hops, 0);
-        assert_eq!(out.fabric_time_total, SimSpan::ZERO);
+        let fx = setup(3);
+        let (model, perf, stream, _) = &fx;
+        let plan = plan_placement(model, perf, 3, PlacementStrategy::Replicated, 7);
+        let (per_node, d) = route_all(&fx, &plan, RoutePolicy::LeastLoaded);
+        assert_eq!(d.cross_node_hops(), 0);
+        assert_eq!(d.fabric_time_total(), SimSpan::ZERO);
         // Arrivals are then untouched.
-        for (node, jobs) in out.per_node.iter().enumerate() {
+        for (node, jobs) in per_node.iter().enumerate() {
             for j in jobs {
                 assert_eq!(
                     j.arrival,
@@ -860,20 +775,13 @@ mod tests {
 
     #[test]
     fn fabric_delay_shifts_arrivals_forward() {
-        let (model, perf, stream, fabric) = setup(4);
-        let plan = plan_placement(&model, &perf, 4, PlacementStrategy::Sharded, 7);
-        let out = dispatch(
-            &stream,
-            &model,
-            &plan,
-            &fabric,
-            &load_models(&perf, 4),
-            RoutePolicy::RoundRobin,
-            Bytes::mib(8),
-        );
-        assert!(out.cross_node_hops > 0);
+        let fx = setup(4);
+        let (model, perf, stream, _) = &fx;
+        let plan = plan_placement(model, perf, 4, PlacementStrategy::Sharded, 7);
+        let (per_node, d) = route_all(&fx, &plan, RoutePolicy::RoundRobin);
+        assert!(d.cross_node_hops() > 0);
         let mut delayed = 0usize;
-        for jobs in &out.per_node {
+        for jobs in &per_node {
             for j in jobs {
                 let original = stream.jobs()[j.id.index()].arrival;
                 assert!(j.arrival >= original, "fabric can only delay");
@@ -887,18 +795,11 @@ mod tests {
 
     #[test]
     fn least_loaded_balances_work_left() {
-        let (model, perf, stream, fabric) = setup(2);
-        let plan = plan_placement(&model, &perf, 2, PlacementStrategy::Replicated, 7);
-        let out = dispatch(
-            &stream,
-            &model,
-            &plan,
-            &fabric,
-            &load_models(&perf, 2),
-            RoutePolicy::LeastLoaded,
-            Bytes::mib(8),
-        );
-        let (a, b) = (out.per_node[0].len(), out.per_node[1].len());
+        let fx = setup(2);
+        let (model, perf, stream, _) = &fx;
+        let plan = plan_placement(model, perf, 2, PlacementStrategy::Replicated, 7);
+        let (per_node, _) = route_all(&fx, &plan, RoutePolicy::LeastLoaded);
+        let (a, b) = (per_node[0].len(), per_node[1].len());
         assert!(
             a.abs_diff(b) <= stream.len() / 10,
             "least-loaded badly skewed: {a} vs {b}"
@@ -907,28 +808,14 @@ mod tests {
 
     #[test]
     fn dispatch_is_deterministic() {
-        let (model, perf, stream, fabric) = setup(4);
-        let plan = plan_placement(&model, &perf, 4, PlacementStrategy::Random, 3);
-        let nodes = load_models(&perf, 4);
-        let a = dispatch(
-            &stream,
-            &model,
-            &plan,
-            &fabric,
-            &nodes,
-            RoutePolicy::ResidencyFirst,
-            Bytes::mib(8),
-        );
-        let b = dispatch(
-            &stream,
-            &model,
-            &plan,
-            &fabric,
-            &nodes,
-            RoutePolicy::ResidencyFirst,
-            Bytes::mib(8),
-        );
+        let fx = setup(4);
+        let (model, perf, ..) = &fx;
+        let plan = plan_placement(model, perf, 4, PlacementStrategy::Random, 3);
+        let (a, da) = route_all(&fx, &plan, RoutePolicy::ResidencyFirst);
+        let (b, db) = route_all(&fx, &plan, RoutePolicy::ResidencyFirst);
         assert_eq!(a, b);
+        assert_eq!(da.cross_node_hops(), db.cross_node_hops());
+        assert_eq!(da.fabric_time_total(), db.fabric_time_total());
     }
 
     #[test]
@@ -936,16 +823,10 @@ mod tests {
         let (model, perf, stream, fabric) = setup(4);
         let plan = plan_placement(&model, &perf, 4, PlacementStrategy::Replicated, 7);
         let nodes = load_models(&perf, 4);
-        let mut d = Dispatcher::new(
-            4,
-            RoutePolicy::LeastLoaded,
-            Bytes::mib(8),
-            FeedbackMode::OpenLoop,
-            true,
-        );
+        let mut d = dispatcher(4, RoutePolicy::LeastLoaded, FeedbackMode::OpenLoop);
         let alive = [true, false, true, false];
         for job in stream.jobs() {
-            match d.route_job(job, &model, &plan, &fabric, &nodes, &alive) {
+            match d.route_job(job, &model, &plan, &fabric, &nodes, &alive, None) {
                 Routing::Routed { node, .. } => assert!(alive[node], "routed to dead node {node}"),
                 Routing::Unhosted { expert } => {
                     panic!("replicated placement cannot orphan {expert}")
@@ -957,23 +838,17 @@ mod tests {
     }
 
     #[test]
-    fn strict_hosting_rejects_orphaned_chains() {
+    fn orphaned_chains_are_unhosted() {
         let (model, perf, stream, fabric) = setup(2);
         let plan = plan_placement(&model, &perf, 2, PlacementStrategy::Sharded, 7);
         let nodes = load_models(&perf, 2);
-        let mut d = Dispatcher::new(
-            2,
-            RoutePolicy::ResidencyFirst,
-            Bytes::mib(8),
-            FeedbackMode::OpenLoop,
-            true,
-        );
+        let mut d = dispatcher(2, RoutePolicy::ResidencyFirst, FeedbackMode::OpenLoop);
         // Node 1 is dead: every expert sharded onto it is orphaned.
         let alive = [true, false];
         let mut rejected = 0usize;
         for job in stream.jobs() {
             if let Routing::Unhosted { expert } =
-                d.route_job(job, &model, &plan, &fabric, &nodes, &alive)
+                d.route_job(job, &model, &plan, &fabric, &nodes, &alive, None)
             {
                 assert!(plan.is_placed(1, expert) && !plan.is_placed(0, expert));
                 rejected += 1;
@@ -991,16 +866,10 @@ mod tests {
         let plan = plan_placement(&model, &perf, 2, PlacementStrategy::Replicated, 7);
         let nodes = load_models(&perf, 2);
         let alive = [true, true];
-        let mut d = Dispatcher::new(
-            2,
-            RoutePolicy::LeastLoaded,
-            Bytes::mib(8),
-            FeedbackMode::Corrected,
-            true,
-        );
+        let mut d = dispatcher(2, RoutePolicy::LeastLoaded, FeedbackMode::Corrected);
         assert_eq!(d.estimate_error_ms(), None);
         for job in stream.jobs().iter().take(50) {
-            let _ = d.route_job(job, &model, &plan, &fabric, &nodes, &alive);
+            let _ = d.route_job(job, &model, &plan, &fabric, &nodes, &alive, None);
         }
         // Pretend both nodes took 3× the predicted busy time and
         // finished late: the error ledger fills and, corrected, the
@@ -1022,14 +891,8 @@ mod tests {
         let plan = plan_placement(&model, &perf, 2, PlacementStrategy::Replicated, 7);
         let nodes = load_models(&perf, 2);
         let alive = [true, true];
-        let mut d = Dispatcher::new(
-            2,
-            RoutePolicy::LeastLoaded,
-            Bytes::mib(8),
-            FeedbackMode::OpenLoop,
-            true,
-        )
-        .with_pacing(true);
+        let mut d =
+            dispatcher(2, RoutePolicy::LeastLoaded, FeedbackMode::OpenLoop).with_pacing(true);
         // Node 0 overflowed last tick after absorbing 2 jobs; node 1
         // absorbed 4 cleanly (no budget).
         d.observe_admission(
@@ -1050,7 +913,7 @@ mod tests {
         let mut to = [0usize; 2];
         for job in stream.jobs().iter().take(20) {
             if let Routing::Routed { node, .. } =
-                d.route_job(job, &model, &plan, &fabric, &nodes, &alive)
+                d.route_job(job, &model, &plan, &fabric, &nodes, &alive, None)
             {
                 to[node] += 1;
             }
@@ -1066,7 +929,7 @@ mod tests {
         let mut shed = 0usize;
         for job in stream.jobs().iter().take(20) {
             if matches!(
-                d.route_job(job, &model, &plan, &fabric, &nodes, &dead),
+                d.route_job(job, &model, &plan, &fabric, &nodes, &dead, None),
                 Routing::Paced
             ) {
                 shed += 1;
@@ -1093,20 +956,14 @@ mod tests {
         let plan = plan_placement(&model, &perf, 3, PlacementStrategy::UsageAware, 7);
         let nodes = load_models(&perf, 3);
         let alive = [true, true, true];
-        let mut plain = Dispatcher::new(
-            3,
-            RoutePolicy::LeastLoaded,
-            Bytes::mib(8),
-            FeedbackMode::OpenLoop,
-            true,
-        );
+        let mut plain = dispatcher(3, RoutePolicy::LeastLoaded, FeedbackMode::OpenLoop);
         // Paced but never observing drops: budgets never materialize,
         // so routing is bit-identical to the un-paced dispatcher.
         let mut paced = plain.clone().with_pacing(true);
         for job in stream.jobs() {
             paced.begin_tick();
-            let a = plain.route_job(job, &model, &plan, &fabric, &nodes, &alive);
-            let b = paced.route_job(job, &model, &plan, &fabric, &nodes, &alive);
+            let a = plain.route_job(job, &model, &plan, &fabric, &nodes, &alive, None);
+            let b = paced.route_job(job, &model, &plan, &fabric, &nodes, &alive, None);
             assert_eq!(a, b);
         }
     }
@@ -1126,13 +983,7 @@ mod tests {
         let plan = plan_placement(&model, &perf, 3, PlacementStrategy::Replicated, 7);
         let nodes = load_models(&perf, 3);
         let alive = vec![true; 3];
-        let mut d = Dispatcher::new(
-            3,
-            RoutePolicy::LeastLoaded,
-            Bytes::mib(8),
-            FeedbackMode::Corrected,
-            false,
-        );
+        let mut d = dispatcher(3, RoutePolicy::LeastLoaded, FeedbackMode::Corrected);
         // One burst: every job arrives at once, so the work-left
         // estimates actually accumulate instead of draining between
         // arrivals (spread-out arrivals leave every node idle and tied).
@@ -1148,7 +999,7 @@ mod tests {
             .collect();
         let (warmup, measured) = jobs.split_at(60);
         for job in warmup {
-            d.route_job(job, &model, &plan, &fabric, &nodes, &alive);
+            d.route_job(job, &model, &plan, &fabric, &nodes, &alive, None);
         }
         // Telemetry for the warmup tick: node 0 spent far more busy
         // time than predicted (a slow node), the others far less. The
@@ -1160,7 +1011,7 @@ mod tests {
         let mut counts = [0usize; 3];
         for job in measured {
             if let Routing::Routed { node, .. } =
-                d.route_job(job, &model, &plan, &fabric, &nodes, &alive)
+                d.route_job(job, &model, &plan, &fabric, &nodes, &alive, None)
             {
                 counts[node] += 1;
             }
@@ -1177,19 +1028,13 @@ mod tests {
         let plan = plan_placement(&model, &perf, 4, PlacementStrategy::Sharded, 7);
         let nodes = load_models(&perf, 4);
         let alive = vec![true; 4];
-        let mut plain = Dispatcher::new(
-            4,
-            RoutePolicy::ResidencyFirst,
-            Bytes::mib(8),
-            FeedbackMode::OpenLoop,
-            false,
-        );
+        let mut plain = dispatcher(4, RoutePolicy::ResidencyFirst, FeedbackMode::OpenLoop);
         let mut faulted = plain.clone();
         let disabled = coserve_faults::FaultPlan::disabled();
         let mut ledger = FaultLedger::default();
         for job in stream.jobs() {
-            let a = plain.route_job(job, &model, &plan, &fabric, &nodes, &alive);
-            let b = faulted.route_job_with_faults(
+            let a = plain.route_job(job, &model, &plan, &fabric, &nodes, &alive, None);
+            let b = faulted.route_job(
                 job,
                 &model,
                 &plan,
@@ -1214,18 +1059,10 @@ mod tests {
         let plan = plan_placement(&model, &perf, 4, PlacementStrategy::Sharded, 7);
         let nodes = load_models(&perf, 4);
         let alive = vec![true; 4];
-        let fresh = || {
-            Dispatcher::new(
-                4,
-                RoutePolicy::RoundRobin,
-                Bytes::mib(8),
-                FeedbackMode::OpenLoop,
-                false,
-            )
-        };
+        let fresh = || dispatcher(4, RoutePolicy::RoundRobin, FeedbackMode::OpenLoop);
         let mut baseline = fresh();
         for job in stream.jobs() {
-            baseline.route_job(job, &model, &plan, &fabric, &nodes, &alive);
+            baseline.route_job(job, &model, &plan, &fabric, &nodes, &alive, None);
         }
         let fault_plan = coserve_faults::FaultPlan::seeded(5).with_link(
             0.9,
@@ -1236,7 +1073,7 @@ mod tests {
         let mut ledger = FaultLedger::default();
         let mut slow = fresh();
         for job in stream.jobs() {
-            slow.route_job_with_faults(
+            slow.route_job(
                 job,
                 &model,
                 &plan,
@@ -1275,16 +1112,10 @@ mod tests {
                 coserve_faults::FaultWindow::ALWAYS,
             );
             let mut ledger = FaultLedger::default();
-            let mut d = Dispatcher::new(
-                4,
-                RoutePolicy::RoundRobin,
-                Bytes::mib(8),
-                FeedbackMode::OpenLoop,
-                false,
-            );
+            let mut d = dispatcher(4, RoutePolicy::RoundRobin, FeedbackMode::OpenLoop);
             let mut to_zero = 0usize;
             for job in stream.jobs() {
-                if let Routing::Routed { node, .. } = d.route_job_with_faults(
+                if let Routing::Routed { node, .. } = d.route_job(
                     job,
                     &model,
                     &plan,

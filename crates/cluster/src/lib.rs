@@ -391,8 +391,7 @@ fn spec_name_or_default(system: &ServingSystem, name: String, index: usize) -> S
 /// Convenient re-exports of the most commonly used items.
 pub mod prelude {
     pub use crate::dispatch::{
-        dispatch, DispatchOutcome, Dispatcher, FeedbackMode, NodeLoadModel, RouteFaults,
-        RoutePolicy, Routing,
+        Dispatcher, FeedbackMode, NodeLoadModel, RouteFaults, RoutePolicy, Routing,
     };
     pub use crate::placement::{
         migration_plan, plan_placement, ExpertMove, MigrationPlan, PlacementPlan, PlacementStrategy,

@@ -445,7 +445,6 @@ impl<'a> Runtime<'a> {
             sys.options().route,
             sys.options().activation_bytes,
             options.feedback,
-            true,
         )
         .with_pacing(options.pacing);
         Runtime {
@@ -639,7 +638,7 @@ impl<'a> Runtime<'a> {
             ledger: &mut self.ledger,
             hedge,
         });
-        match self.dispatcher.route_job_with_faults(
+        match self.dispatcher.route_job(
             &job,
             self.sys.model(),
             &self.plan,
@@ -1356,8 +1355,7 @@ mod tests {
         // Budgets are reactive: they only exist after a node has
         // reported a tick. A one-shot run (single tick) therefore
         // routes bit-identically with pacing on or off — and the
-        // figure binaries, which never enable pacing, are untouched
-        // either way.
+        // figures, which never enable pacing, are untouched either way.
         let (cluster, stream) = fleet(3);
         let plain = cluster.serve_runtime(&stream, &RuntimeOptions::default());
         let paced = cluster.serve_runtime(&stream, &RuntimeOptions::default().pacing(true));

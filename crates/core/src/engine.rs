@@ -884,7 +884,7 @@ impl<'a> EngineSession<'a> {
         Ok(job)
     }
 
-    fn dispatch(&mut self, at: SimTime, ev: Ev) {
+    fn handle_event(&mut self, at: SimTime, ev: Ev) {
         match ev {
             Ev::Arrive { job, stage } => self.on_arrive(job, stage, at),
             Ev::Sched { job, stage } => self.on_sched(job, stage, at),
@@ -898,7 +898,7 @@ impl<'a> EngineSession<'a> {
         let Some(ev) = self.events.pop() else {
             return false;
         };
-        self.dispatch(ev.at, ev.payload);
+        self.handle_event(ev.at, ev.payload);
         true
     }
 
@@ -911,7 +911,7 @@ impl<'a> EngineSession<'a> {
     pub fn pump_until(&mut self, limit: SimTime) -> usize {
         let mut n = 0;
         while let Some(ev) = self.events.pop_before(limit) {
-            self.dispatch(ev.at, ev.payload);
+            self.handle_event(ev.at, ev.payload);
             n += 1;
         }
         n
@@ -927,11 +927,10 @@ impl<'a> EngineSession<'a> {
         n
     }
 
-    /// Swaps the session's calendar for a reference (single-heap) one —
-    /// behaviourally a plain [`coserve_sim::events::EventQueue`]. The
-    /// equivalence tests run whole sessions both ways and require
-    /// bit-identical reports and traces. Must be called before the
-    /// first submission.
+    /// Swaps the session's calendar for a reference (single-heap) one,
+    /// [`Calendar::reference`]. The equivalence tests run whole sessions
+    /// both ways and require bit-identical reports and traces. Must be
+    /// called before the first submission.
     #[doc(hidden)]
     pub fn use_reference_calendar(&mut self) {
         assert!(

@@ -18,6 +18,7 @@ use coserve_core::presets::ONLINE_MAX_OVERTAKE;
 use coserve_core::system::ServingSystem;
 use coserve_metrics::cluster::ClusterReport;
 use coserve_metrics::report::RunReport;
+use coserve_model::coe::CoeModel;
 use coserve_workload::arrivals::ArrivalProcess;
 use coserve_workload::board::BoardSpec;
 use coserve_workload::stream::{RequestStream, StreamOrder};
@@ -100,7 +101,7 @@ pub fn serve_open_loop(
     board: &BoardSpec,
     options: &OpenLoopOptions,
 ) -> RunReport {
-    let stream = open_loop_stream(system, board, options);
+    let stream = open_loop_stream(system.model(), board, options);
     let mut config = system.config().clone();
     config.admission = Some(options.admission);
     config.max_overtake = Some(options.max_overtake);
@@ -126,15 +127,7 @@ pub fn serve_cluster(
     board: &BoardSpec,
     options: &OpenLoopOptions,
 ) -> ClusterReport {
-    let stream = RequestStream::generate_open_loop(
-        format!("open-loop {}", options.process),
-        board,
-        cluster.model(),
-        options.requests,
-        options.process,
-        options.order,
-        options.seed,
-    );
+    let stream = open_loop_stream(cluster.model(), board, options);
     cluster.serve_with_online(&stream, options.admission, options.max_overtake)
 }
 
@@ -158,34 +151,29 @@ pub fn serve_cluster_runtime(
     options: &OpenLoopOptions,
     runtime: &RuntimeOptions,
 ) -> ClusterReport {
-    let stream = RequestStream::generate_open_loop(
-        format!("open-loop {}", options.process),
-        board,
-        cluster.model(),
-        options.requests,
-        options.process,
-        options.order,
-        options.seed,
-    );
+    let stream = open_loop_stream(cluster.model(), board, options);
     let runtime = runtime
         .clone()
         .online(options.admission, options.max_overtake);
     cluster.serve_runtime(&stream, &runtime)
 }
 
-/// The request stream [`serve_open_loop`] would serve — exposed so
-/// callers can inspect offered load or replay the identical schedule
-/// through a custom engine configuration.
+/// The request stream [`serve_open_loop`], [`serve_cluster`] and
+/// [`serve_cluster_runtime`] serve for `model` — exposed so callers can
+/// inspect offered load or replay the identical schedule through a
+/// custom engine configuration. It takes no serving configuration, so
+/// every system compared on the same model, board and options sees the
+/// same arrivals.
 #[must_use]
 pub fn open_loop_stream(
-    system: &ServingSystem,
+    model: &CoeModel,
     board: &BoardSpec,
     options: &OpenLoopOptions,
 ) -> RequestStream {
     RequestStream::generate_open_loop(
         format!("open-loop {}", options.process),
         board,
-        system.model(),
+        model,
         options.requests,
         options.process,
         options.order,
@@ -297,17 +285,11 @@ mod tests {
         let options = OpenLoopOptions::new(ArrivalProcess::bursty(50.0, 2_000.0, 100.0, 20.0))
             .requests(200)
             .seed(13);
-        let stream = open_loop_stream(&system, &board, &options);
+        // The stream depends only on (board, model, options), never on
+        // a serving configuration — the fairness property of sweeps.
+        let stream = open_loop_stream(system.model(), &board, &options);
         assert_eq!(stream.len(), 200);
         assert!(stream.name().contains("mmpp"));
-        // The stream depends only on (board, model, options), not on the
-        // serving configuration — the fairness property of sweeps.
-        let baseline = ServingSystem::new(
-            system.device().clone(),
-            system.model().clone(),
-            coserve_baselines::samba::samba_coe(system.device()),
-        )
-        .unwrap();
-        assert_eq!(stream, open_loop_stream(&baseline, &board, &options));
+        assert_eq!(stream, open_loop_stream(system.model(), &board, &options));
     }
 }

@@ -1,25 +1,24 @@
-//! The discrete-event queue and the multi-lane event calendar.
+//! The multi-lane event calendar.
 //!
-//! A simulation run is a loop over an [`EventQueue`]: pop the earliest
+//! A simulation run is a loop over a [`Calendar`]: pop the earliest
 //! event, advance the clock to its timestamp, handle it, possibly push
 //! more events. Events at the same timestamp pop in insertion order
 //! (FIFO), which makes runs fully deterministic — an essential property
 //! for reproducing schedules and for the determinism tests.
 //!
-//! [`Calendar`] is the high-throughput sibling used by the engine's hot
-//! loop: the same `(time, seq)` pop contract, but pushes whose source is
-//! known to emit in non-decreasing time order land in O(1) FIFO *lanes*
-//! instead of the heap. See the type-level docs for the determinism
-//! contract and the proof sketch of pop-order equivalence.
+//! Pushes whose source is known to emit in non-decreasing time order
+//! land in O(1) FIFO *lanes* instead of the heap. See the type-level
+//! docs for the determinism contract and the proof sketch of pop-order
+//! equivalence.
 //!
 //! ```
-//! use coserve_sim::events::EventQueue;
+//! use coserve_sim::events::Calendar;
 //! use coserve_sim::time::SimTime;
 //!
-//! let mut q = EventQueue::new();
-//! q.push(SimTime::from_nanos(20), "late");
-//! q.push(SimTime::from_nanos(10), "early");
-//! assert_eq!(q.pop().unwrap().payload, "early");
+//! let mut cal = Calendar::new(1);
+//! cal.push(SimTime::from_nanos(20), "late");
+//! cal.push_lane(0, SimTime::from_nanos(10), "early");
+//! assert_eq!(cal.pop().unwrap().payload, "early");
 //! ```
 
 use std::cmp::Ordering;
@@ -60,94 +59,18 @@ impl<E> Ord for Entry<E> {
     }
 }
 
-/// A deterministic min-priority queue of timestamped events.
-#[derive(Debug)]
-pub struct EventQueue<E> {
-    heap: BinaryHeap<Entry<E>>,
-    next_seq: u64,
-    last_popped: SimTime,
-}
-
-impl<E> Default for EventQueue<E> {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl<E> EventQueue<E> {
-    /// Creates an empty queue.
-    #[must_use]
-    pub fn new() -> Self {
-        EventQueue {
-            heap: BinaryHeap::new(),
-            next_seq: 0,
-            last_popped: SimTime::ZERO,
-        }
-    }
-
-    /// Schedules `payload` to fire at `at`.
-    ///
-    /// Scheduling in the past (before the last popped timestamp) is a
-    /// logic error in the engine; it is tolerated here (the event fires
-    /// "now") but flagged in debug builds.
-    pub fn push(&mut self, at: SimTime, payload: E) {
-        debug_assert!(
-            at >= self.last_popped,
-            "event scheduled at {at} before current time {}",
-            self.last_popped
-        );
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        self.heap.push(Entry(Scheduled {
-            at: at.max(self.last_popped),
-            seq,
-            payload,
-        }));
-    }
-
-    /// Removes and returns the earliest event, advancing the internal
-    /// notion of "now".
-    pub fn pop(&mut self) -> Option<Scheduled<E>> {
-        let entry = self.heap.pop()?;
-        self.last_popped = entry.0.at;
-        Some(entry.0)
-    }
-
-    /// The timestamp of the next event without removing it.
-    #[must_use]
-    pub fn peek_time(&self) -> Option<SimTime> {
-        self.heap.peek().map(|e| e.0.at)
-    }
-
-    /// Number of pending events.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.heap.len()
-    }
-
-    /// Whether no events are pending.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
-    }
-
-    /// The timestamp of the most recently popped event.
-    #[must_use]
-    pub fn now(&self) -> SimTime {
-        self.last_popped
-    }
-}
-
-/// A multi-lane event calendar: the engine-grade replacement for
-/// driving a hot event loop through a single binary heap.
+/// A multi-lane event calendar: a deterministic min-priority queue of
+/// timestamped events that drives a hot event loop without paying a
+/// binary-heap push for every event.
 ///
 /// # Determinism contract
 ///
-/// A `Calendar` pops events in exactly the same order as an
-/// [`EventQueue`] fed the same pushes: strictly ascending `(at, seq)`,
+/// A `Calendar` pops events in strictly ascending `(at, seq)` order,
 /// where `seq` is a single monotone counter shared by every push —
 /// equal-timestamp events therefore pop FIFO, and results depend only
-/// on the push sequence, never on which container held an event.
+/// on the push sequence, never on which container held an event. A
+/// [`Calendar::reference`] calendar, which holds every event in one
+/// binary heap, pops the same pushes in the same order.
 ///
 /// # Lanes
 ///
@@ -186,8 +109,8 @@ pub struct Calendar<E> {
     last_popped: SimTime,
     len: usize,
     /// Reference mode: every push goes to the heap, reducing the
-    /// calendar to a plain [`EventQueue`]. The equivalence proptests
-    /// drive both modes over identical workloads.
+    /// calendar to a single binary heap on `(at, seq)`. The equivalence
+    /// proptests drive both modes over identical workloads.
     reference: bool,
 }
 
@@ -217,7 +140,8 @@ impl<E> Calendar<E> {
     }
 
     /// Creates a calendar whose lane pushes all take the heap path —
-    /// behaviourally a plain [`EventQueue`]. Test/verification aid: runs
+    /// one binary heap on `(at, seq)`, the plain event queue the lanes
+    /// must be indistinguishable from. Test/verification aid: runs
     /// driven through a reference calendar must be bit-identical to the
     /// laned ones.
     #[must_use]
@@ -225,12 +149,6 @@ impl<E> Calendar<E> {
         let mut cal = Calendar::new(lanes);
         cal.reference = true;
         cal
-    }
-
-    /// Whether this calendar was built with [`Calendar::reference`].
-    #[must_use]
-    pub fn is_reference(&self) -> bool {
-        self.reference
     }
 
     fn next_seq(&mut self, at: SimTime) -> (SimTime, u64) {
@@ -246,9 +164,10 @@ impl<E> Calendar<E> {
     }
 
     /// Schedules `payload` at `at` through the shared heap — the path
-    /// for sources with no ordering guarantee. Scheduling in the past is
-    /// tolerated (floored to "now") but flagged in debug builds, exactly
-    /// like [`EventQueue::push`].
+    /// for sources with no ordering guarantee. Scheduling in the past
+    /// (before the last popped timestamp) is a logic error in the
+    /// caller; it is tolerated (the event fires "now") but flagged in
+    /// debug builds.
     pub fn push(&mut self, at: SimTime, payload: E) {
         let (at, seq) = self.next_seq(at);
         self.heap.push(Entry(Scheduled { at, seq, payload }));
@@ -361,11 +280,14 @@ mod tests {
     use super::*;
     use crate::time::SimSpan;
 
+    // The reference calendar is the oracle `calendar_matches_event_queue`
+    // holds the lanes against, so its own order is pinned directly.
+
     #[test]
     fn pops_in_time_order() {
-        let mut q = EventQueue::new();
+        let mut q = Calendar::reference(1);
         q.push(SimTime::from_nanos(30), 3);
-        q.push(SimTime::from_nanos(10), 1);
+        q.push_lane(0, SimTime::from_nanos(10), 1);
         q.push(SimTime::from_nanos(20), 2);
         let order: Vec<i32> = std::iter::from_fn(|| q.pop().map(|e| e.payload)).collect();
         assert_eq!(order, vec![1, 2, 3]);
@@ -373,10 +295,14 @@ mod tests {
 
     #[test]
     fn ties_break_fifo() {
-        let mut q = EventQueue::new();
+        let mut q = Calendar::reference(1);
         let t = SimTime::from_nanos(5);
         for i in 0..10 {
-            q.push(t, i);
+            if i % 2 == 0 {
+                q.push(t, i);
+            } else {
+                q.push_lane(0, t, i);
+            }
         }
         let order: Vec<i32> = std::iter::from_fn(|| q.pop().map(|e| e.payload)).collect();
         assert_eq!(order, (0..10).collect::<Vec<_>>());
@@ -384,7 +310,7 @@ mod tests {
 
     #[test]
     fn now_tracks_last_pop() {
-        let mut q = EventQueue::new();
+        let mut q = Calendar::reference(1);
         q.push(SimTime::from_nanos(7), ());
         assert_eq!(q.now(), SimTime::ZERO);
         q.pop();
@@ -393,7 +319,7 @@ mod tests {
 
     #[test]
     fn peek_does_not_remove() {
-        let mut q = EventQueue::new();
+        let mut q = Calendar::reference(1);
         q.push(SimTime::from_nanos(3), "x");
         assert_eq!(q.peek_time(), Some(SimTime::from_nanos(3)));
         assert_eq!(q.len(), 1);
@@ -402,24 +328,28 @@ mod tests {
 
     #[test]
     fn empty_queue_behaviour() {
-        let mut q: EventQueue<()> = EventQueue::new();
-        assert!(q.pop().is_none());
-        assert!(q.peek_time().is_none());
-        assert!(q.is_empty());
-        assert_eq!(q.len(), 0);
+        for mut q in [Calendar::<()>::new(2), Calendar::reference(2)] {
+            assert!(q.pop().is_none());
+            assert!(q.pop_before(SimTime::from_nanos(1)).is_none());
+            assert!(q.peek_time().is_none());
+            assert!(q.is_empty());
+            assert_eq!(q.len(), 0);
+            assert_eq!(q.now(), SimTime::ZERO);
+        }
     }
 
     #[test]
     fn interleaved_push_pop_stays_ordered() {
-        let mut q = EventQueue::new();
-        q.push(SimTime::from_nanos(10), 1);
-        q.push(SimTime::from_nanos(40), 4);
-        assert_eq!(q.pop().unwrap().payload, 1);
-        // Push between the pops; still after "now".
-        q.push(q.now() + SimSpan::from_nanos(5), 2);
-        q.push(q.now() + SimSpan::from_nanos(6), 3);
-        let order: Vec<i32> = std::iter::from_fn(|| q.pop().map(|e| e.payload)).collect();
-        assert_eq!(order, vec![2, 3, 4]);
+        for mut q in [Calendar::new(1), Calendar::reference(1)] {
+            q.push_lane(0, SimTime::from_nanos(10), 1);
+            q.push(SimTime::from_nanos(40), 4);
+            assert_eq!(q.pop().unwrap().payload, 1);
+            // Push between the pops; still after "now".
+            q.push_lane(0, q.now() + SimSpan::from_nanos(5), 2);
+            q.push_lane(0, q.now() + SimSpan::from_nanos(6), 3);
+            let order: Vec<i32> = std::iter::from_fn(|| q.pop().map(|e| e.payload)).collect();
+            assert_eq!(order, vec![2, 3, 4]);
+        }
     }
 
     #[test]
@@ -483,8 +413,6 @@ mod tests {
         c.push_lane(0, SimTime::from_nanos(7), ());
         c.pop();
         assert_eq!(c.now(), SimTime::from_nanos(7));
-        assert!(!c.is_reference());
-        assert!(Calendar::<()>::reference(1).is_reference());
     }
 }
 
@@ -494,8 +422,9 @@ mod proptests {
     use proptest::prelude::*;
 
     proptest! {
-        /// The calendar's pop order is bit-identical to a plain
-        /// [`EventQueue`] fed the same pushes, for arbitrary
+        /// The laned calendar's pop order is bit-identical to the
+        /// reference calendar — one binary heap on `(at, seq)`, a plain
+        /// event queue — fed the same pushes, for arbitrary
         /// interleavings of lane/heap pushes (monotone or not) and pops.
         ///
         /// Op encoding: `pops` drains that many events after each push;
@@ -506,17 +435,18 @@ mod proptests {
             ops in proptest::collection::vec((0u64..50, 0usize..4, 0u32..3), 1..200),
         ) {
             let mut cal: Calendar<usize> = Calendar::new(3);
-            let mut reference: EventQueue<usize> = EventQueue::new();
+            let mut reference: Calendar<usize> = Calendar::reference(3);
             for (i, &(t, lane, pops)) in ops.iter().enumerate() {
                 // Both sides floor past-times identically; feed the
                 // already-floored time so debug asserts stay quiet.
                 let at = SimTime::from_nanos(t).max(cal.now());
                 if lane < 3 {
                     cal.push_lane(lane, at, i);
+                    reference.push_lane(lane, at, i);
                 } else {
                     cal.push(at, i);
+                    reference.push(at, i);
                 }
-                reference.push(at, i);
                 for _ in 0..pops {
                     let got = cal.pop();
                     let want = reference.pop();

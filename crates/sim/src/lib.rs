@@ -42,7 +42,7 @@ pub mod transfer;
 pub mod prelude {
     pub use crate::compute::{LatencyModel, MemoryModel};
     pub use crate::device::{ArchId, DeviceProfile, KernelProfile, MemoryArch, ProcessorKind};
-    pub use crate::events::{Calendar, EventQueue};
+    pub use crate::events::Calendar;
     pub use crate::memory::{AllocError, Bytes, MemoryPool, MemoryTier};
     pub use crate::network::{Fabric, LinkProfile, NodeId};
     pub use crate::resource::{FifoResource, Reservation};

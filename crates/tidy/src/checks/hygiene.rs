@@ -137,9 +137,7 @@ impl Check for TraceHygiene {
 }
 
 /// Artifact-path discipline: the `target/figures` fallback is decided
-/// exactly once, in `coserve_metrics::output`; figure binaries write
-/// through the shared `write_csv`/`write_json` helpers rather than
-/// rolling their own `fs` calls.
+/// exactly once, in `coserve_metrics::output`.
 #[derive(Debug)]
 pub struct OutDir;
 
@@ -156,12 +154,6 @@ impl Check for OutDir {
             if file.kind == FileKind::Vendor {
                 continue;
             }
-            let is_fig_bin = file.path.starts_with("crates/bench/src/bin/")
-                && file
-                    .path
-                    .rsplit('/')
-                    .next()
-                    .is_some_and(|name| name.starts_with("fig") || name.starts_with("table"));
             for (lineno, line) in file.numbered() {
                 if line.in_test || allowed(line, self.name()) {
                     continue;
@@ -179,22 +171,6 @@ impl Check for OutDir {
                                   coserve_metrics::output::out_dir instead"
                             .to_string(),
                     });
-                }
-                if is_fig_bin {
-                    for pattern in ["fs::write", "File::create", "create_dir", "OpenOptions"] {
-                        if find_token(&line.code, pattern).is_some() {
-                            out.push(Diagnostic {
-                                check: self.name(),
-                                file: file.path.clone(),
-                                line: lineno,
-                                message: format!(
-                                    "figure binary writes files directly (`{pattern}`) — \
-                                     go through coserve_bench::write_csv/write_json so \
-                                     COSERVE_OUT_DIR and the workspace anchor apply"
-                                ),
-                            });
-                        }
-                    }
                 }
             }
         }
@@ -325,18 +301,5 @@ mod tests {
         OutDir.run(&[rogue, owner], &mut out);
         assert_eq!(out.len(), 1);
         assert!(out[0].file.contains("bench"));
-    }
-
-    #[test]
-    fn figure_binaries_must_not_write_directly() {
-        let file = ScannedFile::parse(
-            "crates/bench/src/bin/fig99_new.rs",
-            "bench",
-            FileKind::Src,
-            "std::fs::write(path, data).ok();\n",
-        );
-        let mut out = Vec::new();
-        OutDir.run(&[file], &mut out);
-        assert_eq!(out.len(), 1);
     }
 }

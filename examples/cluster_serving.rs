@@ -94,11 +94,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         LinkProfile::ethernet_10g(),
         ClusterOptions::default(),
     )?;
-    let stream = open_loop_stream(
-        &ServingSystem::new(device.clone(), model.clone(), config.clone())?,
-        task.board(),
-        &options,
-    );
+    let stream = open_loop_stream(&model, task.board(), &options);
     let horizon = stream.last_arrival().saturating_since(SimTime::ZERO);
     let midpoint = SimTime::ZERO + SimSpan::from_millis_f64(horizon.as_millis_f64() / 2.0);
     let slo = SimSpan::from_millis(250);

@@ -149,16 +149,7 @@ fn failure_and_revival_runs_are_bit_identical() {
     // stay deterministic bit for bit.
     let run = || {
         let cluster = fleet(4, ClusterOptions::default());
-        let stream = open_loop_stream(
-            &ServingSystem::new(
-                devices::numa_rtx3080ti(),
-                cluster.model().clone(),
-                presets::coserve(&devices::numa_rtx3080ti()),
-            )
-            .unwrap(),
-            TaskSpec::a1().board(),
-            &overload_options(),
-        );
+        let stream = open_loop_stream(cluster.model(), TaskSpec::a1().board(), &overload_options());
         let horizon = stream
             .last_arrival()
             .saturating_since(coserve::sim::time::SimTime::ZERO);

@@ -2,23 +2,36 @@
 //! runs on a scaled-down workload and produces sane rows.
 //!
 //! Each integration-test binary is its own process, so setting
-//! `COSERVE_SCALE` here cannot leak into other test binaries; the tests
-//! in this file all want the same value.
+//! `COSERVE_SCALE` here cannot leak into other test binaries. Every
+//! test but fig23's wants 0.05 and holds [`SCALE`] for reading; fig23
+//! alone runs at 0.005 and holds it for writing, so no other test reads
+//! the lowered value.
 
 use coserve_bench::figures;
+use std::sync::{PoisonError, RwLock, RwLockReadGuard};
 
-fn scale_down() {
-    // Safe pre-2024 edition; all tests in this binary set the same value.
-    std::env::set_var("COSERVE_SCALE", "0.05");
+/// Guards `COSERVE_SCALE` against the fig23 test's lowered value.
+static SCALE: RwLock<()> = RwLock::new(());
+
+fn set_scale(scale: &str) {
+    // Safe pre-2024 edition; under `SCALE`, concurrent writers all set
+    // the same value.
+    std::env::set_var("COSERVE_SCALE", scale);
     std::env::set_var(
         "COSERVE_OUT_DIR",
         std::env::temp_dir().join("coserve-figsmoke"),
     );
 }
 
+fn scale_down() -> RwLockReadGuard<'static, ()> {
+    let guard = SCALE.read().unwrap_or_else(PoisonError::into_inner);
+    set_scale("0.05");
+    guard
+}
+
 #[test]
 fn table1_lists_both_devices() {
-    scale_down();
+    let _scale = scale_down();
     let t = figures::table1_hardware();
     assert_eq!(t.len(), 5);
     let csv = t.to_csv();
@@ -28,7 +41,7 @@ fn table1_lists_both_devices() {
 
 #[test]
 fn fig01_shares_match_paper_bands() {
-    scale_down();
+    let _scale = scale_down();
     let t = figures::fig01_switch_share();
     assert_eq!(t.len(), 12); // 2 devices × 2 paths × 3 archs
     let csv = t.to_csv();
@@ -46,7 +59,7 @@ fn fig01_shares_match_paper_bands() {
 
 #[test]
 fn fig05_06_12_sweeps_have_full_batch_range() {
-    scale_down();
+    let _scale = scale_down();
     let t5 = figures::fig05_avg_latency();
     assert_eq!(t5.len(), 2 * 2 * 32);
     let t6 = figures::fig06_mem_footprint();
@@ -59,7 +72,7 @@ fn fig05_06_12_sweeps_have_full_batch_range() {
 
 #[test]
 fn fig11_cdf_is_monotone() {
-    scale_down();
+    let _scale = scale_down();
     let tables = figures::fig11_usage_cdf();
     assert_eq!(tables.len(), 2);
     let csv = tables[0].to_csv();
@@ -74,7 +87,7 @@ fn fig11_cdf_is_monotone() {
 
 #[test]
 fn fig13_14_suite_produces_all_cells() {
-    scale_down();
+    let _scale = scale_down();
     let (thr, sw) = figures::fig13_14_throughput_and_switches();
     // 2 devices × 4 tasks × 5 systems.
     assert_eq!(thr.len(), 40);
@@ -86,7 +99,7 @@ fn fig13_14_suite_produces_all_cells() {
 
 #[test]
 fn fig15_16_ablation_produces_all_cells() {
-    scale_down();
+    let _scale = scale_down();
     let (thr, sw) = figures::fig15_16_ablation();
     // 2 devices × 4 tasks × 4 ladder steps.
     assert_eq!(thr.len(), 32);
@@ -95,7 +108,7 @@ fn fig15_16_ablation_produces_all_cells() {
 
 #[test]
 fn fig17_18_19_produce_rows() {
-    scale_down();
+    let _scale = scale_down();
     let t17 = figures::fig17_executors();
     assert_eq!(t17.len(), 2 * 2 * 7);
     let t18 = figures::fig18_window_search();
@@ -118,7 +131,7 @@ fn fig17_18_19_produce_rows() {
 
 #[test]
 fn fig21_cluster_scaling_shows_speedup_and_locality() {
-    scale_down();
+    let _scale = scale_down();
     let (t, artifacts) = figures::fig21_cluster_scaling();
     // 1 baseline + 4 placements at 2 nodes + 4×3 matrix at 4 nodes.
     assert_eq!(t.len(), 17);
@@ -168,7 +181,7 @@ fn fig21_cluster_scaling_shows_speedup_and_locality() {
 
 #[test]
 fn fig22_failure_recovery_bounds_recovery_and_rewards_feedback() {
-    scale_down();
+    let _scale = scale_down();
     let (t, artifacts) = figures::fig22_failure_recovery();
     // 2 kill timings × 2 replacement policies × 2 feedback modes, plus
     // the 2 failure-free drift-only rows.
@@ -242,7 +255,10 @@ fn fig22_failure_recovery_bounds_recovery_and_rewards_feedback() {
 
 #[test]
 fn fig23_engine_scale_serves_every_request_at_every_fleet_size() {
-    scale_down();
+    // 800 requests per node, so the 1/8/64-node fleets serve 800, 6 400
+    // and 51 200 requests; at 0.05 one debug-build run costs minutes.
+    let _scale = SCALE.write().unwrap_or_else(PoisonError::into_inner);
+    set_scale("0.005");
     let (t, artifacts) = figures::fig23_engine_scale();
     // Weak-scaling fleets: 1, 8 and 64 nodes.
     assert_eq!(t.len(), 3);
@@ -290,7 +306,7 @@ fn fig23_engine_scale_serves_every_request_at_every_fleet_size() {
 
 #[test]
 fn fig24_fault_matrix_recovers_finitely_and_beats_giving_up() {
-    scale_down();
+    let _scale = scale_down();
     let (t, artifacts) = figures::fig24_fault_matrix();
     // 4 load cells + 3 link cells + 2 node cells + 4 conn cells.
     assert_eq!(t.len(), 13);
@@ -365,7 +381,7 @@ fn fig24_fault_matrix_recovers_finitely_and_beats_giving_up() {
 
 #[test]
 fn fig20_latency_vs_load_has_finite_tails_and_overload_drops() {
-    scale_down();
+    let _scale = scale_down();
     let t = figures::fig20_latency_vs_load();
     // 4 load levels × 3 systems.
     assert_eq!(t.len(), 12);

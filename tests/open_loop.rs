@@ -85,19 +85,15 @@ fn bursty_arrivals_stress_tails_more_than_uniform() {
 fn open_loop_harness_compares_systems_on_identical_streams() {
     let (system, board) = online_system();
     let options = OpenLoopOptions::new(ArrivalProcess::poisson(120.0)).requests(300);
-    let stream = open_loop_stream(&system, &board, &options);
-
+    // Both systems serve `open_loop_stream(model, board, options)`,
+    // which takes no serving configuration: their arrivals are
+    // byte-identical by construction.
     let baseline = ServingSystem::new(
         system.device().clone(),
         system.model().clone(),
         samba_coe(system.device()),
     )
     .unwrap();
-    assert_eq!(
-        stream,
-        open_loop_stream(&baseline, &board, &options),
-        "both systems must see byte-identical arrivals"
-    );
 
     let ours = serve_open_loop(&system, &board, &options);
     let theirs = serve_open_loop(&baseline, &board, &options);

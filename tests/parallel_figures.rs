@@ -6,11 +6,14 @@
 //!
 //! Each integration-test binary is its own process, so setting
 //! `COSERVE_SCALE`/`COSERVE_JOBS` here cannot leak into other test
-//! binaries. All width flips happen inside a single test function, so
-//! there is no intra-process race either. fig22 (the dynamic-runtime
-//! failure sweep) rides along: its cells run whole cluster runtimes,
-//! so width-independence also covers the new control loop.
+//! binaries. All width and scale flips happen inside a single test
+//! function, so there is no intra-process race either. fig22 (the
+//! dynamic-runtime failure sweep) rides along: its cells run whole
+//! cluster runtimes, so width-independence also covers the new control
+//! loop. fig23 (engine scaling) runs at a tenth of the others' scale;
+//! its smoke claims live in `tests/figures_smoke.rs`.
 
+use coserve::metrics::table::Table;
 use coserve_bench::{figures, sweep};
 
 fn scale_down() {
@@ -20,6 +23,16 @@ fn scale_down() {
         "COSERVE_OUT_DIR",
         std::env::temp_dir().join("coserve-parfig"),
     );
+}
+
+/// fig23 at `COSERVE_SCALE=0.005`: 800 requests per node, so the
+/// 1/8/64-node fleets serve 800, 6 400 and 51 200 requests. At the 0.05
+/// the other figures use, one debug-build run costs minutes.
+fn fig23_engine_scale() -> (Table, Vec<(String, String)>) {
+    std::env::set_var("COSERVE_SCALE", "0.005");
+    let out = figures::fig23_engine_scale();
+    std::env::set_var("COSERVE_SCALE", "0.05");
+    out
 }
 
 #[test]
@@ -39,7 +52,7 @@ fn parallel_sweeps_are_byte_identical_to_serial() {
     // simulation-only and must be width-independent. (Its JSON artifact
     // is deliberately wall-clock — machine-dependent by design — so it
     // is not compared here.)
-    let (t23, _) = figures::fig23_engine_scale();
+    let (t23, _) = fig23_engine_scale();
     let fig23_serial = t23.to_csv();
 
     std::env::set_var("COSERVE_JOBS", "4");
@@ -49,7 +62,7 @@ fn parallel_sweeps_are_byte_identical_to_serial() {
     let fig21_wide = t21w.to_csv();
     let (t22w, artifacts22_wide) = figures::fig22_failure_recovery();
     let fig22_wide = t22w.to_csv();
-    let (t23w, _) = figures::fig23_engine_scale();
+    let (t23w, _) = fig23_engine_scale();
     let fig23_wide = t23w.to_csv();
 
     std::env::remove_var("COSERVE_JOBS");
