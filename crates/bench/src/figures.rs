@@ -826,21 +826,24 @@ pub fn fig21_cluster_scaling() -> (Table, Vec<(String, String)>) {
 /// re-placement policy × dispatcher feedback on a 4-node fleet serving
 /// a *drifted* stream (the observed class mix is the declared one
 /// rotated by half the components, so the offline plan's usage basis is
-/// wrong from the first request). Two claims the smoke tests pin:
+/// wrong from the first request). The stream runs just below the
+/// fleet's capacity: the failure-free open-loop row drops under 1 %.
 ///
-/// 1. re-replication bounds recovery (finite `recovery_ms`, migration
-///    traffic charged to the fabric, zero orphan rejections) while a
-///    static placement rejects orphaned chains for the rest of the run
-///    — its orphan-drop rate never recovers;
-/// 2. under the drifted workload, feedback-corrected dispatch beats the
-///    open-loop estimates on p95 latency in the post-failure regime
-///    (the re-replicate rows): migration receivers are genuinely
-///    slower than the offline predictions claim, and only the
-///    corrected estimates stop overloading them. The failure-free
-///    drift-only rows show the flip side — with no structural
-///    asymmetry to learn, open-loop's optimistic estimates happen to
-///    preserve batching locality and feedback buys estimate accuracy
-///    instead of tail latency.
+/// The smoke tests pin one claim: re-replication bounds recovery
+/// (finite `recovery_ms`, migration traffic charged to the fabric,
+/// zero orphan rejections) while a static placement rejects orphaned
+/// chains for the rest of the run — its orphan-drop rate never
+/// recovers.
+///
+/// The feedback rows show that corrected estimates do not pay off in
+/// this regime. At full scale, after a kill the three survivors are
+/// overloaded: the static rows shed the orphaned chains at the
+/// front-end, which keeps their admission drops far below those of
+/// the re-replicate rows, which serve every chain and drop roughly a
+/// third to a half of the stream at the nodes. There, feedback drops
+/// less than open loop but has the higher p95 and estimate error; in
+/// the failure-free drift-only rows open loop wins on drops, p95 and
+/// estimate error alike.
 ///
 /// Returns the table plus a machine-readable `ClusterReport` JSON
 /// artifact of the recovered (re-replicating, feedback-on) mid-run-kill
@@ -872,10 +875,10 @@ pub fn fig22_failure_recovery() -> (Table, Vec<(String, String)>) {
     // (and placement plan) built from the declared profile.
     let drifted = task.board().drifted(task.board().num_components() / 2);
     let requests = ((900.0 * scale()).round() as usize).max(300);
-    // Near-capacity load (not deep saturation): routing quality, not
-    // raw capacity, decides the tail — the regime where corrected
-    // estimates can beat open-loop ones.
-    let rps = 200.0;
+    // Near-capacity load (not deep saturation): the largest multiple
+    // of 10 rps at which the failure-free open-loop row still drops
+    // under 1 % at full scale.
+    let rps = 50.0;
     let stream = RequestStream::generate_open_loop(
         format!("{} drifted poisson {rps}/s", task.name()),
         &drifted,

@@ -227,8 +227,9 @@ impl Dispatcher {
     }
 
     /// Feeds one node's admission telemetry back: `admitted`/`dropped`
-    /// are the node's tick counters, `drain` how long the node took to
-    /// clear what it admitted, `tick` the control-tick length. Two
+    /// are the node's tick counters, `drain` the span from the tick's
+    /// start to the node's finish (see [`Dispatcher::observe`]), `tick`
+    /// the control-tick length. Two
     /// congestion signals set next tick's send budget:
     ///
     /// * **drops** — the admission queue overflowed; clamp to just
@@ -512,7 +513,7 @@ impl Dispatcher {
         Routing::Routed {
             node: target,
             job: Job {
-                id: job.id, // re-densified by the caller after sorting
+                id: job.id,
                 class: job.class,
                 arrival,
                 stages: job.stages.clone(),
@@ -521,9 +522,9 @@ impl Dispatcher {
     }
 
     /// Feeds one node's tick telemetry back: `finish` is when the node
-    /// actually drained the work routed to it (its report's makespan
-    /// against the shared time origin), `busy` the executor time it
-    /// actually spent. Always scores the estimate error; under
+    /// drained its queue, or, while it is still busy, when its engine
+    /// predicts it will (against the shared time origin); `busy` the
+    /// executor time it spent during the tick. Always scores the estimate error; under
     /// [`FeedbackMode::Corrected`] also updates the node's
     /// service-scale EWMA from the observed/predicted busy-time ratio
     /// (the work-left estimate itself is *not* snapped to the

@@ -16,18 +16,19 @@
 //!   hop costs, charged whenever a request's expert chain is not fully
 //!   local.
 //!
-//! [`ClusterSystem`] ties them together: each node runs its own
-//! unmodified per-node engine (admission queues included) over the jobs
-//! the dispatcher routed to it, and the per-node
-//! [`coserve_metrics::report::RunReport`]s merge into one
+//! [`ClusterSystem`] ties them together: each node serves the jobs the
+//! dispatcher routes to it through one unmodified engine session
+//! (admission queues included) that stays open for the whole run, and
+//! the per-node [`coserve_metrics::report::RunReport`]s merge into one
 //! [`coserve_metrics::cluster::ClusterReport`]. Everything stays
 //! deterministic bit for bit.
 //!
-//! The [`runtime`] module turns the one-shot serve into an event-driven
+//! The [`runtime`] module drives the fleet as an event-driven
 //! **control loop**: tick-driven dispatch with per-node telemetry
 //! feedback, mid-run node failures (re-routing + shard re-replication
 //! over the fabric) and drift-triggered online re-placement — see
-//! [`ClusterSystem::serve_runtime`].
+//! [`ClusterSystem::serve_runtime`]. The one-shot serve is its
+//! single-tick case.
 //!
 //! ```
 //! use coserve_cluster::prelude::*;

@@ -469,6 +469,8 @@ impl JobState {
     const FAILED: u8 = 1;
     const DONE: u8 = 1 << 1;
     const DROPPED: u8 = 1 << 2;
+    /// Not terminal: the first stage passed admission control.
+    const ADMITTED: u8 = 1 << 3;
 
     fn failed(self) -> bool {
         self.0 & Self::FAILED != 0
@@ -478,9 +480,17 @@ impl JobState {
         self.0 & Self::DONE != 0
     }
 
+    fn admitted(self) -> bool {
+        self.0 & Self::ADMITTED != 0
+    }
+
     /// No terminal flag set: the job is still in flight.
     fn is_open(self) -> bool {
-        self.0 == 0
+        self.0 & (Self::FAILED | Self::DONE | Self::DROPPED) == 0
+    }
+
+    fn set_admitted(&mut self) {
+        self.0 |= Self::ADMITTED;
     }
 
     fn set_failed(&mut self) {
@@ -647,6 +657,26 @@ pub struct EngineSession<'a> {
     retry: RetryPolicy,
     /// Injection/recovery accounting for this session.
     fault_ledger: FaultLedger,
+    /// Stretch applied to the compute leg of every batch started while
+    /// it is set (see [`EngineSession::set_service_factor`]); 1.0
+    /// leaves service untouched.
+    service_factor: f64,
+}
+
+/// Cumulative counters of a live session, cheap enough to read at every
+/// control tick (unlike [`EngineSession::snapshot`], which summarizes
+/// the whole latency ledger). A control loop takes per-tick telemetry
+/// as the difference of two readings.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct SessionCounters {
+    /// Jobs whose first stage passed admission control.
+    pub admitted: usize,
+    /// Jobs shed by admission control.
+    pub dropped: usize,
+    /// Executor time spent so far: execution plus expert switching.
+    pub busy: SimSpan,
+    /// When the last batch finished (zero before any did).
+    pub last_done: SimTime,
 }
 
 impl fmt::Debug for EngineSession<'_> {
@@ -781,6 +811,7 @@ impl<'a> EngineSession<'a> {
             faults: None,
             retry: RetryPolicy::none(),
             fault_ledger: FaultLedger::default(),
+            service_factor: 1.0,
         };
         if engine.config.preload {
             run.preload();
@@ -1029,6 +1060,38 @@ impl<'a> EngineSession<'a> {
         }
     }
 
+    /// The session's cumulative counters, read without touching the
+    /// latency ledgers.
+    #[must_use]
+    pub fn counters(&self) -> SessionCounters {
+        SessionCounters {
+            admitted: self.admitted,
+            dropped: self.dropped,
+            busy: self.execs.iter().map(|e| e.exec_time).sum::<SimSpan>()
+                + self.execs.iter().map(|e| e.switch_time).sum::<SimSpan>(),
+            last_done: self.last_done,
+        }
+    }
+
+    /// How long past `at` the session's queued and in-flight work is
+    /// predicted to take: the longest per-executor §4.2 remaining-time
+    /// estimate (the one request assignment balances). Zero when idle.
+    pub fn predicted_backlog(&mut self, at: SimTime) -> SimSpan {
+        (0..self.execs.len())
+            .map(|exec_idx| self.predict_total(exec_idx, at))
+            .fold(SimSpan::ZERO, SimSpan::max)
+    }
+
+    /// Stretches the compute leg of every batch started from now on by
+    /// `factor` (a slow node; values below 1 are treated as 1). Expert
+    /// switches and batches already started keep their spans, and the
+    /// stretched span is what the executor's execution time records.
+    /// At the default 1.0 service is bit-identical to a session that
+    /// never called this.
+    pub fn set_service_factor(&mut self, factor: f64) {
+        self.service_factor = factor.max(1.0);
+    }
+
     fn on_arrive(&mut self, job: u32, stage: u8, now: SimTime) {
         let res = self
             .scheduler
@@ -1087,6 +1150,9 @@ impl<'a> EngineSession<'a> {
         }
         if stage == 0 {
             self.admitted += 1;
+            if let Some(state) = self.jobs.get_mut(job as usize) {
+                state.set_admitted();
+            }
         }
         let req = PendingRequest {
             job: coserve_workload::stream::JobId(job),
@@ -1815,8 +1881,14 @@ impl<'a> EngineSession<'a> {
         }
 
         // Execute on the processor's compute channel (ground truth
-        // latency, not the profiler's estimate).
-        let exec_span = entry.kernel.latency(batch.len() as u32);
+        // latency, not the profiler's estimate), stretched on a slow
+        // node.
+        let mut exec_span = entry.kernel.latency(batch.len() as u32);
+        if self.service_factor > 1.0 {
+            exec_span = SimSpan::from_nanos(
+                (exec_span.nanos() as f64 * self.service_factor).round() as u64,
+            );
+        }
         let mut exec_busy = SimSpan::ZERO;
         push_leg(&mut legs, &mut exec_busy, LegChannel::Compute, exec_span);
         let total = switch_busy + exec_busy;
@@ -1977,6 +2049,28 @@ impl<'a> EngineSession<'a> {
             executors,
             channels,
         }
+    }
+
+    /// Closes the session mid-run (its node died): returns the report
+    /// of what ended plus the ids of the jobs still open, in submission
+    /// order. Open jobs leave the report's `submitted` and `admitted`
+    /// counts, so the report conserves jobs on its own
+    /// (`completed + failed + dropped == submitted`); the work their
+    /// earlier stages already did stays in the ledgers.
+    #[must_use]
+    pub fn evacuate(self) -> (RunReport, Vec<u32>) {
+        let mut open = Vec::new();
+        let mut open_admitted = 0;
+        for (job, state) in (0u32..).zip(&self.jobs) {
+            if state.is_open() {
+                open.push(job);
+                open_admitted += usize::from(state.admitted());
+            }
+        }
+        let mut report = self.into_report();
+        report.submitted -= open.len();
+        report.admitted -= open_admitted;
+        (report, open)
     }
 }
 
@@ -2822,6 +2916,68 @@ mod tests {
         assert!(report.drop_rate() > 0.0);
         // Determinism holds with admission control on.
         assert_eq!(report, engine.run(&stream));
+    }
+
+    #[test]
+    fn evacuate_returns_open_jobs_and_a_conserving_report() {
+        // Cut a loaded session mid-stream: some jobs have ended, some
+        // are admitted and queued, the rest never reached the scheduler.
+        let (device, model, perf, stream) = setup(30, 300);
+        let config = SystemConfig::builder("online")
+            .gpu_executors(1)
+            .admission(crate::config::AdmissionControl::with_queue_capacity(8))
+            .max_overtake(8)
+            .build();
+        let engine = Engine::new(&device, &model, &perf, &config).unwrap();
+        let mut session = engine.session("evacuated");
+        for job in stream.jobs() {
+            session.submit(job.arrival, &job.stages).unwrap();
+        }
+        let cut = stream.jobs()[150].arrival;
+        session.pump_until(cut);
+        assert!(session.predicted_backlog(cut) > SimSpan::ZERO);
+        let ended: Vec<u32> = session.drain_completions().iter().map(|c| c.job).collect();
+        let before = session.counters();
+        let (report, open) = session.evacuate();
+
+        assert!(open.windows(2).all(|w| w[0] < w[1]), "submission order");
+        let mut all: Vec<u32> = ended.iter().chain(&open).copied().collect();
+        all.sort_unstable();
+        assert_eq!(all, (0..300).collect::<Vec<u32>>(), "ended + open = all");
+        assert_eq!(report.submitted, 300 - open.len());
+        assert_eq!(
+            report.completed + report.failed + report.dropped,
+            report.submitted
+        );
+        // Admitted-but-unfinished jobs leave the admitted count; jobs
+        // that never reached admission were never in it.
+        let open_admitted = before.admitted - report.admitted;
+        assert!(open_admitted > 0 && open_admitted < open.len());
+        assert!(report.admitted >= report.completed + report.failed);
+        assert_eq!(report.dropped, before.dropped);
+    }
+
+    #[test]
+    fn service_factor_stretches_compute() {
+        let (device, model, perf, stream) = setup(20, 80);
+        let config = coserve_config();
+        let engine = Engine::new(&device, &model, &perf, &config).unwrap();
+        let run = |factor: f64| {
+            let mut session = engine.session(stream.name());
+            session.set_service_factor(factor);
+            for job in stream.jobs() {
+                session.submit(job.arrival, &job.stages).unwrap();
+            }
+            session.pump();
+            assert!(session.is_idle());
+            assert_eq!(session.predicted_backlog(session.now()), SimSpan::ZERO);
+            session.into_report()
+        };
+        assert_eq!(run(1.0), engine.run(&stream), "1.0 is bit-identical");
+        let (plain, slow) = (run(1.0), run(3.0));
+        assert_eq!(slow.completed, plain.completed);
+        assert!(slow.exec_time_total > plain.exec_time_total * 2);
+        assert!(slow.makespan > plain.makespan);
     }
 
     #[test]

@@ -132,10 +132,10 @@ impl ServingSystem {
     }
 
     /// Serves `stream` through an engine built from `config` instead of
-    /// the system's own configuration — the one engine-construction
-    /// path shared by [`ServingSystem::serve`], the open-loop facade
-    /// (which overrides only the online knobs) and the cluster
-    /// dispatcher (which overrides the preload order per node).
+    /// the system's own configuration — the batch path of the open-loop
+    /// facade, which overrides only the online knobs. (Cluster nodes do
+    /// not serve through here: each keeps one engine session open
+    /// across the runtime's control ticks.)
     ///
     /// # Errors
     ///

@@ -41,6 +41,10 @@ impl FailureRecord {
 }
 
 /// Aggregate outcomes of one control tick of the cluster runtime.
+///
+/// Apart from `routed`, a tick stat counts what *ended* in the tick:
+/// nodes carry their backlog across ticks, so a completion or drop
+/// lands in the tick it happened in, whichever tick routed the job.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TickStat {
     /// Tick index, from zero.
@@ -52,7 +56,7 @@ pub struct TickStat {
     pub end: SimTime,
     /// Requests the front-end routed (or rejected) during the tick.
     pub routed: usize,
-    /// Requests completed by the node engines for this tick's work.
+    /// Requests the nodes completed during the tick.
     pub completed: usize,
     /// Requests dropped during the tick (front-end rejections plus
     /// per-node admission drops).
@@ -64,11 +68,13 @@ pub struct TickStat {
 }
 
 impl TickStat {
-    /// Fraction of the tick's routed requests that completed within the
-    /// SLO (drops count as violations); `None` for a workless tick.
+    /// Fraction of the requests that ended in the tick (completed or
+    /// dropped) that completed within the SLO — drops count as
+    /// violations; `None` when nothing ended.
     #[must_use]
     pub fn slo_attainment(&self) -> Option<f64> {
-        (self.routed > 0).then(|| self.slo_met as f64 / self.routed as f64)
+        let ended = self.completed + self.dropped;
+        (ended > 0).then(|| self.slo_met as f64 / ended as f64)
     }
 }
 
@@ -104,8 +110,11 @@ pub struct FleetDynamics {
     pub plan_versions: u64,
     /// Node failures in event order.
     pub failures: Vec<FailureRecord>,
-    /// Mean absolute dispatcher estimate error vs observed node finish
-    /// times, ms (`None` without control ticks).
+    /// Mean absolute error of the dispatcher's work-left estimates
+    /// against each tick's observed node finish, ms: a node that
+    /// drained reports its last batch, a busy one the tick end plus
+    /// its engine's predicted backlog (`None` when no node was
+    /// observed with newly routed work).
     pub estimate_error_ms: Option<f64>,
     /// Per-tick timeline (one entry per control tick that saw work).
     pub ticks: Vec<TickStat>,

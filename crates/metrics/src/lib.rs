@@ -4,7 +4,7 @@
 //! (throughput, expert switches, latency ledgers — the quantities in
 //! the paper's Figures 13–16 and 19), descriptive statistics and the
 //! `K·n + B` linear fit used by the offline profiler (§4.5), and
-//! dependency-free table/CSV/series rendering for the figure harness.
+//! dependency-free table/CSV rendering for the figure harness.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -15,7 +15,6 @@ pub mod cluster;
 pub mod faults;
 pub mod output;
 pub mod report;
-pub mod series;
 pub mod stats;
 pub mod table;
 pub mod timeline;
@@ -30,7 +29,6 @@ pub mod prelude {
     };
     pub use crate::faults::FaultLedger;
     pub use crate::report::{ExecutorReport, RunReport, RunSnapshot, SwitchEvent};
-    pub use crate::series::{FigureData, Series};
     pub use crate::stats::{linear_fit, percentile, LinFit, Summary};
     pub use crate::table::{fmt_f64, Table};
     pub use crate::timeline::{Timeline, TimelineBucket};

@@ -151,12 +151,12 @@ impl RunReport {
     }
 
     /// Folds another report for the *same* system/device into this one
-    /// — the cluster runtime's per-tick accounting: each control tick
-    /// produces one engine run per node, and the node's run-level
-    /// report is the tick reports merged. Counters and ledgers sum or
-    /// extend; the makespan takes the maximum (tick reports share the
-    /// global time origin); switch events are re-sorted chronologically;
-    /// executors merge by index and channels by name.
+    /// — how the cluster runtime joins a node's lives: a kill closes
+    /// the node's engine session and a revival opens a fresh one, so
+    /// this runs once per revival. Counters and ledgers sum or extend;
+    /// the makespan takes the maximum (both lives share the global time
+    /// origin); switch events are re-sorted chronologically; executors
+    /// merge by index and channels by name.
     pub fn absorb(&mut self, other: RunReport) {
         self.submitted += other.submitted;
         self.completed += other.completed;
@@ -753,7 +753,7 @@ mod tests {
     fn absorb_sums_counters_and_merges_ledgers() {
         let mut a = sample_report();
         let mut b = sample_report();
-        // The second tick ran later: its makespan extends the run.
+        // The second life ran later: its makespan extends the run.
         b.makespan = SimSpan::from_secs(14);
         b.switch_events[0].at = SimTime::ZERO + SimSpan::from_secs(11);
         b.executors[0].finished_at = SimTime::ZERO + SimSpan::from_secs(14);

@@ -164,7 +164,8 @@ pub enum TraceKind {
     },
 
     // ── cluster runtime ──────────────────────────────────────────────
-    /// A node died; its buffered work was pulled back for re-route.
+    /// A node died; the work it had not finished was pulled back for
+    /// re-route.
     NodeKilled {
         /// Requests pulled back and re-routed.
         rerouted: u32,
@@ -240,7 +241,7 @@ pub enum TraceKind {
     /// One control tick of this event's node served under slow-node
     /// dilation.
     SlowNode {
-        /// Drain time added by the dilation this tick.
+        /// Executor time the dilation added this tick.
         extra: SimSpan,
     },
     /// A job was re-routed to a replica because its first-choice node

@@ -14,9 +14,9 @@
 //!
 //! It then switches to the *dynamic* cluster runtime: a 4-node fleet
 //! loses a node at the midpoint of the run, the planner re-replicates
-//! the dead node's orphaned shard over the fabric, in-flight requests
-//! re-route, and the per-tick timeline shows the SLO dip around the
-//! failure and the recovery.
+//! the dead node's orphaned shard over the fabric, the requests it had
+//! not finished re-route, and the per-tick timeline shows the SLO dip
+//! around the failure and the recovery.
 
 use coserve::prelude::*;
 
@@ -98,8 +98,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let horizon = stream.last_arrival().saturating_since(SimTime::ZERO);
     let midpoint = SimTime::ZERO + SimSpan::from_millis_f64(horizon.as_millis_f64() / 2.0);
     let slo = SimSpan::from_millis(250);
-    // Nine ticks, so the midpoint kill lands mid-tick and the dying
-    // node has un-served in-flight work to re-route.
+    // Nine control ticks; the midpoint kill lands mid-tick, and
+    // whatever the dying node has queued or in flight at that instant
+    // re-routes to the survivors.
     let runtime = RuntimeOptions::default()
         .tick(SimSpan::from_millis_f64(
             (horizon.as_millis_f64() / 9.0).max(1.0),
@@ -124,48 +125,68 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         ),
         None => println!("  never recovered (static placement)"),
     }
-    // SLO attainment before vs after the failure, from the per-tick
-    // timeline the runtime records.
-    let (mut met_before, mut routed_before) = (0usize, 0usize);
-    let (mut met_after, mut routed_after) = (0usize, 0usize);
+    // SLO attainment before vs after the failure, over the requests
+    // that ended (completed or dropped) in each tick of the timeline.
+    let (mut met_before, mut ended_before) = (0usize, 0usize);
+    let (mut met_after, mut ended_after) = (0usize, 0usize);
     for tick in &report.dynamics.ticks {
         if tick.end <= midpoint {
             met_before += tick.slo_met;
-            routed_before += tick.routed;
+            ended_before += tick.completed + tick.dropped;
         } else {
             met_after += tick.slo_met;
-            routed_after += tick.routed;
+            ended_after += tick.completed + tick.dropped;
         }
     }
-    let pct = |met: usize, routed: usize| {
-        if routed == 0 {
+    let pct = |met: usize, ended: usize| {
+        if ended == 0 {
             0.0
         } else {
-            100.0 * met as f64 / routed as f64
+            100.0 * met as f64 / ended as f64
         }
     };
     println!(
         "  SLO ({slo}) attainment: {:.1}% before the failure, {:.1}% after (recovery + lost capacity)",
-        pct(met_before, routed_before),
-        pct(met_after, routed_after),
+        pct(met_before, ended_before),
+        pct(met_after, ended_after),
     );
+    // The nodes keep their queues across ticks, so the timeline runs on
+    // past the last arrival while the survivors drain their backlog;
+    // show the ticks around the failure and summarize the drain.
+    let ticks = &report.dynamics.ticks;
+    let failure_tick = ticks
+        .iter()
+        .find(|t| t.start <= midpoint && midpoint < t.end)
+        .map_or(0, |t| t.index);
+    let (around, drain): (Vec<&TickStat>, Vec<&TickStat>) =
+        ticks.iter().partition(|t| t.index <= failure_tick + 4);
     println!("  per-tick p95 around the failure:");
-    for tick in &report.dynamics.ticks {
-        let marker = if tick.start <= midpoint && midpoint < tick.end {
+    for tick in around {
+        let marker = if tick.index == failure_tick {
             "  <- node-1 dies"
         } else {
             ""
         };
         println!(
-            "    tick {:>2} [{} .. {}]: routed {:>3}, dropped {:>3}, p95 {:>8}{}",
+            "    tick {:>2} [{} .. {}]: routed {:>3}, completed {:>3}, dropped {:>3}, p95 {:>8}{}",
             tick.index,
             tick.start,
             tick.end,
             tick.routed,
+            tick.completed,
             tick.dropped,
             tick.p95_ms
                 .map_or_else(|| "-".into(), |p| format!("{p:.0} ms")),
             marker,
+        );
+    }
+    if let Some(last) = drain.last() {
+        println!(
+            "    ... {} more ticks ended work ({} completed, {} dropped) until {}",
+            drain.len(),
+            drain.iter().map(|t| t.completed).sum::<usize>(),
+            drain.iter().map(|t| t.dropped).sum::<usize>(),
+            last.end,
         );
     }
 
