@@ -100,7 +100,7 @@ fn bench_preload(c: &mut Criterion) {
 }
 
 /// Ablation bench over the eviction-policy axis: the dependency-aware
-/// two-stage policy vs LRU, FIFO and LFU, end to end.
+/// two-stage policy vs LRU and FIFO, end to end.
 fn bench_eviction_policies(c: &mut Criterion) {
     let ctx = ctx(0.1);
     let mut group = c.benchmark_group("engine_eviction_ablation");
@@ -109,7 +109,6 @@ fn bench_eviction_policies(c: &mut Criterion) {
         coserve_core::evict::EvictionPolicy::DependencyAware,
         coserve_core::evict::EvictionPolicy::Lru,
         coserve_core::evict::EvictionPolicy::Fifo,
-        coserve_core::evict::EvictionPolicy::Lfu,
     ] {
         let mut cfg = presets::coserve(&ctx.device);
         cfg.eviction = policy;

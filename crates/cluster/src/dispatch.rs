@@ -454,8 +454,7 @@ impl Dispatcher {
                     match faults.as_ref().map(|f| f.plan.link(h, target, job.arrival)) {
                         None | Some(LinkOutcome::Healthy) => (raw, SimSpan::ZERO),
                         Some(LinkOutcome::Dilated(factor)) => {
-                            let hop =
-                                SimSpan::from_nanos((raw.nanos() as f64 * factor).round() as u64);
+                            let hop = raw.mul_f64(factor);
                             (hop, hop.saturating_sub(raw))
                         }
                         Some(LinkOutcome::Partitioned) => {

@@ -25,8 +25,8 @@
 //!
 //! The [`runtime`] module drives the fleet as an event-driven
 //! **control loop**: tick-driven dispatch with per-node telemetry
-//! feedback, mid-run node failures (re-routing + shard re-replication
-//! over the fabric) and drift-triggered online re-placement — see
+//! feedback and mid-run node failures (re-routing + shard
+//! re-replication over the fabric) — see
 //! [`ClusterSystem::serve_runtime`]. The one-shot serve is its
 //! single-tick case.
 //!

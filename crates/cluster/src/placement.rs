@@ -19,10 +19,9 @@
 //! maximal hops) and seeded random assignment.
 //!
 //! Plans are **versioned**: the cluster runtime reacts to node failures
-//! and usage drift by deriving a successor plan ([`PlacementPlan::rehosted`]
+//! and revivals by deriving a successor plan ([`PlacementPlan::rehosted`]
 //! re-replicates a dead node's orphaned shard, [`PlacementPlan::replanned`]
-//! rebuilds the layout over the surviving fleet, optionally from the
-//! *observed* usage mix instead of the declared one) and shipping the
+//! rebuilds the layout over the live fleet) and shipping the
 //! [`migration_plan`] delta over the fabric.
 
 use std::collections::BTreeSet;
@@ -100,8 +99,7 @@ pub struct PlacementPlan {
     preload: Vec<Vec<ExpertId>>,
     placed_bytes: Vec<Bytes>,
     /// The usage basis the plan was computed from: expert ids by
-    /// descending usage, and the per-expert probabilities. The runtime
-    /// compares *observed* usage against this basis to detect drift.
+    /// descending usage, and the per-expert probabilities.
     by_usage: Vec<ExpertId>,
     usage: Vec<f64>,
 }
@@ -204,14 +202,6 @@ impl PlacementPlan {
         self.strategy
     }
 
-    /// The per-expert usage probabilities the plan was computed from
-    /// (declared usage for the initial plan, observed usage after a
-    /// drift-triggered re-placement).
-    #[must_use]
-    pub fn usage_basis(&self) -> &[f64] {
-        &self.usage
-    }
-
     /// A successor plan that survives the loss of the nodes marked dead
     /// in `alive`: dead nodes lose their placements, and every expert
     /// left with no live holder (the dead shard's *orphans*) is
@@ -257,48 +247,26 @@ impl PlacementPlan {
     }
 
     /// A successor plan rebuilt from scratch over the nodes marked
-    /// alive, with the plan's own strategy and seed. `usage` replaces
-    /// the usage basis (pass the observed per-expert mix for a
-    /// drift-triggered re-placement; `None` keeps the current basis) —
-    /// the version is bumped.
+    /// alive, with the plan's own strategy, seed and usage basis; the
+    /// version is bumped.
     ///
     /// # Panics
     ///
-    /// Panics when `alive` disagrees with the node count, marks no node
-    /// alive, or `usage` has the wrong length.
+    /// Panics when `alive` disagrees with the node count or marks no
+    /// node alive.
     #[must_use]
-    pub fn replanned(
-        &self,
-        model: &CoeModel,
-        alive: &[bool],
-        usage: Option<Vec<f64>>,
-    ) -> PlacementPlan {
+    pub fn replanned(&self, model: &CoeModel, alive: &[bool]) -> PlacementPlan {
         assert_eq!(alive.len(), self.num_nodes(), "alive mask/node mismatch");
-        let (by_usage, usage) = match usage {
-            Some(u) => {
-                assert_eq!(u.len(), self.usage.len(), "usage basis length mismatch");
-                (order_by_usage(&u), u)
-            }
-            None => (self.by_usage.clone(), self.usage.clone()),
-        };
         let placed = place(
             model,
             self.strategy,
             self.seed,
             self.num_nodes(),
             alive,
-            &by_usage,
-            &usage,
+            &self.by_usage,
+            &self.usage,
         );
-        assemble(
-            self.strategy,
-            self.seed,
-            self.version + 1,
-            placed,
-            by_usage,
-            usage,
-            model,
-        )
+        self.successor(model, placed)
     }
 
     /// Assembles a successor (version + 1) around new placement sets,
@@ -429,19 +397,6 @@ pub fn plan_placement(
     let alive = vec![true; nodes];
     let placed = place(model, strategy, seed, nodes, &alive, &by_usage, &usage);
     assemble(strategy, seed, 0, placed, by_usage, usage, model)
-}
-
-/// Expert ids by descending usage probability, ties broken by ascending
-/// id — the same order [`PerfMatrix::experts_by_usage`] memoizes.
-fn order_by_usage(usage: &[f64]) -> Vec<ExpertId> {
-    let mut ids: Vec<ExpertId> = (0..usage.len() as u32).map(ExpertId).collect();
-    ids.sort_by(|a, b| {
-        usage[b.index()]
-            .partial_cmp(&usage[a.index()])
-            .expect("finite usage")
-            .then(a.cmp(b))
-    });
-    ids
 }
 
 /// Runs one strategy over the live subset of a fleet.
@@ -768,7 +723,7 @@ mod tests {
         let killed = plan.rehosted(&model, &alive);
         // Revive node 0 and rebalance back onto the full fleet.
         let alive = [true; 4];
-        let revived = killed.replanned(&model, &alive, None);
+        let revived = killed.replanned(&model, &alive);
         assert_eq!(revived.version(), 2);
         for i in 0..model.num_experts() as u32 {
             assert!(revived.is_hosted(ExpertId(i), &alive));
@@ -788,25 +743,6 @@ mod tests {
             assert!(mv.from.is_some(), "live replicas must donate");
             assert_ne!(mv.from, Some(mv.to));
         }
-    }
-
-    #[test]
-    fn replanned_with_observed_usage_changes_the_hot_head() {
-        let (model, perf) = setup();
-        let plan = plan_placement(&model, &perf, 4, PlacementStrategy::UsageAware, 7);
-        // Invert the usage basis: the declared-coldest expert becomes
-        // the hottest observed one.
-        let n = model.num_experts();
-        let observed: Vec<f64> = (0..n).map(|i| (i + 1) as f64 / n as f64).collect();
-        let drifted = plan.replanned(&model, &[true; 4], Some(observed.clone()));
-        assert_eq!(drifted.usage_basis(), observed.as_slice());
-        let hottest = ExpertId(n as u32 - 1);
-        assert_eq!(
-            drifted.holders(hottest).len(),
-            4,
-            "observed-hottest expert must be replicated everywhere"
-        );
-        assert_ne!(plan, drifted.clone());
     }
 
     #[test]
@@ -876,7 +812,7 @@ mod proptests {
                     plan = next;
                 } else {
                     alive[node] = true;
-                    plan = plan.replanned(&model, &alive, None);
+                    plan = plan.replanned(&model, &alive);
                 }
                 prop_assert_eq!(plan.version(), step as u64 + 1);
                 for i in 0..model.num_experts() as u32 {

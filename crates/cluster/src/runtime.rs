@@ -15,11 +15,7 @@
 //!   re-placement policy is [`ReplacementPolicy::Static`]) the planner
 //!   derives a successor [`PlacementPlan`] that re-replicates the dead
 //!   node's orphaned shard, shipping the [`migration_plan`] delta over
-//!   the *same fabric links requests use*;
-//! * **online re-placement** — under [`ReplacementPolicy::Drift`] the
-//!   runtime tracks the observed expert mix and, when it diverges from
-//!   the plan's usage basis beyond a threshold, re-plans from the
-//!   observed usage and migrates the delta.
+//!   the *same fabric links requests use*.
 //!
 //! Each node serves through one [`EngineSession`] for the whole run:
 //! routing submits a job straight into its node's session, and a tick
@@ -147,23 +143,15 @@ impl FailureSchedule {
 }
 
 /// How the runtime re-plans placement while the fleet changes.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ReplacementPolicy {
     /// Never touch the offline plan: a dead node's shard stays orphaned
     /// and requests needing it are rejected (the paper's static
     /// baseline under failures).
     Static,
     /// Re-replicate a dead node's orphans onto survivors and rebalance
-    /// onto revived nodes; no drift tracking.
+    /// onto revived nodes.
     OnFailure,
-    /// [`ReplacementPolicy::OnFailure`] plus drift-triggered
-    /// re-placement: when the observed expert mix diverges from the
-    /// plan's usage basis by more than `threshold` (total-variation
-    /// distance in `[0, 1]`), re-plan from the observed usage.
-    Drift {
-        /// Total-variation distance that triggers a re-plan.
-        threshold: f64,
-    },
 }
 
 impl fmt::Display for ReplacementPolicy {
@@ -171,14 +159,9 @@ impl fmt::Display for ReplacementPolicy {
         match self {
             ReplacementPolicy::Static => write!(f, "static"),
             ReplacementPolicy::OnFailure => write!(f, "re-replicate"),
-            ReplacementPolicy::Drift { threshold } => write!(f, "drift({threshold})"),
         }
     }
 }
-
-/// Minimum observed stages before a drift re-plan may trigger — fewer
-/// samples would chase sampling noise, not real drift.
-const DRIFT_MIN_SAMPLES: u64 = 64;
 
 /// Options for one [`ClusterSystem::serve_runtime`] run.
 #[derive(Debug, Clone, PartialEq)]
@@ -189,7 +172,7 @@ pub struct RuntimeOptions {
     pub tick: Option<SimSpan>,
     /// Mid-run kills and revives.
     pub failures: FailureSchedule,
-    /// How placement reacts to failures and drift.
+    /// How placement reacts to failures.
     pub replacement: ReplacementPolicy,
     /// Whether dispatch estimates stay open-loop or are corrected from
     /// node telemetry at every tick.
@@ -308,11 +291,11 @@ impl RuntimeOptions {
 
 impl ClusterSystem {
     /// Serves `stream` through the dynamic cluster runtime: tick-driven
-    /// dispatch with telemetry feedback, failure injection with
-    /// re-routing and re-replication, and drift-triggered re-placement,
-    /// all per `options`. [`ClusterSystem::serve`] and
-    /// [`ClusterSystem::serve_with_online`] are this with
-    /// [`RuntimeOptions::default`] (single tick, no failures).
+    /// dispatch with telemetry feedback and failure injection with
+    /// re-routing and re-replication, all per `options`.
+    /// [`ClusterSystem::serve`] and [`ClusterSystem::serve_with_online`]
+    /// are this with [`RuntimeOptions::default`] (single tick, no
+    /// failures).
     ///
     /// # Panics
     ///
@@ -498,9 +481,6 @@ struct Runtime<'a> {
     /// When each recently migrated expert's new copies become usable;
     /// requests touching one are delayed to its completion.
     available_at: BTreeMap<ExpertId, SimTime>,
-    /// Observed per-expert stage counts (drift telemetry).
-    observed: Vec<u64>,
-    observed_total: u64,
     /// Start of the current control tick.
     tick_start: SimTime,
     tally: TickTally,
@@ -566,8 +546,6 @@ impl<'a> Runtime<'a> {
             nodes,
             dynamics: FleetDynamics::default(),
             available_at: BTreeMap::new(),
-            observed: vec![0; sys.model().num_experts()],
-            observed_total: 0,
             tick_start: SimTime::ZERO,
             tally: TickTally::default(),
             tracer,
@@ -610,10 +588,6 @@ impl<'a> Runtime<'a> {
                     CtrlEv::Arrive(job) => {
                         arrivals_left -= 1;
                         self.tally.routed += 1;
-                        for &e in &job.stages {
-                            self.observed[e.index()] += 1;
-                        }
-                        self.observed_total += job.stages.len() as u64;
                         self.route(job, None);
                     }
                     CtrlEv::Failure(event) => self.apply_event(event),
@@ -623,7 +597,6 @@ impl<'a> Runtime<'a> {
             // A single tick serves everything routed to completion.
             let end = tick_end.unwrap_or_else(|| self.stream.last_arrival());
             self.flush_tick(tick_index, end, tick_end.unwrap_or(SimTime::MAX));
-            self.maybe_drift_replan(end);
             tick_index += 1;
 
             // Ticks go on past the last arrival until every node has
@@ -805,7 +778,7 @@ impl<'a> Runtime<'a> {
         if self.replaces() {
             // The node comes back empty: rebalance the layout onto the
             // restored fleet and ship it its share.
-            let next = self.plan.replanned(self.sys.model(), &self.alive, None);
+            let next = self.plan.replanned(self.sys.model(), &self.alive);
             let migration = migration_plan(&self.plan, &next, self.sys.model(), &self.alive);
             let _ = self.migrate(&migration, next.version(), at);
             self.plan = next;
@@ -887,7 +860,7 @@ impl<'a> Runtime<'a> {
                             .transfer_duration(bytes, NodeId(from), NodeId(mv.to));
                     match healthy_or_dilated {
                         LinkOutcome::Dilated(factor) => {
-                            let slowed = dilate_span(raw, factor);
+                            let slowed = raw.mul_f64(factor);
                             let extra = slowed.saturating_sub(raw);
                             self.ledger.link_dilated += 1;
                             self.ledger.degraded_time += extra;
@@ -942,41 +915,6 @@ impl<'a> Runtime<'a> {
         done_latest
     }
 
-    /// Re-plans from the observed expert mix once it diverges from the
-    /// plan's usage basis beyond the drift threshold. Skipped while no
-    /// node is alive: there is nothing to place onto.
-    fn maybe_drift_replan(&mut self, now: SimTime) {
-        let ReplacementPolicy::Drift { threshold } = self.options.replacement else {
-            return;
-        };
-        if self.observed_total < DRIFT_MIN_SAMPLES || !self.alive.iter().any(|&a| a) {
-            return;
-        }
-        let basis = self.plan.usage_basis();
-        let basis_total: f64 = basis.iter().sum();
-        if basis_total <= 0.0 {
-            return;
-        }
-        let total = self.observed_total as f64;
-        let distance: f64 = 0.5
-            * self
-                .observed
-                .iter()
-                .zip(basis)
-                .map(|(&c, &b)| (c as f64 / total - b / basis_total).abs())
-                .sum::<f64>();
-        if distance <= threshold {
-            return;
-        }
-        let observed: Vec<f64> = self.observed.iter().map(|&c| c as f64 / total).collect();
-        let next = self
-            .plan
-            .replanned(self.sys.model(), &self.alive, Some(observed));
-        let migration = migration_plan(&self.plan, &next, self.sys.model(), &self.alive);
-        let _ = self.migrate(&migration, next.version(), now);
-        self.plan = next;
-    }
-
     /// Pumps every busy node's session to `limit`, feeds each node's
     /// tick telemetry back to the dispatcher and appends the tick to
     /// the timeline. A node's finish is its last batch when it drained,
@@ -1013,9 +951,7 @@ impl<'a> Runtime<'a> {
             if slowdown > 1.0 {
                 // The engine already stretched the tick's compute; the
                 // ledger charges the stretched share of its busy time.
-                let extra = SimSpan::from_nanos(
-                    (busy.nanos() as f64 * (1.0 - 1.0 / slowdown)).round() as u64,
-                );
+                let extra = busy.mul_f64(1.0 - 1.0 / slowdown);
                 self.ledger.slow_node_ticks += 1;
                 self.ledger.degraded_time += extra;
                 self.ledger.note_fault(start);
@@ -1094,15 +1030,10 @@ impl<'a> Runtime<'a> {
     }
 }
 
-/// `span` stretched by `factor` (≥ 1), rounding to whole nanoseconds.
-fn dilate_span(span: SimSpan, factor: f64) -> SimSpan {
-    SimSpan::from_nanos((span.nanos() as f64 * factor).round() as u64)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{ClusterOptions, PlacementStrategy};
+    use crate::ClusterOptions;
     use coserve_core::presets;
     use coserve_model::devices;
     use coserve_sim::network::LinkProfile;
@@ -1184,17 +1115,22 @@ mod tests {
     }
 
     #[test]
-    fn drift_replan_skips_a_fleet_with_no_live_node() {
+    fn a_fleet_with_no_live_node_sheds_and_conserves() {
         let (cluster, stream) = fleet(2);
         let at = SimTime::ZERO + SimSpan::from_millis(150);
-        let options = RuntimeOptions::default()
-            .tick(SimSpan::from_millis(40))
-            .failures(FailureSchedule::new().kill(0, at).kill(1, at))
-            .replacement(ReplacementPolicy::Drift { threshold: 0.05 });
-        let report = cluster.serve_runtime(&stream, &options);
-        assert_eq!(report.dynamics.failures.len(), 2);
-        assert!(report.dynamics.routing_dropped > 0, "a dead fleet sheds");
-        assert_conserves(&report);
+        for replacement in [ReplacementPolicy::Static, ReplacementPolicy::OnFailure] {
+            let options = RuntimeOptions::default()
+                .tick(SimSpan::from_millis(40))
+                .failures(FailureSchedule::new().kill(0, at).kill(1, at))
+                .replacement(replacement);
+            let report = cluster.serve_runtime(&stream, &options);
+            assert_eq!(report.dynamics.failures.len(), 2, "{replacement}");
+            assert!(
+                report.dynamics.routing_dropped > 0,
+                "{replacement}: a dead fleet sheds"
+            );
+            assert_conserves(&report);
+        }
     }
 
     #[test]
@@ -1269,45 +1205,6 @@ mod tests {
         assert!(failure.recovered_at.is_some());
         // The revived node is rebalanced back into service.
         assert!(a.dynamics.plan_versions >= 2);
-    }
-
-    #[test]
-    fn drift_policy_replans_from_observed_usage() {
-        let task = TaskSpec::a1().scaled(0.08);
-        let model = task.build_model().unwrap();
-        let device = devices::numa_rtx3080ti();
-        let cluster = ClusterSystem::homogeneous(
-            3,
-            &device,
-            &presets::coserve(&device),
-            &model,
-            LinkProfile::ethernet_10g(),
-            ClusterOptions::default().placement(PlacementStrategy::UsageAware),
-        )
-        .unwrap();
-        // A drifted stream: the same model, but classes drawn from a
-        // rotated quantity profile, so cold experts run hot.
-        let board = task.board();
-        let drifted = board.drifted(board.num_components() / 2);
-        let stream = RequestStream::generate(
-            "drifted",
-            &drifted,
-            cluster.model(),
-            200,
-            SimSpan::from_millis(2),
-            coserve_workload::stream::StreamOrder::Iid,
-            7,
-        );
-        let options = RuntimeOptions::default()
-            .tick(SimSpan::from_millis(40))
-            .replacement(ReplacementPolicy::Drift { threshold: 0.15 });
-        let report = cluster.serve_runtime(&stream, &options);
-        assert!(
-            report.dynamics.plan_versions >= 1,
-            "rotated usage must exceed the drift threshold"
-        );
-        assert!(report.dynamics.migrations > 0);
-        assert_conserves(&report);
     }
 
     #[test]
@@ -1459,10 +1356,6 @@ mod tests {
         assert_eq!(schedule.events()[1].kind, FailureKind::Revive);
         assert_eq!(ReplacementPolicy::Static.to_string(), "static");
         assert_eq!(ReplacementPolicy::OnFailure.to_string(), "re-replicate");
-        assert_eq!(
-            ReplacementPolicy::Drift { threshold: 0.2 }.to_string(),
-            "drift(0.2)"
-        );
     }
 
     #[test]
@@ -1613,16 +1506,12 @@ mod tests {
                     };
                 }
                 let feedback = [FeedbackMode::OpenLoop, FeedbackMode::Corrected];
-                let replacement = [
-                    ReplacementPolicy::Static,
-                    ReplacementPolicy::OnFailure,
-                    ReplacementPolicy::Drift { threshold: 0.1 },
-                ];
+                let replacement = [ReplacementPolicy::Static, ReplacementPolicy::OnFailure];
                 let mut options = RuntimeOptions::default()
                     .tick(SimSpan::from_millis(tick_ms))
                     .failures(schedule)
                     .feedback(feedback[rng.next_below(2) as usize])
-                    .replacement(replacement[rng.next_below(3) as usize])
+                    .replacement(replacement[rng.next_below(2) as usize])
                     .pacing(rng.next_below(2) == 1);
                 if rng.next_below(2) == 1 {
                     let capacity = 4 + rng.next_below(13) as usize;

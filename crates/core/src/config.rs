@@ -155,8 +155,6 @@ pub struct SystemConfig {
     /// before later arrivals append FCFS behind it. `None` — the
     /// default — reproduces the paper's unbounded §4.2 behaviour.
     pub max_overtake: Option<u32>,
-    /// Seed for the run's deterministic RNG.
-    pub seed: u64,
 }
 
 impl SystemConfig {
@@ -178,7 +176,6 @@ impl SystemConfig {
                 memory: MemoryPlan::default(),
                 admission: None,
                 max_overtake: None,
-                seed: 7,
             },
         }
     }
@@ -343,13 +340,6 @@ impl SystemConfigBuilder {
         self
     }
 
-    /// Sets the run seed.
-    #[must_use]
-    pub fn seed(mut self, seed: u64) -> Self {
-        self.config.seed = seed;
-        self
-    }
-
     /// Finishes the configuration.
     ///
     /// # Panics
@@ -404,12 +394,10 @@ mod tests {
             .eviction(EvictionPolicy::Lru)
             .batching(false)
             .scheduling_cost(SimSpan::from_micros(100))
-            .seed(42)
             .build();
         assert_eq!(c.assign, AssignPolicy::RoundRobin);
         assert_eq!(c.eviction, EvictionPolicy::Lru);
         assert!(!c.batching);
-        assert_eq!(c.seed, 42);
     }
 
     #[test]

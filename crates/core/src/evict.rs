@@ -26,7 +26,8 @@ use coserve_sim::memory::Bytes;
 use crate::perf::PerfMatrix;
 use crate::pool::ModelPool;
 
-/// Which eviction policy an executor uses.
+/// Which eviction policy an executor uses: CoServe's own, or one of the
+/// two Samba-CoE baselines the paper compares it against (§5.1).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum EvictionPolicy {
     /// CoServe's two-stage dependency-aware eviction (§4.3).
@@ -35,10 +36,6 @@ pub enum EvictionPolicy {
     Lru,
     /// First-in-first-out (the Samba-CoE FIFO baseline).
     Fifo,
-    /// Least-frequently-used — an extension point on the LRU/LFU
-    /// spectrum the paper cites (LRFU); not part of the paper's
-    /// evaluation but useful for policy ablations.
-    Lfu,
 }
 
 impl fmt::Display for EvictionPolicy {
@@ -47,7 +44,6 @@ impl fmt::Display for EvictionPolicy {
             EvictionPolicy::DependencyAware => write!(f, "dependency-aware"),
             EvictionPolicy::Lru => write!(f, "LRU"),
             EvictionPolicy::Fifo => write!(f, "FIFO"),
-            EvictionPolicy::Lfu => write!(f, "LFU"),
         }
     }
 }
@@ -85,8 +81,7 @@ pub struct EvictionContext<'a> {
 /// evictions.
 #[derive(Debug, Clone, Default)]
 pub struct EvictionScratch {
-    /// Candidate ordering buffer (stage-1 orphans, or the LRU/FIFO/LFU
-    /// sort).
+    /// Candidate ordering buffer (stage-1 orphans, or the LRU/FIFO sort).
     order: Vec<ExpertId>,
     /// The victims selected by the last call, in eviction order.
     victims: Vec<ExpertId>,
@@ -239,7 +234,7 @@ pub fn select_victims_into(
                 }
             }
         }
-        EvictionPolicy::Lru | EvictionPolicy::Fifo | EvictionPolicy::Lfu => {
+        EvictionPolicy::Lru | EvictionPolicy::Fifo => {
             scratch.order.clear();
             scratch.order.extend(
                 pool.residents()
@@ -254,11 +249,6 @@ pub fn select_victims_into(
                         ra.last_used.cmp(&rb.last_used).then(ra.seq.cmp(&rb.seq))
                     }
                     EvictionPolicy::Fifo => ra.seq.cmp(&rb.seq),
-                    EvictionPolicy::Lfu => ra
-                        .uses
-                        .cmp(&rb.uses)
-                        .then(ra.last_used.cmp(&rb.last_used))
-                        .then(ra.seq.cmp(&rb.seq)),
                     EvictionPolicy::DependencyAware => unreachable!(),
                 }
             });
@@ -599,35 +589,6 @@ mod tests {
         );
         assert_eq!(EvictionPolicy::Lru.to_string(), "LRU");
         assert_eq!(EvictionPolicy::Fifo.to_string(), "FIFO");
-        assert_eq!(EvictionPolicy::Lfu.to_string(), "LFU");
-    }
-
-    #[test]
-    fn lfu_evicts_least_frequently_used() {
-        let model = test_model();
-        let perf = matrix_for(&model);
-        let mut pool = ModelPool::new(Bytes::gib(1));
-        pool.insert(e(0), Bytes::mib(100), t(0)).unwrap();
-        pool.insert(e(1), Bytes::mib(100), t(1)).unwrap();
-        pool.insert(e(3), Bytes::mib(100), t(2)).unwrap();
-        // e0 used three times, e1 once, e3 never.
-        for tick in [3, 4, 5] {
-            pool.touch(e(0), t(tick));
-        }
-        pool.touch(e(1), t(6));
-        let protected = BTreeSet::new();
-        let ctx = EvictionContext {
-            model: &model,
-            perf: &perf,
-            protected: &protected,
-        };
-        let v = select_victims(EvictionPolicy::Lfu, &pool, Bytes::mib(150), &ctx).unwrap();
-        assert_eq!(v, vec![e(3), e(1)]);
-        // LRU would instead evict by recency: e3 (never touched after
-        // load) then e0's tie-break differs — verify divergence.
-        let lru = select_victims(EvictionPolicy::Lru, &pool, Bytes::mib(250), &ctx).unwrap();
-        let lfu = select_victims(EvictionPolicy::Lfu, &pool, Bytes::mib(250), &ctx).unwrap();
-        assert_ne!(lru, lfu);
     }
 }
 
@@ -721,7 +682,7 @@ mod proptests {
                     }
                 }
             }
-            EvictionPolicy::Lru | EvictionPolicy::Fifo | EvictionPolicy::Lfu => {
+            EvictionPolicy::Lru | EvictionPolicy::Fifo => {
                 let mut order: Vec<ExpertId> = pool
                     .residents()
                     .map(|(e, _)| e)
@@ -735,11 +696,6 @@ mod proptests {
                             ra.last_used.cmp(&rb.last_used).then(ra.seq.cmp(&rb.seq))
                         }
                         EvictionPolicy::Fifo => ra.seq.cmp(&rb.seq),
-                        EvictionPolicy::Lfu => ra
-                            .uses
-                            .cmp(&rb.uses)
-                            .then(ra.last_used.cmp(&rb.last_used))
-                            .then(ra.seq.cmp(&rb.seq)),
                         EvictionPolicy::DependencyAware => unreachable!(),
                     }
                 });
@@ -772,7 +728,7 @@ mod proptests {
             touches in proptest::collection::vec((0u32..6, 1u64..50), 0..12),
             need_mib in 1u64..600,
             protect_sel in 0u32..7,
-            policy_sel in 0u8..4,
+            policy_sel in 0u8..3,
         ) {
             let model = chain_model(5);
             let perf = PerfMatrix::from_model_with("dev", &model, |_, _| None);
@@ -796,8 +752,7 @@ mod proptests {
             let policy = match policy_sel {
                 0 => EvictionPolicy::DependencyAware,
                 1 => EvictionPolicy::Lru,
-                2 => EvictionPolicy::Fifo,
-                _ => EvictionPolicy::Lfu,
+                _ => EvictionPolicy::Fifo,
             };
             let mut scratch = EvictionScratch::new();
             for need_scale in [1u64, 2, 3] {

@@ -29,8 +29,6 @@ pub struct Resident {
     pub seq: u64,
     /// Last time a batch used the expert.
     pub last_used: SimTime,
-    /// How many batches have used the expert since it was loaded.
-    pub uses: u64,
 }
 
 /// Error returned when an expert cannot be inserted.
@@ -194,7 +192,6 @@ impl ModelPool {
             loaded_at: now,
             seq,
             last_used: now,
-            uses: 0,
         });
         self.count += 1;
         Ok(())
@@ -219,7 +216,6 @@ impl ModelPool {
             .and_then(Option::as_mut)
         {
             meta.last_used = now;
-            meta.uses += 1;
         } else {
             debug_assert!(false, "touched non-resident expert {expert}");
         }
@@ -304,9 +300,6 @@ mod tests {
         let meta = p.resident(e(1)).unwrap();
         assert_eq!(meta.last_used, t(9));
         assert_eq!(meta.loaded_at, t(0));
-        assert_eq!(meta.uses, 1);
-        p.touch(e(1), t(10));
-        assert_eq!(p.resident(e(1)).unwrap().uses, 2);
     }
 
     #[test]

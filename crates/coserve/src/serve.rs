@@ -132,9 +132,9 @@ pub fn serve_cluster(
 }
 
 /// Like [`serve_cluster`], but through the *dynamic* cluster runtime:
-/// tick-driven dispatch with telemetry feedback, mid-run node failures
-/// with re-routing and shard re-replication, and drift-triggered
-/// re-placement — everything `runtime` configures. The open-loop knobs
+/// tick-driven dispatch with telemetry feedback and mid-run node
+/// failures with re-routing and shard re-replication — everything
+/// `runtime` configures. The open-loop knobs
 /// in `options` (admission bound, overtake bound) override whatever
 /// `runtime.online` carries, keeping the two option structs composable.
 /// Deterministic: the same cluster, board, options, runtime options and

@@ -459,133 +459,6 @@ impl ClusterReport {
             },
         )
     }
-
-    /// A live-counter view of the fleet; see [`ClusterSnapshot`].
-    #[must_use]
-    pub fn snapshot(&self) -> ClusterSnapshot {
-        ClusterSnapshot {
-            system: self.system.clone(),
-            task: self.task.clone(),
-            num_nodes: self.num_nodes(),
-            submitted: self.submitted,
-            completed: self.completed,
-            failed: self.failed,
-            admitted: self.admitted,
-            dropped: self.dropped,
-            stages_executed: self.stages_executed,
-            makespan: self.makespan,
-            cross_node_hops: self.cross_node_hops,
-            expert_switches: self.expert_switches(),
-            routing_dropped: self.dynamics.routing_dropped,
-            paced_shed: self.dynamics.paced_shed,
-            rerouted: self.dynamics.rerouted,
-            migrations: self.dynamics.migrations,
-            migration_bytes: self.dynamics.migration_bytes,
-            plan_versions: self.dynamics.plan_versions,
-            failures: self.dynamics.failures.len(),
-            unrecovered_failure: self.has_unrecovered_failure(),
-            latency: self.latency_summary(),
-        }
-    }
-}
-
-/// A non-consuming view of a fleet's live counters — the cluster
-/// equivalent of [`crate::report::RunSnapshot`]. Per-node reports and
-/// the full latency ledgers stay behind; the latency distribution is
-/// reduced to a [`Summary`].
-#[derive(Debug, Clone, PartialEq)]
-pub struct ClusterSnapshot {
-    /// Cluster system name.
-    pub system: String,
-    /// Task name.
-    pub task: String,
-    /// Fleet size.
-    pub num_nodes: usize,
-    /// Requests submitted.
-    pub submitted: usize,
-    /// Requests completed.
-    pub completed: usize,
-    /// Requests failed.
-    pub failed: usize,
-    /// Requests admitted.
-    pub admitted: usize,
-    /// Requests dropped (node admission + front-end).
-    pub dropped: usize,
-    /// Stages executed.
-    pub stages_executed: usize,
-    /// Cluster makespan so far.
-    pub makespan: SimSpan,
-    /// Cross-node fabric hops.
-    pub cross_node_hops: u64,
-    /// Expert switches across the fleet.
-    pub expert_switches: u64,
-    /// Front-end rejections (no live holder for a chain expert).
-    pub routing_dropped: usize,
-    /// Requests shed by dispatcher pacing.
-    pub paced_shed: u64,
-    /// In-flight requests pulled back from dying nodes.
-    pub rerouted: u64,
-    /// Expert copies shipped by re-placements.
-    pub migrations: u64,
-    /// Checkpoint bytes shipped by re-placements.
-    pub migration_bytes: Bytes,
-    /// Placement-plan version.
-    pub plan_versions: u64,
-    /// Node failures so far.
-    pub failures: usize,
-    /// Whether a failed shard is still orphaned.
-    pub unrecovered_failure: bool,
-    /// Completed-job node-sojourn summary.
-    pub latency: Option<Summary>,
-}
-
-impl ClusterSnapshot {
-    /// Completed requests per second over the makespan so far.
-    #[must_use]
-    pub fn throughput_ips(&self) -> f64 {
-        let secs = self.makespan.as_secs_f64();
-        if secs <= 0.0 {
-            return 0.0;
-        }
-        self.completed as f64 / secs
-    }
-
-    /// The snapshot as a JSON object.
-    #[must_use]
-    pub fn to_json(&self) -> String {
-        format!(
-            "{{\"system\":{},\"task\":{},\"num_nodes\":{},\
-             \"submitted\":{},\"completed\":{},\"failed\":{},\
-             \"admitted\":{},\"dropped\":{},\"stages_executed\":{},\
-             \"makespan_ms\":{},\"throughput_ips\":{},\
-             \"cross_node_hops\":{},\"expert_switches\":{},\
-             \"routing_dropped\":{},\"paced_shed\":{},\"rerouted\":{},\
-             \"migrations\":{},\"migration_bytes\":{},\"plan_versions\":{},\
-             \"failures\":{},\"unrecovered_failure\":{},\"latency\":{}}}",
-            json_str(&self.system),
-            json_str(&self.task),
-            self.num_nodes,
-            self.submitted,
-            self.completed,
-            self.failed,
-            self.admitted,
-            self.dropped,
-            self.stages_executed,
-            json_f64(self.makespan.as_millis_f64()),
-            json_f64(self.throughput_ips()),
-            self.cross_node_hops,
-            self.expert_switches,
-            self.routing_dropped,
-            self.paced_shed,
-            self.rerouted,
-            self.migrations,
-            self.migration_bytes.get(),
-            self.plan_versions,
-            self.failures,
-            self.unrecovered_failure,
-            json_summary(self.latency),
-        )
-    }
 }
 
 #[cfg(test)]

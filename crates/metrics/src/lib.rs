@@ -17,21 +17,17 @@ pub mod output;
 pub mod report;
 pub mod stats;
 pub mod table;
-pub mod timeline;
 
 /// Convenient re-exports of the most commonly used items.
 pub mod prelude {
     pub use crate::attribution::{
         kind_counts, ExpertHeat, ExpertHeatRow, LatencyAttribution, StageAttribution,
     };
-    pub use crate::cluster::{
-        ClusterReport, ClusterSnapshot, FailureRecord, FleetDynamics, TickStat,
-    };
+    pub use crate::cluster::{ClusterReport, FailureRecord, FleetDynamics, TickStat};
     pub use crate::faults::FaultLedger;
     pub use crate::report::{ExecutorReport, RunReport, RunSnapshot, SwitchEvent};
     pub use crate::stats::{linear_fit, percentile, LinFit, Summary};
     pub use crate::table::{fmt_f64, Table};
-    pub use crate::timeline::{Timeline, TimelineBucket};
 }
 
 pub use prelude::*;

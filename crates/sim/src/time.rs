@@ -175,6 +175,14 @@ impl SimSpan {
     pub fn saturating_sub(self, other: SimSpan) -> SimSpan {
         SimSpan(self.0.saturating_sub(other.0))
     }
+
+    /// The span scaled by `factor`, rounded to the nearest nanosecond.
+    /// The float-to-integer cast saturates: a negative or NaN factor
+    /// gives zero and an overflowing product the maximum span.
+    #[must_use]
+    pub fn mul_f64(self, factor: f64) -> SimSpan {
+        SimSpan((self.0 as f64 * factor).round() as u64)
+    }
 }
 
 impl Add<SimSpan> for SimTime {
@@ -330,6 +338,8 @@ mod tests {
         assert_eq!(a * 3, SimSpan::from_millis(6));
         assert_eq!(SimSpan::from_millis(6) / 2, SimSpan::from_millis(3));
         assert_eq!(b.saturating_sub(a + b), SimSpan::ZERO);
+        assert_eq!(SimSpan::from_nanos(3).mul_f64(1.5), SimSpan::from_nanos(5));
+        assert_eq!(a.mul_f64(-1.0), SimSpan::ZERO);
         let total: SimSpan = [a, b, a].into_iter().sum();
         assert_eq!(total, SimSpan::from_millis(7));
     }

@@ -190,11 +190,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         );
     }
 
-    // The same counters the `coserve-server` admin endpoint exposes:
-    // a non-consuming snapshot of the report, as one JSON document.
+    // The whole report — fleet totals, runtime dynamics and per-node
+    // reports — as one JSON document on one line.
     println!(
-        "\nMachine-readable snapshot (ClusterReport::snapshot):\n{}",
-        report.snapshot().to_json()
+        "\nMachine-readable report (ClusterReport::to_json):\n{}",
+        report.to_json()
     );
 
     println!("\nEverything above is deterministic: rerun for identical numbers.");

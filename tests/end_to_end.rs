@@ -111,26 +111,6 @@ fn shared_detection_experts_run_as_second_stages() {
 }
 
 #[test]
-fn timeline_analysis_matches_switch_ledger() {
-    let (device, model, perf, stream) = context(0.1);
-    let config = presets::coserve(&device);
-    let report = Engine::new(&device, &model, &perf, &config)
-        .unwrap()
-        .run(&stream);
-    let timeline = Timeline::from_report(&report, SimSpan::from_secs(1));
-    assert_eq!(timeline.total_switches(), report.expert_switches());
-    let ssd_total: u64 = timeline
-        .buckets()
-        .iter()
-        .map(|b| u64::from(b.from_ssd))
-        .sum();
-    assert_eq!(ssd_total, report.switches_from_ssd());
-    // Serving warms up with cold loads and settles afterwards.
-    let warmup = timeline.warmup_end(0.5);
-    assert!(warmup.is_some());
-}
-
-#[test]
 fn llm_scenario_end_to_end() {
     let model = coserve::workload::llm::build_llm_coe(6, 0.5).unwrap();
     let mut device = devices::numa_rtx3080ti();
