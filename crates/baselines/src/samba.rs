@@ -124,7 +124,6 @@ mod tests {
     fn baselines_schedule_cheaply() {
         for c in all_baselines(&devices::uma_apple_m2()) {
             assert_eq!(c.scheduling_cost, FCFS_SCHEDULING_COST);
-            assert!(c.preload, "baselines also preload by usage (fair start)");
         }
     }
 }

@@ -5,7 +5,7 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 
-use coserve_core::autotune::{window_search, WindowSearchOptions};
+use coserve_core::autotune::window_search;
 use coserve_core::presets;
 use coserve_core::profiler::{estimate_usage, Profiler, UsageSource};
 use coserve_model::arch::RESNET101;
@@ -51,17 +51,7 @@ fn bench_window_search(c: &mut Criterion) {
     group.sample_size(10);
     group.bench_function("window_search_120_sample_requests", |b| {
         b.iter(|| {
-            let result = window_search(
-                &device,
-                &model,
-                &perf,
-                &base,
-                &sample,
-                WindowSearchOptions {
-                    max_trials: 5,
-                    ..WindowSearchOptions::default()
-                },
-            );
+            let result = window_search(&device, &model, &perf, &base, &sample);
             black_box(result.chosen)
         });
     });

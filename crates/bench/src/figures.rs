@@ -21,7 +21,7 @@ use coserve_cluster::dispatch::{FeedbackMode, RoutePolicy};
 use coserve_cluster::placement::PlacementStrategy;
 use coserve_cluster::runtime::{FailureSchedule, ReplacementPolicy, RuntimeOptions};
 use coserve_cluster::{ClusterOptions, ClusterSystem};
-use coserve_core::autotune::{window_search, UsageCdf, WindowSearchOptions};
+use coserve_core::autotune::{window_search, UsageCdf};
 use coserve_core::config::AdmissionControl;
 use coserve_core::engine::Engine;
 use coserve_core::presets;
@@ -342,7 +342,6 @@ pub fn fig11_usage_cdf() -> Vec<Table> {
         &bench.perf,
         &base,
         &bench.sample,
-        WindowSearchOptions::default(),
     );
     let mut sel = Table::new(
         "Figure 11 (annotation): selected expert loading number",
@@ -583,14 +582,7 @@ pub fn fig18_window_search() -> Table {
     let results = crate::sweep::run_ordered(tasks, |task| {
         let bench = Bench::prepare(device.clone(), task.clone());
         let base = presets::coserve(&device);
-        let result = window_search(
-            &device,
-            &bench.model,
-            &bench.perf,
-            &base,
-            &bench.sample,
-            WindowSearchOptions::default(),
-        );
+        let result = window_search(&device, &bench.model, &bench.perf, &base, &bench.sample);
         (task, result)
     });
     for (task, result) in results {

@@ -18,7 +18,7 @@
 use std::path::PathBuf;
 
 use coserve_baselines::suite::evaluation_suite;
-use coserve_core::autotune::{TunedSystem, WindowSearchOptions};
+use coserve_core::autotune::TunedSystem;
 use coserve_core::engine::Engine;
 use coserve_core::perf::PerfMatrix;
 use coserve_core::profiler::{Profiler, UsageSource};
@@ -164,13 +164,8 @@ impl Bench {
     /// returns the reports in suite order plus the tuning traces.
     #[must_use]
     pub fn run_suite(&self) -> (Vec<RunReport>, TunedSystem) {
-        let (systems, tuned) = evaluation_suite(
-            &self.device,
-            &self.model,
-            &self.perf,
-            &self.sample,
-            WindowSearchOptions::default(),
-        );
+        let (systems, tuned) =
+            evaluation_suite(&self.device, &self.model, &self.perf, &self.sample);
         let reports = systems.iter().map(|c| self.run(c)).collect();
         (reports, tuned)
     }

@@ -23,10 +23,10 @@
 //! stops accumulating.
 //!
 //! When a request's chain includes experts the routed node does not
-//! hold, each such stage pays one **cross-node hop**: an activation
-//! transfer over the [`Fabric`] link from the nearest live holder,
-//! charged by delaying the request's arrival at the node. Hop counts
-//! and total fabric time flow into the
+//! hold, each such stage pays one **cross-node hop**: an 8 MiB
+//! activation transfer over the [`Fabric`] link from the nearest live
+//! holder, charged by delaying the request's arrival at the node. Hop
+//! counts and total fabric time flow into the
 //! [`coserve_metrics::cluster::ClusterReport`].
 
 use std::fmt;
@@ -43,6 +43,10 @@ use coserve_sim::time::{SimSpan, SimTime};
 use coserve_workload::stream::Job;
 
 use crate::placement::PlacementPlan;
+
+/// Activation payload a cross-node hop ships from the holder of an
+/// expert to the routed node.
+const ACTIVATION_BYTES: Bytes = Bytes::mib(8);
 
 /// How the cluster front-end picks a node for each request.
 ///
@@ -147,7 +151,6 @@ pub enum Routing {
 #[derive(Debug, Clone)]
 pub struct Dispatcher {
     route: RoutePolicy,
-    activation_bytes: Bytes,
     feedback: FeedbackMode,
     seq: usize,
     busy_until: Vec<SimTime>,
@@ -183,16 +186,10 @@ impl Dispatcher {
     ///
     /// Panics when `nodes` is zero.
     #[must_use]
-    pub fn new(
-        nodes: usize,
-        route: RoutePolicy,
-        activation_bytes: Bytes,
-        feedback: FeedbackMode,
-    ) -> Self {
+    pub fn new(nodes: usize, route: RoutePolicy, feedback: FeedbackMode) -> Self {
         assert!(nodes > 0, "dispatch needs at least one node");
         Dispatcher {
             route,
-            activation_bytes,
             feedback,
             seq: 0,
             busy_until: vec![SimTime::ZERO; nodes],
@@ -448,8 +445,7 @@ impl Dispatcher {
                     continue;
                 }
                 live_holders += 1;
-                let raw =
-                    fabric.transfer_duration(self.activation_bytes, NodeId(h), NodeId(target));
+                let raw = fabric.transfer_duration(ACTIVATION_BYTES, NodeId(h), NodeId(target));
                 let (hop, extra) =
                     match faults.as_ref().map(|f| f.plan.link(h, target, job.arrival)) {
                         None | Some(LinkOutcome::Healthy) => (raw, SimSpan::ZERO),
@@ -685,9 +681,9 @@ mod tests {
         ]
     }
 
-    /// A dispatcher over `n` nodes shipping 8 MiB of activations per hop.
+    /// A dispatcher over `n` nodes.
     fn dispatcher(n: usize, route: RoutePolicy, feedback: FeedbackMode) -> Dispatcher {
-        Dispatcher::new(n, route, Bytes::mib(8), feedback)
+        Dispatcher::new(n, route, feedback)
     }
 
     /// Routes the fixture's whole stream through a fresh open-loop

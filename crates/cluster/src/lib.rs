@@ -69,7 +69,6 @@ use coserve_core::system::ServingSystem;
 use coserve_metrics::cluster::ClusterReport;
 use coserve_model::coe::CoeModel;
 use coserve_sim::device::DeviceProfile;
-use coserve_sim::memory::Bytes;
 use coserve_sim::network::{Fabric, LinkProfile};
 use coserve_workload::stream::RequestStream;
 
@@ -106,28 +105,26 @@ impl NodeSpec {
     }
 }
 
-/// Cluster-level policy knobs.
+/// Seed [`PlacementStrategy::Random`] places experts with.
+const PLACEMENT_SEED: u64 = 7;
+
+/// Cluster-level policy knobs: how experts are placed and how requests
+/// are routed. Every cross-node hop ships 8 MiB of activations, and
+/// [`PlacementStrategy::Random`] always places with seed 7.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ClusterOptions {
     /// How experts are placed across nodes.
     pub placement: PlacementStrategy,
     /// How requests are routed to nodes.
     pub route: RoutePolicy,
-    /// Activation payload shipped per cross-node hop.
-    pub activation_bytes: Bytes,
-    /// Seed for [`PlacementStrategy::Random`].
-    pub placement_seed: u64,
 }
 
 impl Default for ClusterOptions {
-    /// Usage-aware placement, residency-first routing, 8 MiB activation
-    /// payloads, seed 7.
+    /// Usage-aware placement and residency-first routing.
     fn default() -> Self {
         ClusterOptions {
             placement: PlacementStrategy::UsageAware,
             route: RoutePolicy::ResidencyFirst,
-            activation_bytes: Bytes::mib(8),
-            placement_seed: 7,
         }
     }
 }
@@ -144,13 +141,6 @@ impl ClusterOptions {
     #[must_use]
     pub fn route(mut self, route: RoutePolicy) -> Self {
         self.route = route;
-        self
-    }
-
-    /// Replaces the per-hop activation payload.
-    #[must_use]
-    pub fn activation_bytes(mut self, bytes: Bytes) -> Self {
-        self.activation_bytes = bytes;
         self
     }
 }
@@ -262,7 +252,7 @@ impl ClusterSystem {
             &matrices[0],
             specs.len(),
             options.placement,
-            options.placement_seed,
+            PLACEMENT_SEED,
         );
         let mut names = Vec::with_capacity(specs.len());
         let mut nodes = Vec::with_capacity(specs.len());
@@ -506,6 +496,14 @@ mod tests {
         .unwrap_err();
         assert!(matches!(err, ClusterError::FabricMismatch { .. }));
         assert!(err.to_string().contains("fabric covers 3"));
+        // A node configuration without executors is refused up front.
+        let mut idle = presets::coserve(&devices::numa_rtx3080ti());
+        idle.executors.clear();
+        let specs = vec![NodeSpec::new("idle", devices::numa_rtx3080ti(), idle)];
+        let fabric = Fabric::fully_connected(1, LinkProfile::ethernet_10g());
+        let err = ClusterSystem::new(specs, &model, fabric, ClusterOptions::default());
+        let source = EngineError::NoExecutors;
+        assert_eq!(err.unwrap_err(), ClusterError::Node { node: 0, source });
         // The per-node validation error names the failing node.
         let node_err = ClusterError::Node {
             node: 2,

@@ -513,13 +513,8 @@ impl<'a> Runtime<'a> {
                 has_gpu: s.config().gpu_executor_count() > 0,
             })
             .collect();
-        let dispatcher = Dispatcher::new(
-            n,
-            sys.options().route,
-            sys.options().activation_bytes,
-            options.feedback,
-        )
-        .with_pacing(options.pacing);
+        let dispatcher =
+            Dispatcher::new(n, sys.options().route, options.feedback).with_pacing(options.pacing);
         let nodes = sys
             .nodes()
             .iter()
@@ -1437,6 +1432,7 @@ mod tests {
 
     mod proptests {
         use super::*;
+        use coserve_faults::FaultWindow;
         use coserve_sim::rng::SimRng;
         use coserve_workload::arrivals::ArrivalProcess;
         use coserve_workload::stream::StreamOrder;
@@ -1481,8 +1477,11 @@ mod tests {
             }
 
             /// Random ticks, kill/revive schedules, feedback, pacing,
-            /// online admission and re-placement policies: every job
-            /// ends exactly once, and a second run is identical.
+            /// hedging, online admission, re-placement policies and,
+            /// half the time, a seeded fault plan: every job ends
+            /// exactly once, a second run is identical, every degraded
+            /// local reload stands for at least one partitioned
+            /// transfer, and a run with no plan armed records no faults.
             #[test]
             fn runtime_conserves_jobs_under_random_options(
                 seed in 0u64..1_000,
@@ -1512,15 +1511,38 @@ mod tests {
                     .failures(schedule)
                     .feedback(feedback[rng.next_below(2) as usize])
                     .replacement(replacement[rng.next_below(2) as usize])
-                    .pacing(rng.next_below(2) == 1);
+                    .pacing(rng.next_below(2) == 1)
+                    .hedge(rng.next_below(2) == 1);
                 if rng.next_below(2) == 1 {
                     let capacity = 4 + rng.next_below(13) as usize;
                     let admission = AdmissionControl::with_queue_capacity(capacity);
                     options = options.online(admission, presets::ONLINE_MAX_OVERTAKE);
                 }
+                let armed = rng.next_below(2) == 1;
+                if armed {
+                    // Each class gets its own window inside the stream
+                    // horizon.
+                    let mut window = || {
+                        let start = SimTime::ZERO + SimSpan::from_nanos(rng.next_below(horizon));
+                        FaultWindow::new(start, SimSpan::from_nanos(1 + rng.next_below(horizon)))
+                    };
+                    let (link, slow) = (window(), window());
+                    let a = rng.next_below(nodes as u64) as usize;
+                    let b = (a + 1 + rng.next_below(nodes as u64 - 1) as usize) % nodes;
+                    let slow_node = rng.next_below(nodes as u64) as usize;
+                    let plan = FaultPlan::seeded(seed)
+                        .with_link(rng.next_f64(), 1.0 + 4.0 * rng.next_f64(), vec![(a, b)], link)
+                        .with_slow_nodes(vec![slow_node], 1.0 + 4.0 * rng.next_f64(), slow);
+                    options = options.faults(plan);
+                }
                 let report = cluster.serve_runtime(&stream, &options);
                 prop_assert_eq!(report.submitted, stream.len());
                 assert_conserves(&report);
+                let faults = report.dynamics.faults;
+                prop_assert!(faults.degraded_local <= faults.link_partitioned);
+                if !armed {
+                    prop_assert!(faults.is_empty());
+                }
                 prop_assert_eq!(&report, &cluster.serve_runtime(&stream, &options));
             }
         }

@@ -88,33 +88,21 @@ impl UsageCdf {
     }
 }
 
-/// Options for the decay-window search (§4.4; the evaluation used an
-/// initial window of 15 and a 5 % error margin).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct WindowSearchOptions {
-    /// Initial window size (also sets the decay factor, Eq. 1).
-    pub initial_window: f64,
-    /// Relative deviation that stops the slide (Eq. 3).
-    pub error_margin: f64,
-    /// Number of leading trials used for the linear fit (Eq. 2).
-    pub fit_points: usize,
-    /// Hard cap on trials (safety net).
-    pub max_trials: usize,
-    /// Seed for the final in-window selection.
-    pub seed: u64,
-}
+/// Initial window size of the decay-window search, as in the paper's
+/// evaluation (§4.4); it also sets the decay factor (Eq. 1).
+const INITIAL_WINDOW: f64 = 15.0;
 
-impl Default for WindowSearchOptions {
-    fn default() -> Self {
-        WindowSearchOptions {
-            initial_window: 15.0,
-            error_margin: 0.05,
-            fit_points: 3,
-            max_trials: 12,
-            seed: 0x57AB,
-        }
-    }
-}
+/// Relative deviation from the trend that stops the slide (Eq. 3).
+const ERROR_MARGIN: f64 = 0.05;
+
+/// Number of leading trials the linear trend is fitted to (Eq. 2).
+const FIT_POINTS: usize = 3;
+
+/// Hard cap on window-search trials (a safety net).
+const MAX_TRIALS: usize = 12;
+
+/// Seed for the final in-window selection.
+const SELECTION_SEED: u64 = 0x57AB;
 
 /// One measured point of the window search.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -146,12 +134,14 @@ pub struct WindowSearchResult {
 ///
 /// `base` supplies everything but the resident-expert target (executor
 /// counts, policies); each trial runs the engine with the target set to
-/// the window's upper bound.
+/// the window's upper bound. The search uses the paper's settings: an
+/// initial window of 15 experts, a linear trend fitted to the first
+/// three trials, a 5 % error margin, and at most 12 trials.
 ///
 /// # Panics
 ///
 /// Panics if `base` has no GPU executors (there would be no GPU pool to
-/// size) or the options are degenerate (zero window, no fit points).
+/// size).
 #[must_use]
 pub fn window_search(
     device: &DeviceProfile,
@@ -159,19 +149,16 @@ pub fn window_search(
     perf: &PerfMatrix,
     base: &SystemConfig,
     sample: &RequestStream,
-    options: WindowSearchOptions,
 ) -> WindowSearchResult {
     assert!(
         base.gpu_executor_count() > 0,
         "window search needs GPU executors"
     );
-    assert!(options.initial_window >= 1.0, "window must be at least 1");
-    assert!(options.fit_points >= 2, "need at least two fit points");
-    let decay = 1.0 - options.initial_window / 100.0; // Eq. 1
+    let decay = 1.0 - INITIAL_WINDOW / 100.0; // Eq. 1
 
     let throughput_at = |residents: usize| -> f64 {
         let mut config = base.clone();
-        config.memory.gpu_resident_experts = Some(residents);
+        config.gpu_resident_experts = Some(residents);
         let engine = Engine::new(device, model, perf, &config).expect("base config is valid");
         engine.run(sample).throughput_ips()
     };
@@ -179,8 +166,8 @@ pub fn window_search(
     let max_residents = model.num_experts();
     let mut trials: Vec<WindowTrial> = Vec::new();
     let mut lo = 0.0f64;
-    let mut size = options.initial_window;
-    let mut prev_window = (0usize, options.initial_window.round() as usize);
+    let mut size = INITIAL_WINDOW;
+    let mut prev_window = (0usize, INITIAL_WINDOW.round() as usize);
     let mut fit: Option<LinFit> = None;
     let mut deviation = 0.0;
     let mut selected;
@@ -195,9 +182,9 @@ pub fn window_search(
         });
         let window = (lo.round() as usize, residents);
 
-        if trials.len() > options.fit_points {
+        if trials.len() > FIT_POINTS {
             // Eq. 2: linear trend over the first N trials.
-            let lead: Vec<(f64, f64)> = trials[..options.fit_points]
+            let lead: Vec<(f64, f64)> = trials[..FIT_POINTS]
                 .iter()
                 .enumerate()
                 .map(|(i, t)| ((i + 1) as f64, t.throughput))
@@ -209,7 +196,7 @@ pub fn window_search(
                 if expected > 0.0 {
                     deviation = (expected - actual) / expected;
                     // Eq. 3: reality fell below the trend.
-                    if deviation > options.error_margin {
+                    if deviation > ERROR_MARGIN {
                         selected = prev_window;
                         break;
                     }
@@ -220,7 +207,7 @@ pub fn window_search(
         prev_window = window;
         lo = hi;
         size *= decay;
-        if trials.len() >= options.max_trials || residents >= max_residents {
+        if trials.len() >= MAX_TRIALS || residents >= max_residents {
             break;
         }
     }
@@ -229,7 +216,7 @@ pub fn window_search(
     let (w_lo, w_hi) = selected;
     let lo_bound = w_lo.max(1) as u64;
     let hi_bound = (w_hi.max(w_lo.max(1))) as u64;
-    let mut rng = SimRng::seed_from(options.seed);
+    let mut rng = SimRng::seed_from(SELECTION_SEED);
     let chosen = rng.range_inclusive(lo_bound, hi_bound) as usize;
 
     WindowSearchResult {
@@ -295,15 +282,14 @@ pub struct TunedSystem {
 }
 
 /// Runs both offline searches and assembles "CoServe Best" (§5.2):
-/// executor counts first, then the memory window with the winning
-/// executor counts.
+/// executor counts first, then the memory window
+/// ([`window_search`]) with the winning executor counts.
 #[must_use]
 pub fn tune(
     device: &DeviceProfile,
     model: &CoeModel,
     perf: &PerfMatrix,
     sample: &RequestStream,
-    options: WindowSearchOptions,
 ) -> TunedSystem {
     // Ties between measured configurations go to the one with fewer
     // executors: identical sample throughput means the extra processes
@@ -338,7 +324,7 @@ pub fn tune(
     let best = first_strict_max(&all_trials);
 
     let base = presets::coserve_with(device, "CoServe Best", best.gpus, best.cpus, None);
-    let window = window_search(device, model, perf, &base, sample, options);
+    let window = window_search(device, model, perf, &base, sample);
     let tuned = presets::coserve_with(
         device,
         "CoServe Best",
@@ -413,19 +399,9 @@ mod tests {
     fn window_search_produces_sane_selection() {
         let (device, model, perf, sample) = setup();
         let base = presets::coserve_with(&device, "base", 2, 1, None);
-        let result = window_search(
-            &device,
-            &model,
-            &perf,
-            &base,
-            &sample,
-            WindowSearchOptions {
-                max_trials: 6,
-                ..WindowSearchOptions::default()
-            },
-        );
+        let result = window_search(&device, &model, &perf, &base, &sample);
         assert!(!result.trials.is_empty());
-        assert!(result.trials.len() <= 6);
+        assert!(result.trials.len() <= MAX_TRIALS);
         // Chosen value lies inside the selected window.
         assert!(result.chosen >= result.selected.0);
         assert!(result.chosen <= result.selected.1.max(result.selected.0));
@@ -442,12 +418,8 @@ mod tests {
     fn window_search_is_deterministic() {
         let (device, model, perf, sample) = setup();
         let base = presets::coserve_with(&device, "base", 2, 1, None);
-        let opts = WindowSearchOptions {
-            max_trials: 5,
-            ..WindowSearchOptions::default()
-        };
-        let a = window_search(&device, &model, &perf, &base, &sample, opts);
-        let b = window_search(&device, &model, &perf, &base, &sample, opts);
+        let a = window_search(&device, &model, &perf, &base, &sample);
+        let b = window_search(&device, &model, &perf, &base, &sample);
         assert_eq!(a, b);
     }
 
@@ -464,25 +436,19 @@ mod tests {
     #[test]
     fn tune_assembles_best_config() {
         let (device, model, perf, sample) = setup();
-        let tuned = tune(
-            &device,
-            &model,
-            &perf,
-            &sample,
-            WindowSearchOptions {
-                max_trials: 4,
-                ..WindowSearchOptions::default()
-            },
-        );
+        let tuned = tune(&device, &model, &perf, &sample);
         assert_eq!(tuned.config.name, "CoServe Best");
         assert!(tuned.config.gpu_executor_count() >= 1);
         assert_eq!(tuned.executor_trials.len(), 6); // 5 grid + 1 extra
 
         // Either the window target was adopted, or the validation guard
         // fell back to the fraction-based split.
-        match tuned.config.memory.gpu_resident_experts {
+        match tuned.config.gpu_resident_experts {
             Some(chosen) => assert_eq!(chosen, tuned.window.chosen),
-            None => assert!((tuned.config.memory.gpu_pool_fraction - 0.75).abs() < 1e-12),
+            None => assert_eq!(
+                tuned.config,
+                presets::coserve_casual(&device).renamed("CoServe Best")
+            ),
         }
     }
 
@@ -491,13 +457,6 @@ mod tests {
     fn window_search_requires_gpus() {
         let (device, model, perf, sample) = setup();
         let base = SystemConfig::builder("cpu-only").cpu_executors(1).build();
-        let _ = window_search(
-            &device,
-            &model,
-            &perf,
-            &base,
-            &sample,
-            WindowSearchOptions::default(),
-        );
+        let _ = window_search(&device, &model, &perf, &base, &sample);
     }
 }

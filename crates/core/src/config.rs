@@ -3,9 +3,8 @@
 //! One engine serves every system in the paper's evaluation; a
 //! [`SystemConfig`] selects the policies: how requests are assigned to
 //! executor queues, how queues are ordered, how experts are evicted,
-//! how memory is split between expert pools and inference workspace,
-//! and how many executors run on each processor (§4.5's
-//! "user-configurable parameters").
+//! how many experts stay GPU-resident, and how many executors run on
+//! each processor (§4.5's "user-configurable parameters").
 
 use coserve_model::expert::ExpertId;
 use coserve_sim::device::ProcessorKind;
@@ -32,13 +31,6 @@ pub enum ArrangePolicy {
     Grouped,
     /// Plain FCFS append (the baselines).
     Fcfs,
-}
-
-/// One inference executor to create at initialization.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ExecutorSpec {
-    /// The processor the executor runs on.
-    pub processor: ProcessorKind,
 }
 
 /// Admission control for open-loop online serving: executor queues are
@@ -74,78 +66,38 @@ impl Default for AdmissionControl {
     }
 }
 
-/// How device memory is split between expert pools, inference
-/// workspace, and (on NUMA devices) the CPU staging cache (§4.4).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct MemoryPlan {
-    /// Total number of experts to keep resident across all GPU
-    /// executors, as selected by the decay-window search. `None` falls
-    /// back to [`MemoryPlan::gpu_pool_fraction`].
-    pub gpu_resident_experts: Option<usize>,
-    /// Fraction of each GPU executor's share given to its expert pool
-    /// when no resident-expert target is set (CoServe-Casual uses 0.75).
-    pub gpu_pool_fraction: f64,
-    /// Apply §4.4's limited-computation rule on CPU executors: reserve
-    /// exactly the memory the maximum batch size needs for inference
-    /// and give *all* remaining memory to the expert pool. When false,
-    /// [`MemoryPlan::cpu_pool_fraction`] splits the share instead.
-    pub cpu_max_batch_rule: bool,
-    /// Fraction of each CPU executor's share given to its expert pool
-    /// when [`MemoryPlan::cpu_max_batch_rule`] is off.
-    pub cpu_pool_fraction: f64,
-    /// Fraction of usable CPU memory reserved as the staging cache on
-    /// NUMA devices (ignored on UMA). When the system has no CPU
-    /// executors, all usable CPU memory becomes cache.
-    pub cpu_cache_fraction: f64,
-}
-
-impl Default for MemoryPlan {
-    fn default() -> Self {
-        MemoryPlan {
-            gpu_resident_experts: None,
-            gpu_pool_fraction: 0.75,
-            cpu_max_batch_rule: true,
-            cpu_pool_fraction: 0.70,
-            cpu_cache_fraction: 0.35,
-        }
-    }
-}
-
-/// Full configuration of a serving system run.
+/// Full configuration of a serving system run: the policies, the
+/// executors and the resident-expert target. Everything else about a
+/// run — preloading, batching, scheduler workers, memory fractions — is
+/// the same for every configuration.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SystemConfig {
     /// Display name ("CoServe Best", "Samba-CoE", …).
     pub name: String,
-    /// The executors to create (§4.1's executor creator input).
-    pub executors: Vec<ExecutorSpec>,
+    /// The processor of each executor to create (§4.1's executor
+    /// creator input). An engine rejects an empty list.
+    pub executors: Vec<ProcessorKind>,
     /// Request → queue assignment policy.
     pub assign: AssignPolicy,
     /// Within-queue ordering policy.
     pub arrange: ArrangePolicy,
     /// Expert eviction policy.
     pub eviction: EvictionPolicy,
-    /// Whether the expert initializer preloads pools by descending
-    /// usage probability (§4.1).
-    pub preload: bool,
     /// Overrides the preload priority order. `None` — the default —
     /// preloads by descending usage probability (§4.1); a cluster
     /// placement planner supplies the node's placed experts first so
     /// each node specializes in its shard of the model. Experts must
     /// belong to the model (validated at engine construction).
     pub preload_order: Option<Vec<ExpertId>>,
-    /// Whether the batch splitter may batch same-expert requests; when
-    /// false every batch has size 1.
-    pub batching: bool,
     /// Per-request scheduling latency charged on the scheduler worker
     /// pool — Figure 19's "scheduling" cost.
     pub scheduling_cost: SimSpan,
-    /// Scheduler worker threads. Scheduling runs on the host CPU in
-    /// parallel with inference (§5.3); with the paper's 8.3 ms
-    /// per-request cost and 4 ms arrival interval, two workers keep up
-    /// with arrivals.
-    pub scheduler_slots: usize,
-    /// Memory split.
-    pub memory: MemoryPlan,
+    /// Total number of experts to keep resident across all GPU
+    /// executors, as selected by the decay-window search (§4.4).
+    /// `None` — the default — gives each GPU executor's expert pool a
+    /// fixed fraction of its memory share instead (see
+    /// [`plan_memory`](crate::engine::plan_memory)).
+    pub gpu_resident_experts: Option<usize>,
     /// Open-loop admission control (bounded executor queues with drop
     /// accounting). `None` — the default — is the paper's closed-loop
     /// mode: queues grow without bound and nothing is dropped.
@@ -168,12 +120,9 @@ impl SystemConfig {
                 assign: AssignPolicy::DependencyAware,
                 arrange: ArrangePolicy::Grouped,
                 eviction: EvictionPolicy::DependencyAware,
-                preload: true,
                 preload_order: None,
-                batching: true,
                 scheduling_cost: SimSpan::from_micros(500),
-                scheduler_slots: 2,
-                memory: MemoryPlan::default(),
+                gpu_resident_experts: None,
                 admission: None,
                 max_overtake: None,
             },
@@ -185,7 +134,7 @@ impl SystemConfig {
     pub fn gpu_executor_count(&self) -> usize {
         self.executors
             .iter()
-            .filter(|e| e.processor == ProcessorKind::Gpu)
+            .filter(|&&p| p == ProcessorKind::Gpu)
             .count()
     }
 
@@ -194,7 +143,7 @@ impl SystemConfig {
     pub fn cpu_executor_count(&self) -> usize {
         self.executors
             .iter()
-            .filter(|e| e.processor == ProcessorKind::Cpu)
+            .filter(|&&p| p == ProcessorKind::Cpu)
             .count()
     }
 
@@ -229,24 +178,18 @@ impl SystemConfigBuilder {
     /// Adds `n` GPU executors.
     #[must_use]
     pub fn gpu_executors(mut self, n: usize) -> Self {
-        self.config.executors.extend(std::iter::repeat_n(
-            ExecutorSpec {
-                processor: ProcessorKind::Gpu,
-            },
-            n,
-        ));
+        self.config
+            .executors
+            .extend(std::iter::repeat_n(ProcessorKind::Gpu, n));
         self
     }
 
     /// Adds `n` CPU executors.
     #[must_use]
     pub fn cpu_executors(mut self, n: usize) -> Self {
-        self.config.executors.extend(std::iter::repeat_n(
-            ExecutorSpec {
-                processor: ProcessorKind::Cpu,
-            },
-            n,
-        ));
+        self.config
+            .executors
+            .extend(std::iter::repeat_n(ProcessorKind::Cpu, n));
         self
     }
 
@@ -271,13 +214,6 @@ impl SystemConfigBuilder {
         self
     }
 
-    /// Enables or disables usage-ordered preloading.
-    #[must_use]
-    pub fn preload(mut self, on: bool) -> Self {
-        self.config.preload = on;
-        self
-    }
-
     /// Overrides the preload priority order (cluster placement plans).
     #[must_use]
     pub fn preload_order(mut self, order: Vec<ExpertId>) -> Self {
@@ -285,35 +221,10 @@ impl SystemConfigBuilder {
         self
     }
 
-    /// Enables or disables batching.
-    #[must_use]
-    pub fn batching(mut self, on: bool) -> Self {
-        self.config.batching = on;
-        self
-    }
-
     /// Sets the per-request scheduling latency.
     #[must_use]
     pub fn scheduling_cost(mut self, cost: SimSpan) -> Self {
         self.config.scheduling_cost = cost;
-        self
-    }
-
-    /// Sets the scheduler worker-thread count.
-    ///
-    /// # Panics
-    ///
-    /// Panics at [`SystemConfigBuilder::build`] time if zero.
-    #[must_use]
-    pub fn scheduler_slots(mut self, slots: usize) -> Self {
-        self.config.scheduler_slots = slots;
-        self
-    }
-
-    /// Replaces the memory plan.
-    #[must_use]
-    pub fn memory(mut self, plan: MemoryPlan) -> Self {
-        self.config.memory = plan;
         self
     }
 
@@ -336,7 +247,7 @@ impl SystemConfigBuilder {
     /// Sets the window-search result: total GPU-resident experts.
     #[must_use]
     pub fn gpu_resident_experts(mut self, n: usize) -> Self {
-        self.config.memory.gpu_resident_experts = Some(n);
+        self.config.gpu_resident_experts = Some(n);
         self
     }
 
@@ -344,8 +255,7 @@ impl SystemConfigBuilder {
     ///
     /// # Panics
     ///
-    /// Panics when no executors were configured or a memory fraction is
-    /// outside `(0, 1)`.
+    /// Panics when no executors were configured.
     #[must_use]
     pub fn build(self) -> SystemConfig {
         let c = self.config;
@@ -353,14 +263,6 @@ impl SystemConfigBuilder {
             !c.executors.is_empty(),
             "system needs at least one executor"
         );
-        assert!(c.scheduler_slots > 0, "scheduler needs at least one worker");
-        for f in [
-            c.memory.gpu_pool_fraction,
-            c.memory.cpu_pool_fraction,
-            c.memory.cpu_cache_fraction,
-        ] {
-            assert!((0.0..1.0).contains(&f), "memory fraction {f} outside [0,1)");
-        }
         c
     }
 }
@@ -378,8 +280,6 @@ mod tests {
         assert_eq!(c.assign, AssignPolicy::DependencyAware);
         assert_eq!(c.arrange, ArrangePolicy::Grouped);
         assert_eq!(c.eviction, EvictionPolicy::DependencyAware);
-        assert!(c.preload);
-        assert!(c.batching);
         assert_eq!(c.gpu_executor_count(), 3);
         assert_eq!(c.cpu_executor_count(), 1);
         assert_eq!(c.executors.len(), 4);
@@ -392,19 +292,10 @@ mod tests {
             .assign(AssignPolicy::RoundRobin)
             .arrange(ArrangePolicy::Fcfs)
             .eviction(EvictionPolicy::Lru)
-            .batching(false)
             .scheduling_cost(SimSpan::from_micros(100))
             .build();
         assert_eq!(c.assign, AssignPolicy::RoundRobin);
         assert_eq!(c.eviction, EvictionPolicy::Lru);
-        assert!(!c.batching);
-    }
-
-    #[test]
-    fn memory_plan_defaults_match_casual() {
-        let plan = MemoryPlan::default();
-        assert_eq!(plan.gpu_resident_experts, None);
-        assert!((plan.gpu_pool_fraction - 0.75).abs() < 1e-12);
     }
 
     #[test]
@@ -413,7 +304,7 @@ mod tests {
             .gpu_executors(3)
             .gpu_resident_experts(35)
             .build();
-        assert_eq!(c.memory.gpu_resident_experts, Some(35));
+        assert_eq!(c.gpu_resident_experts, Some(35));
     }
 
     #[test]
@@ -468,17 +359,5 @@ mod tests {
     #[should_panic(expected = "at least one executor")]
     fn empty_executors_panics() {
         let _ = SystemConfig::builder("none").build();
-    }
-
-    #[test]
-    #[should_panic(expected = "memory fraction")]
-    fn bad_fraction_panics() {
-        let _ = SystemConfig::builder("bad")
-            .gpu_executors(1)
-            .memory(MemoryPlan {
-                gpu_pool_fraction: 1.5,
-                ..MemoryPlan::default()
-            })
-            .build();
     }
 }

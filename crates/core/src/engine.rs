@@ -53,6 +53,9 @@ pub enum EngineError {
     },
     /// The configured preload order names an expert outside the model.
     UnknownExpert(ExpertId),
+    /// The configuration lists no executors, so no request could be
+    /// served.
+    NoExecutors,
 }
 
 impl fmt::Display for EngineError {
@@ -71,6 +74,7 @@ impl fmt::Display for EngineError {
             EngineError::UnknownExpert(e) => {
                 write!(f, "preload order names {e}, which the model lacks")
             }
+            EngineError::NoExecutors => write!(f, "configuration has no executors"),
         }
     }
 }
@@ -96,14 +100,31 @@ pub struct MemoryLayout {
     pub cache: Bytes,
 }
 
-/// Plans the memory layout for `config` on `device`.
+/// Share of each GPU executor's memory given to its expert pool when
+/// the configuration sets no resident-expert target (§5.2's Casual).
+const GPU_POOL_FRACTION: f64 = 0.75;
+
+/// Share of usable CPU memory reserved as the staging cache on NUMA
+/// devices that also run CPU executors.
+const CPU_CACHE_FRACTION: f64 = 0.35;
+
+/// Scheduler worker threads. Scheduling runs on the host CPU in
+/// parallel with inference (§5.3); with the paper's 8.3 ms per-request
+/// cost and 4 ms arrival interval, two workers keep up with arrivals.
+const SCHEDULER_SLOTS: usize = 2;
+
+/// Plans the memory layout for `config` on `device` (§4.4).
 ///
-/// GPU executors split usable GPU memory evenly; on NUMA devices CPU
-/// executors split what the staging cache leaves of usable CPU memory;
-/// on UMA devices all executors split the unified pool. Within a share,
-/// the expert pool takes either the window-search target (§4.4) or the
-/// configured fraction, always leaving workspace for at least a
-/// batch-of-one inference of the largest architecture.
+/// GPU executors split usable GPU memory evenly. On NUMA devices the
+/// staging cache takes 35 % of usable CPU memory (all of it when there
+/// are no CPU executors), and CPU executors split the rest; on UMA
+/// devices all executors split the unified pool. Within a GPU share the
+/// expert pool takes the window-search target
+/// ([`SystemConfig::gpu_resident_experts`]) or, without one, 75 % of
+/// the share. A CPU executor follows §4.4's rule for limited-computation
+/// processors: its workspace holds exactly what the maximum batch needs
+/// and its pool takes the rest. Every pool leaves workspace for at least
+/// a batch-of-one inference of the largest architecture.
 #[must_use]
 pub fn plan_memory(
     device: &DeviceProfile,
@@ -135,7 +156,7 @@ pub fn plan_memory(
         let cache = if cpus == 0 {
             cpu_usable
         } else {
-            Bytes::new((cpu_usable.get() as f64 * config.memory.cpu_cache_fraction) as u64)
+            Bytes::new((cpu_usable.get() as f64 * CPU_CACHE_FRACTION) as u64)
         };
         let cpu_share = cpu_usable
             .saturating_sub(cache)
@@ -153,7 +174,7 @@ pub fn plan_memory(
     // Window-search target: per-GPU-executor pool capacity sized to hold
     // its round-robin share of the top-n experts (2 % slack for size
     // variation between architectures).
-    let gpu_pool_target = config.memory.gpu_resident_experts.map(|n| {
+    let gpu_pool_target = config.gpu_resident_experts.map(|n| {
         let total: Bytes = perf
             .experts_by_usage()
             .iter()
@@ -178,22 +199,15 @@ pub fn plan_memory(
     let executors = config
         .executors
         .iter()
-        .map(|spec| {
-            let (share, target) = match spec.processor {
+        .map(|&processor| {
+            let (share, target) = match processor {
                 ProcessorKind::Gpu => (gpu_share, gpu_pool_target),
                 ProcessorKind::Cpu => (cpu_share, None),
             };
-            let floor = min_workspace(spec.processor);
-            let raw_pool = target.unwrap_or_else(|| match spec.processor {
-                ProcessorKind::Gpu => {
-                    Bytes::new((share.get() as f64 * config.memory.gpu_pool_fraction) as u64)
-                }
-                ProcessorKind::Cpu if config.memory.cpu_max_batch_rule => {
-                    share.saturating_sub(cpu_batch_reserve())
-                }
-                ProcessorKind::Cpu => {
-                    Bytes::new((share.get() as f64 * config.memory.cpu_pool_fraction) as u64)
-                }
+            let floor = min_workspace(processor);
+            let raw_pool = target.unwrap_or_else(|| match processor {
+                ProcessorKind::Gpu => Bytes::new((share.get() as f64 * GPU_POOL_FRACTION) as u64),
+                ProcessorKind::Cpu => share.saturating_sub(cpu_batch_reserve()),
             });
             let pool_capacity = raw_pool.min(share.saturating_sub(floor));
             ExecutorMemory {
@@ -222,21 +236,25 @@ impl<'a> Engine<'a> {
     ///
     /// # Errors
     ///
-    /// Returns [`EngineError`] on missing kernels/entries or a
-    /// model/matrix size mismatch.
+    /// Returns [`EngineError`] on an empty executor list, missing
+    /// kernels/entries, a model/matrix size mismatch or a preload order
+    /// naming an expert outside the model.
     pub fn new(
         device: &'a DeviceProfile,
         model: &'a CoeModel,
         perf: &'a PerfMatrix,
         config: &'a SystemConfig,
     ) -> Result<Self, EngineError> {
+        if config.executors.is_empty() {
+            return Err(EngineError::NoExecutors);
+        }
         if perf.num_experts() != model.num_experts() {
             return Err(EngineError::PerfModelMismatch {
                 model_experts: model.num_experts(),
                 perf_experts: perf.num_experts(),
             });
         }
-        let procs: BTreeSet<ProcessorKind> = config.executors.iter().map(|e| e.processor).collect();
+        let procs: BTreeSet<ProcessorKind> = config.executors.iter().copied().collect();
         for arch in model.archs() {
             for &proc in &procs {
                 if device.kernel(arch.id(), proc).is_none() || perf.entry(arch.id(), proc).is_none()
@@ -321,6 +339,18 @@ fn preload_round_robin(
     }
 }
 
+/// The route an expert load onto `processor` takes, given whether the
+/// staging cache holds the expert; `None` for a staging-cache hit on a
+/// CPU executor, which is already in host RAM.
+fn load_route(processor: ProcessorKind, cached: bool) -> Option<TransferRoute> {
+    match (processor, cached) {
+        (ProcessorKind::Gpu, true) => Some(TransferRoute::CpuToGpu),
+        (ProcessorKind::Gpu, false) => Some(TransferRoute::SsdToGpu),
+        (ProcessorKind::Cpu, true) => None,
+        (ProcessorKind::Cpu, false) => Some(TransferRoute::SsdToCpu),
+    }
+}
+
 /// Events driving the serving loop.
 #[derive(Debug, Clone, Copy)]
 enum Ev {
@@ -371,8 +401,8 @@ mod lane {
 ///   [`EngineSession::predict_delta`] historically computed per probe
 ///   (same float expression, same rounding, bit-identical).
 /// - `batch_cap` folds the workspace-capped executable batch size,
-///   which is constant per session (workspace and batching flag are
-///   fixed at construction).
+///   which is constant per session (workspace is fixed at
+///   construction).
 #[derive(Debug, Clone, Copy)]
 struct PerfCacheEntry {
     k_ms: f64,
@@ -698,8 +728,8 @@ impl<'a> EngineSession<'a> {
             .executors
             .iter()
             .zip(&layout.executors)
-            .map(|(spec, mem)| ExecState {
-                processor: spec.processor,
+            .map(|(&processor, mem)| ExecState {
+                processor,
                 pool: ModelPool::new(mem.pool_capacity),
                 workspace: mem.workspace,
                 queue: ExecutorQueue::new(),
@@ -738,7 +768,6 @@ impl<'a> EngineSession<'a> {
             .iter()
             .flat_map(|exec| {
                 let perf = engine.perf;
-                let batching = engine.config.batching;
                 let processor = exec.processor;
                 let workspace = exec.workspace;
                 let device = engine.device;
@@ -750,11 +779,7 @@ impl<'a> EngineSession<'a> {
                         b_ms: entry.b_ms,
                         span_k: SimSpan::from_millis_f64(entry.k_ms),
                         span_kb: SimSpan::from_millis_f64(entry.k_ms + entry.b_ms),
-                        batch_cap: if batching {
-                            entry.executable_batch(workspace)
-                        } else {
-                            1
-                        },
+                        batch_cap: entry.executable_batch(workspace),
                         load_from_ssd: entry.load_from_ssd,
                         load_from_cpu: entry.load_from_cpu,
                         weights: model
@@ -780,7 +805,7 @@ impl<'a> EngineSession<'a> {
             arch_slot,
             perf_cache,
             num_arch_slots: arch_ids.len(),
-            scheduler: PooledResource::new("scheduler", engine.config.scheduler_slots),
+            scheduler: PooledResource::new("scheduler", SCHEDULER_SLOTS),
             gpu_compute: FifoResource::new("gpu-compute"),
             cpu_compute: FifoResource::new("cpu-compute"),
             dma: FifoResource::new("dma"),
@@ -813,9 +838,7 @@ impl<'a> EngineSession<'a> {
             fault_ledger: FaultLedger::default(),
             service_factor: 1.0,
         };
-        if engine.config.preload {
-            run.preload();
-        }
+        run.preload();
         run
     }
 
@@ -1660,27 +1683,18 @@ impl<'a> EngineSession<'a> {
                     LoadOutcome::Fail { failures } => {
                         self.fault_ledger.load_faults += 1;
                         self.fault_ledger.note_fault(now);
-                        // Estimate one read attempt from the tier the
-                        // load would come from right now (pre-eviction
-                        // cache state; good enough for the deadline).
-                        let cached_now = self.cache.as_ref().is_some_and(|c| c.contains(expert));
-                        let est_route = match (processor, cached_now) {
-                            (ProcessorKind::Gpu, true) => Some(TransferRoute::CpuToGpu),
-                            (ProcessorKind::Gpu, false) => Some(TransferRoute::SsdToGpu),
-                            (ProcessorKind::Cpu, true) => None,
-                            (ProcessorKind::Cpu, false) => Some(TransferRoute::SsdToCpu),
-                        };
-                        let read_est = est_route
-                            .map(|r| self.engine.device.transfer_stages(weights, r).ssd)
-                            .unwrap_or(SimSpan::ZERO);
                         let retry = self.retry;
-                        let recovery_cost = SimSpan::from_nanos(
-                            read_est.nanos().saturating_mul(u64::from(failures)),
-                        ) + retry.total_backoff(failures);
-                        if failures > retry.max_retries || !retry.within_deadline(recovery_cost) {
+                        if failures > retry.max_retries {
                             // Recovery exhausted: every attempt the
                             // policy allowed was spent for nothing.
-                            let spent = failures.min(retry.max_retries);
+                            // Price each as one read from the tier the
+                            // load would come from right now.
+                            let cached = self.cache.as_ref().is_some_and(|c| c.contains(expert));
+                            let read_est = load_route(processor, cached)
+                                .map_or(SimSpan::ZERO, |r| {
+                                    self.engine.device.transfer_stages(weights, r).ssd
+                                });
+                            let spent = retry.max_retries;
                             self.fault_ledger.retries += u64::from(spent);
                             self.fault_ledger.load_exhausted += 1;
                             self.fault_ledger.wasted_time += SimSpan::from_nanos(
@@ -1770,13 +1784,7 @@ impl<'a> EngineSession<'a> {
             } else {
                 MemoryTier::Ssd
             };
-            let route = match (processor, cached) {
-                (ProcessorKind::Gpu, true) => Some(TransferRoute::CpuToGpu),
-                (ProcessorKind::Gpu, false) => Some(TransferRoute::SsdToGpu),
-                // Staging-cache hits are already in host RAM.
-                (ProcessorKind::Cpu, true) => None,
-                (ProcessorKind::Cpu, false) => Some(TransferRoute::SsdToCpu),
-            };
+            let route = load_route(processor, cached);
             let stages = route.map(|r| self.engine.device.transfer_stages(weights, r));
             // Charge each failed attempt as a full read on the storage
             // channel (the read fails at the tier, after occupying it)
@@ -2091,8 +2099,6 @@ mod proptests {
             assign_da in any::<bool>(),
             arrange_grouped in any::<bool>(),
             evict_sel in 0u8..3,
-            batching in any::<bool>(),
-            preload in any::<bool>(),
             admit in any::<bool>(),
             overtake_sel in 0u8..3,
             seed in 0u64..1_000,
@@ -2116,9 +2122,7 @@ mod proptests {
                     0 => EvictionPolicy::DependencyAware,
                     1 => EvictionPolicy::Lru,
                     _ => EvictionPolicy::Fifo,
-                })
-                .batching(batching)
-                .preload(preload);
+                });
             if admit {
                 builder = builder.admission(crate::config::AdmissionControl::with_queue_capacity(4));
             }
@@ -2605,14 +2609,10 @@ mod tests {
     #[test]
     fn oversized_expert_fails_gracefully() {
         let (device, model, perf, stream) = setup(10, 20);
-        // One GPU executor with a pool fraction so small no ResNet fits.
+        // One GPU executor with a zero-expert pool target: no ResNet fits.
         let config = SystemConfig::builder("tiny")
             .gpu_executors(1)
-            .memory(crate::config::MemoryPlan {
-                gpu_resident_experts: Some(0),
-                ..Default::default()
-            })
-            .preload(false)
+            .gpu_resident_experts(0)
             .build();
         let engine = Engine::new(&device, &model, &perf, &config).unwrap();
         let report = engine.run(&stream);
@@ -2629,6 +2629,19 @@ mod tests {
         let err = Engine::new(&bare, &model, &perf, &config).unwrap_err();
         assert!(matches!(err, EngineError::MissingKernel(_, _)));
         assert!(err.to_string().contains("no kernel"));
+    }
+
+    #[test]
+    fn empty_executor_list_is_a_construction_error() {
+        // The fields are public, so a built config can still lose its
+        // executors: the engine must refuse it, not panic on the first
+        // request.
+        let (device, model, perf, _) = setup(10, 10);
+        let mut config = coserve_config();
+        config.executors.clear();
+        let err = Engine::new(&device, &model, &perf, &config).unwrap_err();
+        assert_eq!(err, EngineError::NoExecutors);
+        assert!(err.to_string().contains("no executors"));
     }
 
     #[test]
@@ -2686,73 +2699,20 @@ mod tests {
     #[test]
     fn cpu_pool_follows_limited_compute_rule() {
         let (device, model, perf, _) = setup(20, 1);
-        let on = SystemConfig::builder("rule-on")
+        let config = SystemConfig::builder("rule")
             .gpu_executors(1)
             .cpu_executors(1)
             .build();
-        let layout_on = plan_memory(&device, &model, &perf, &on);
-        let plan_off = crate::config::MemoryPlan {
-            cpu_max_batch_rule: false,
-            ..Default::default()
-        };
-        let off = SystemConfig::builder("rule-off")
-            .gpu_executors(1)
-            .cpu_executors(1)
-            .memory(plan_off)
-            .build();
-        let layout_off = plan_memory(&device, &model, &perf, &off);
-        // §4.4: with the rule on, the CPU workspace equals exactly the
-        // maximum-batch inference footprint; the pool takes the rest.
+        let layout = plan_memory(&device, &model, &perf, &config);
+        // §4.4: the CPU workspace equals exactly the maximum-batch
+        // inference footprint; the pool takes the rest.
         let reserve = perf
             .entries()
             .filter(|&(_, p, _)| p == ProcessorKind::Cpu)
             .map(|(_, _, e)| e.workspace + e.per_item * u64::from(e.max_batch))
             .max()
             .unwrap();
-        let cpu_on = layout_on.executors[1];
-        assert_eq!(cpu_on.workspace, reserve);
-        // The fraction split reserves more workspace than the rule.
-        let cpu_off = layout_off.executors[1];
-        assert!(cpu_off.workspace > cpu_on.workspace);
-        assert!(cpu_off.pool_capacity < cpu_on.pool_capacity);
-    }
-
-    #[test]
-    fn batching_disabled_runs_singleton_batches() {
-        let (device, model, perf, stream) = setup(15, 80);
-        let config = SystemConfig::builder("no-batch")
-            .gpu_executors(1)
-            .batching(false)
-            .build();
-        let report = Engine::new(&device, &model, &perf, &config)
-            .unwrap()
-            .run(&stream);
-        assert_eq!(report.completed, 80);
-        let e0 = &report.executors[0];
-        assert_eq!(e0.batches, e0.items, "every batch must be singleton");
-    }
-
-    #[test]
-    fn no_preload_starts_cold() {
-        let (device, model, perf, stream) = setup(15, 60);
-        let cold = SystemConfig::builder("cold")
-            .gpu_executors(1)
-            .preload(false)
-            .build();
-        let warm = SystemConfig::builder("warm").gpu_executors(1).build();
-        let cold_r = Engine::new(&device, &model, &perf, &cold)
-            .unwrap()
-            .run(&stream);
-        let warm_r = Engine::new(&device, &model, &perf, &warm)
-            .unwrap()
-            .run(&stream);
-        assert!(
-            cold_r.expert_switches() > warm_r.expert_switches(),
-            "cold {} vs warm {}",
-            cold_r.expert_switches(),
-            warm_r.expert_switches()
-        );
-        assert_eq!(cold_r.completed, 60);
+        assert_eq!(layout.executors[1].workspace, reserve);
     }
 
     #[test]

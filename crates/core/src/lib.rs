@@ -40,12 +40,10 @@ pub mod system;
 /// Convenient re-exports of the most commonly used items.
 pub mod prelude {
     pub use crate::autotune::{
-        executor_search, tune, window_search, TunedSystem, UsageCdf, WindowSearchOptions,
-        WindowSearchResult,
+        executor_search, tune, window_search, TunedSystem, UsageCdf, WindowSearchResult,
     };
     pub use crate::config::{
-        AdmissionControl, ArrangePolicy, AssignPolicy, ExecutorSpec, MemoryPlan, SystemConfig,
-        SystemConfigBuilder,
+        AdmissionControl, ArrangePolicy, AssignPolicy, SystemConfig, SystemConfigBuilder,
     };
     pub use crate::engine::{
         plan_memory, Completion, CompletionStatus, Engine, EngineError, EngineSession,
@@ -58,7 +56,7 @@ pub mod prelude {
     pub use crate::perf::{PerfEntry, PerfMatrix};
     pub use crate::pool::{ModelPool, PoolError, Resident};
     pub use crate::presets;
-    pub use crate::profiler::{Profiler, ProfilerOptions, UsageSource};
+    pub use crate::profiler::{Profiler, UsageSource};
     pub use crate::queue::{ExecutorQueue, PendingRequest, RunDelta};
     pub use crate::system::ServingSystem;
 }

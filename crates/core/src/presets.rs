@@ -63,19 +63,18 @@ pub fn coserve_with(
     gpu_resident_experts: Option<usize>,
 ) -> SystemConfig {
     let mut config = base(device, name, gpus, cpus);
-    config.memory.gpu_resident_experts = gpu_resident_experts;
+    config.gpu_resident_experts = gpu_resident_experts;
     config
 }
 
-/// "CoServe Casual": intuitive settings without offline search — 75 %
-/// of GPU memory for expert loading, casual executor counts (§5.2).
+/// "CoServe Casual": intuitive settings without offline search — no
+/// resident-expert target, so the engine gives 75 % of each GPU
+/// executor's memory to expert loading — and casual executor counts
+/// (§5.2).
 #[must_use]
 pub fn coserve_casual(device: &DeviceProfile) -> SystemConfig {
     let (g, c) = casual_executors(device);
-    let mut config = base(device, "CoServe Casual", g, c);
-    config.memory.gpu_pool_fraction = 0.75;
-    config.memory.gpu_resident_experts = None;
-    config
+    base(device, "CoServe Casual", g, c)
 }
 
 /// Ablation baseline "CoServe None": FIFO expert replacement, FIFO
@@ -202,14 +201,13 @@ mod tests {
     #[test]
     fn coserve_with_sets_window_target() {
         let c = coserve_with(&devices::numa_rtx3080ti(), "CoServe Best", 3, 1, Some(35));
-        assert_eq!(c.memory.gpu_resident_experts, Some(35));
+        assert_eq!(c.gpu_resident_experts, Some(35));
         assert_eq!(c.name, "CoServe Best");
     }
 
     #[test]
-    fn casual_uses_75_percent_fraction() {
+    fn casual_has_no_window_target() {
         let c = coserve_casual(&devices::numa_rtx3080ti());
-        assert!((c.memory.gpu_pool_fraction - 0.75).abs() < 1e-12);
-        assert_eq!(c.memory.gpu_resident_experts, None);
+        assert_eq!(c.gpu_resident_experts, None);
     }
 }

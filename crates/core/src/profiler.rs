@@ -37,34 +37,22 @@ pub enum UsageSource<'a> {
     Empirical(&'a RequestStream),
 }
 
-/// Profiler tuning knobs.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ProfilerOptions {
-    /// Largest batch size probed by the microbenchmark.
-    pub max_probe_batch: u32,
-    /// Multiplicative measurement noise amplitude (e.g. `0.01` = ±1 %).
-    pub noise: f64,
-    /// Relative slack for the average-latency plateau rule: the maximum
-    /// batch is the smallest `n` whose average latency is within this
-    /// fraction of the best observed average.
-    pub plateau_threshold: f64,
-    /// Repetitions averaged per probe point.
-    pub repetitions: u32,
-    /// RNG seed for measurement noise.
-    pub seed: u64,
-}
+/// Largest batch size probed by the microbenchmark.
+const MAX_PROBE_BATCH: u32 = 32;
 
-impl Default for ProfilerOptions {
-    fn default() -> Self {
-        ProfilerOptions {
-            max_probe_batch: 32,
-            noise: 0.01,
-            plateau_threshold: 0.02,
-            repetitions: 3,
-            seed: 0xC0_5E_4E,
-        }
-    }
-}
+/// Multiplicative measurement noise amplitude (±1 %).
+const NOISE: f64 = 0.01;
+
+/// Relative slack for the average-latency plateau rule: the maximum
+/// batch is the smallest `n` whose average latency is within this
+/// fraction of the best observed average.
+const PLATEAU_THRESHOLD: f64 = 0.02;
+
+/// Repetitions averaged per probe point.
+const REPETITIONS: u32 = 3;
+
+/// RNG seed for measurement noise.
+const NOISE_SEED: u64 = 0xC0_5E_4E;
 
 /// One probe point of the microbenchmark sweep.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -78,22 +66,20 @@ pub struct ProbePoint {
 }
 
 /// The offline profiler.
+///
+/// Every device is measured the same way: batch sizes 1 to 32, each
+/// probe the average of three runs under ±1 % seeded noise, and the
+/// maximum batch taken where the average per-request latency comes
+/// within 2 % of its best. Profiling is deterministic, so two passes
+/// over the same device and model produce the same matrix.
 #[derive(Debug, Clone)]
-pub struct Profiler {
-    options: ProfilerOptions,
-}
+pub struct Profiler;
 
 impl Profiler {
-    /// Creates a profiler with the given options.
-    #[must_use]
-    pub fn new(options: ProfilerOptions) -> Self {
-        Profiler { options }
-    }
-
-    /// Creates a profiler with default options.
+    /// Creates the profiler.
     #[must_use]
     pub fn with_defaults() -> Self {
-        Profiler::new(ProfilerOptions::default())
+        Profiler
     }
 
     /// Runs the microbenchmark sweep for one (architecture × processor)
@@ -115,18 +101,16 @@ impl Profiler {
             .kernel(arch, proc)
             .unwrap_or_else(|| panic!("device has no kernel for {arch}/{proc}"));
         let mut rng = SimRng::seed_from(
-            self.options
-                .seed
+            NOISE_SEED
                 .wrapping_add(u64::from(arch.0) << 8)
                 .wrapping_add(proc as u64),
         );
-        (1..=self.options.max_probe_batch.max(1))
+        (1..=MAX_PROBE_BATCH)
             .map(|n| {
-                let reps = self.options.repetitions.max(1);
-                let avg: f64 = (0..reps)
-                    .map(|_| kernel.latency.latency_ms(n) * rng.jitter(self.options.noise))
+                let avg: f64 = (0..REPETITIONS)
+                    .map(|_| kernel.latency.latency_ms(n) * rng.jitter(NOISE))
                     .sum::<f64>()
-                    / f64::from(reps);
+                    / f64::from(REPETITIONS);
                 ProbePoint {
                     batch: n,
                     latency_ms: avg,
@@ -137,9 +121,9 @@ impl Profiler {
     }
 
     /// Derives the maximum useful batch size from a sweep: the smallest
-    /// batch whose average per-request latency is within
-    /// `plateau_threshold` of the best average observed (§4.5 — "achieved
-    /// when the average latency plateaus").
+    /// batch whose average per-request latency is within 2 % of the
+    /// best average observed (§4.5 — "achieved when the average latency
+    /// plateaus").
     #[must_use]
     pub fn max_batch(&self, points: &[ProbePoint]) -> u32 {
         let best = points
@@ -148,9 +132,7 @@ impl Profiler {
             .fold(f64::INFINITY, f64::min);
         points
             .iter()
-            .find(|p| {
-                p.latency_ms / f64::from(p.batch) <= best * (1.0 + self.options.plateau_threshold)
-            })
+            .find(|p| p.latency_ms / f64::from(p.batch) <= best * (1.0 + PLATEAU_THRESHOLD))
             .map_or(1, |p| p.batch)
     }
 

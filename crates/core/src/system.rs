@@ -237,10 +237,7 @@ mod tests {
         // A different-but-valid override (CPU-only executors) also
         // serves through the helper.
         let mut cpu_only = system.config().clone();
-        cpu_only.executors.clear();
-        cpu_only.executors.push(crate::config::ExecutorSpec {
-            processor: coserve_sim::device::ProcessorKind::Cpu,
-        });
+        cpu_only.executors = vec![coserve_sim::device::ProcessorKind::Cpu];
         assert!(system.serve_configured(&stream, &cpu_only).is_ok());
         // Invalid overrides surface as errors, not panics.
         let mut unknown = system.config().clone();

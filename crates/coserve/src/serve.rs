@@ -23,38 +23,31 @@ use coserve_workload::arrivals::ArrivalProcess;
 use coserve_workload::board::BoardSpec;
 use coserve_workload::stream::{RequestStream, StreamOrder};
 
-/// Options for one open-loop serving run.
+/// Options for one open-loop serving run. Input classes always arrive
+/// IID ([`StreamOrder::Iid`]), and grouping may overtake a queued
+/// request at most [`ONLINE_MAX_OVERTAKE`] times.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct OpenLoopOptions {
     /// The arrival process (offered load and burstiness).
     pub process: ArrivalProcess,
     /// Number of requests to generate.
     pub requests: usize,
-    /// In what order input classes arrive.
-    pub order: StreamOrder,
     /// Seed for the arrival schedule and stage pre-rolls.
     pub seed: u64,
     /// Bounded-queue admission control applied for the run.
     pub admission: AdmissionControl,
-    /// Grouping starvation bound applied for the run (maximum times a
-    /// queued request may be overtaken, see
-    /// `ExecutorQueue::insert_grouped_bounded`).
-    pub max_overtake: u32,
 }
 
 impl OpenLoopOptions {
-    /// Defaults for a given arrival process: 1,000 requests, IID class
-    /// order, seed 7, a 64-deep queue bound and the online overtake
-    /// bound.
+    /// Defaults for a given arrival process: 1,000 requests, seed 7 and
+    /// a 64-deep queue bound.
     #[must_use]
     pub fn new(process: ArrivalProcess) -> Self {
         OpenLoopOptions {
             process,
             requests: 1_000,
-            order: StreamOrder::Iid,
             seed: 7,
             admission: AdmissionControl::default(),
-            max_overtake: ONLINE_MAX_OVERTAKE,
         }
     }
 
@@ -84,10 +77,11 @@ impl OpenLoopOptions {
 /// serves it under bounded queues and admission control.
 ///
 /// The system's configured policies (assignment, arranging, eviction,
-/// memory plan, executor counts) are kept; only the online knobs —
-/// `admission` and `max_overtake` — are overridden from `options`, so
-/// any closed-loop configuration (including the baselines) can be
-/// pushed through the same open-loop harness.
+/// resident-expert target, executor counts) are kept; only the online
+/// knobs are overridden — the admission bound from `options` and the
+/// overtake bound [`ONLINE_MAX_OVERTAKE`] — so any closed-loop
+/// configuration (including the baselines) can be pushed through the
+/// same open-loop harness.
 ///
 /// # Panics
 ///
@@ -104,7 +98,7 @@ pub fn serve_open_loop(
     let stream = open_loop_stream(system.model(), board, options);
     let mut config = system.config().clone();
     config.admission = Some(options.admission);
-    config.max_overtake = Some(options.max_overtake);
+    config.max_overtake = Some(ONLINE_MAX_OVERTAKE);
     system
         .serve_configured(&stream, &config)
         .expect("online knobs do not affect engine validation")
@@ -128,14 +122,14 @@ pub fn serve_cluster(
     options: &OpenLoopOptions,
 ) -> ClusterReport {
     let stream = open_loop_stream(cluster.model(), board, options);
-    cluster.serve_with_online(&stream, options.admission, options.max_overtake)
+    cluster.serve_with_online(&stream, options.admission, ONLINE_MAX_OVERTAKE)
 }
 
 /// Like [`serve_cluster`], but through the *dynamic* cluster runtime:
 /// tick-driven dispatch with telemetry feedback and mid-run node
 /// failures with re-routing and shard re-replication — everything
-/// `runtime` configures. The open-loop knobs
-/// in `options` (admission bound, overtake bound) override whatever
+/// `runtime` configures. The admission bound in `options` and the
+/// overtake bound [`ONLINE_MAX_OVERTAKE`] override whatever
 /// `runtime.online` carries, keeping the two option structs composable.
 /// Deterministic: the same cluster, board, options, runtime options and
 /// seed produce a bit-identical [`ClusterReport`].
@@ -154,7 +148,7 @@ pub fn serve_cluster_runtime(
     let stream = open_loop_stream(cluster.model(), board, options);
     let runtime = runtime
         .clone()
-        .online(options.admission, options.max_overtake);
+        .online(options.admission, ONLINE_MAX_OVERTAKE);
     cluster.serve_runtime(&stream, &runtime)
 }
 
@@ -176,7 +170,7 @@ pub fn open_loop_stream(
         model,
         options.requests,
         options.process,
-        options.order,
+        StreamOrder::Iid,
         options.seed,
     )
 }

@@ -31,8 +31,8 @@
 //!   mid-frame disconnects) for driving clients and protocol tests.
 //!
 //! Recovery lives next to injection: a [`RetryPolicy`] bounds retries
-//! with exponential backoff and an optional per-request deadline, and
-//! is consulted by the same code paths that consult the plan.
+//! with exponential backoff, and is consulted by the same code paths
+//! that consult the plan.
 //!
 //! ```
 //! use coserve_faults::{FaultPlan, FaultWindow, LoadOutcome};
@@ -371,17 +371,16 @@ impl FaultPlan {
     }
 }
 
-/// Bounded retry with exponential backoff and an optional per-request
-/// deadline — the recovery half of the fault layer.
+/// Bounded retry with exponential backoff — the recovery half of the
+/// fault layer. A load whose injected failures exceed `max_retries` is
+/// given up on; otherwise every retry is spent, however long the
+/// recovery takes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RetryPolicy {
     /// Attempts after the first (0 = fail on the first fault).
     pub max_retries: u32,
     /// Backoff before the first retry; doubles each further retry.
     pub base_backoff: SimSpan,
-    /// Total budget (work + backoff) a recovery may spend before the
-    /// request is failed anyway; `None` = unbounded.
-    pub deadline: Option<SimSpan>,
 }
 
 impl RetryPolicy {
@@ -391,25 +390,16 @@ impl RetryPolicy {
         RetryPolicy {
             max_retries: 0,
             base_backoff: SimSpan::ZERO,
-            deadline: None,
         }
     }
 
-    /// Bounded retries with exponential backoff and no deadline.
+    /// Bounded retries with exponential backoff.
     #[must_use]
     pub fn retries(max_retries: u32, base_backoff: SimSpan) -> Self {
         RetryPolicy {
             max_retries,
             base_backoff,
-            deadline: None,
         }
-    }
-
-    /// Adds a per-request recovery deadline.
-    #[must_use]
-    pub fn with_deadline(mut self, deadline: SimSpan) -> Self {
-        self.deadline = Some(deadline);
-        self
     }
 
     /// The backoff before retry `attempt` (0-based): `base · 2^attempt`,
@@ -428,12 +418,6 @@ impl RetryPolicy {
     #[must_use]
     pub fn total_backoff(&self, retries: u32) -> SimSpan {
         (0..retries).map(|i| self.backoff(i)).sum()
-    }
-
-    /// Whether spending `cost` fits the deadline.
-    #[must_use]
-    pub fn within_deadline(&self, cost: SimSpan) -> bool {
-        self.deadline.is_none_or(|d| cost <= d)
     }
 }
 
@@ -627,17 +611,13 @@ mod tests {
     }
 
     #[test]
-    fn retry_policy_backoff_doubles_and_deadline_binds() {
+    fn retry_policy_backoff_doubles_and_saturates() {
         let policy = RetryPolicy::retries(3, SimSpan::from_millis(2));
         assert_eq!(policy.backoff(0), SimSpan::from_millis(2));
         assert_eq!(policy.backoff(1), SimSpan::from_millis(4));
         assert_eq!(policy.backoff(2), SimSpan::from_millis(8));
         assert_eq!(policy.total_backoff(3), SimSpan::from_millis(14));
         assert_eq!(policy.total_backoff(0), SimSpan::ZERO);
-        assert!(policy.within_deadline(SimSpan::from_secs(100)));
-        let strict = policy.with_deadline(SimSpan::from_millis(5));
-        assert!(strict.within_deadline(SimSpan::from_millis(5)));
-        assert!(!strict.within_deadline(SimSpan::from_millis(6)));
         assert_eq!(RetryPolicy::none().max_retries, 0);
         // Saturation instead of overflow at absurd attempt counts.
         let big = RetryPolicy::retries(80, SimSpan::from_secs(1));

@@ -27,7 +27,7 @@ pub struct FaultLedger {
     pub load_faults: u64,
     /// Load faults recovered by retrying to success.
     pub load_recovered: u64,
-    /// Load faults where the retry budget (or deadline) ran out.
+    /// Load faults where the retry budget ran out.
     pub load_exhausted: u64,
     /// Slow (dilated, but successful) expert loads injected.
     pub slow_loads: u64,

@@ -42,13 +42,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // --- The two offline searches ------------------------------------
     let sample = task.sample(600).stream(&model);
-    let tuned = autotune::tune(
-        &device,
-        &model,
-        &perf,
-        &sample,
-        autotune::WindowSearchOptions::default(),
-    );
+    let tuned = autotune::tune(&device, &model, &perf, &sample);
 
     println!("\nexecutor-count search (Figure 17):");
     for t in &tuned.executor_trials {
@@ -75,7 +69,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "\nCoServe Best: {} GPU + {} CPU executors, {:?} GPU-resident experts",
         tuned.config.gpu_executor_count(),
         tuned.config.cpu_executor_count(),
-        tuned.config.memory.gpu_resident_experts
+        tuned.config.gpu_resident_experts
     );
 
     // --- Run the tuned configuration on the full task ----------------

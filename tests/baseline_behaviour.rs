@@ -112,16 +112,8 @@ fn suite_runs_all_five_systems() {
     let model = task.build_model().unwrap();
     let perf = Profiler::with_defaults().profile(&device, &model, UsageSource::Declared);
     let sample = task.sample(80).stream(&model);
-    let (systems, tuned) = coserve::baselines::suite::evaluation_suite(
-        &device,
-        &model,
-        &perf,
-        &sample,
-        WindowSearchOptions {
-            max_trials: 3,
-            ..WindowSearchOptions::default()
-        },
-    );
+    let (systems, tuned) =
+        coserve::baselines::suite::evaluation_suite(&device, &model, &perf, &sample);
     assert_eq!(
         systems.iter().map(|c| c.name.as_str()).collect::<Vec<_>>(),
         coserve::baselines::suite::suite_names()

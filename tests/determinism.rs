@@ -126,12 +126,8 @@ fn autotune_is_deterministic() {
     let device = devices::numa_rtx3080ti();
     let perf = Profiler::with_defaults().profile(&device, &model, UsageSource::Declared);
     let sample = task.sample(120).stream(&model);
-    let opts = autotune::WindowSearchOptions {
-        max_trials: 4,
-        ..autotune::WindowSearchOptions::default()
-    };
-    let a = autotune::tune(&device, &model, &perf, &sample, opts);
-    let b = autotune::tune(&device, &model, &perf, &sample, opts);
+    let a = autotune::tune(&device, &model, &perf, &sample);
+    let b = autotune::tune(&device, &model, &perf, &sample);
     assert_eq!(a, b);
 }
 

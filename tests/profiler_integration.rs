@@ -72,17 +72,7 @@ fn window_search_result_is_servable_and_in_range() {
     let perf = Profiler::with_defaults().profile(&device, &model, UsageSource::Declared);
     let sample = task.sample(100).stream(&model);
     let base = presets::coserve(&device);
-    let result = autotune::window_search(
-        &device,
-        &model,
-        &perf,
-        &base,
-        &sample,
-        autotune::WindowSearchOptions {
-            max_trials: 5,
-            ..autotune::WindowSearchOptions::default()
-        },
-    );
+    let result = autotune::window_search(&device, &model, &perf, &base, &sample);
     assert!(result.chosen >= 1);
     assert!(result.chosen <= model.num_experts());
     // The chosen count yields a servable config that completes work.
@@ -100,16 +90,7 @@ fn tuned_best_is_at_least_as_good_as_casual_on_sample() {
     let device = devices::numa_rtx3080ti();
     let perf = Profiler::with_defaults().profile(&device, &model, UsageSource::Declared);
     let sample = task.sample(150).stream(&model);
-    let tuned = autotune::tune(
-        &device,
-        &model,
-        &perf,
-        &sample,
-        autotune::WindowSearchOptions {
-            max_trials: 5,
-            ..autotune::WindowSearchOptions::default()
-        },
-    );
+    let tuned = autotune::tune(&device, &model, &perf, &sample);
     let best = Engine::new(&device, &model, &perf, &tuned.config)
         .unwrap()
         .run(&sample);
@@ -141,7 +122,7 @@ fn memory_layout_never_exceeds_device_memory() {
                 .executors
                 .iter()
                 .zip(&layout.executors)
-                .filter(|(s, _)| s.processor == ProcessorKind::Gpu)
+                .filter(|(&p, _)| p == ProcessorKind::Gpu)
                 .map(|(_, m)| m.pool_capacity + m.workspace)
                 .sum();
             assert!(
@@ -155,7 +136,7 @@ fn memory_layout_never_exceeds_device_memory() {
                     .executors
                     .iter()
                     .zip(&layout.executors)
-                    .filter(|(s, _)| s.processor == ProcessorKind::Cpu)
+                    .filter(|(&p, _)| p == ProcessorKind::Cpu)
                     .map(|(_, m)| m.pool_capacity + m.workspace)
                     .sum();
                 assert!(cpu_total + layout.cache <= device.cpu_usable());
