@@ -3,7 +3,6 @@
 //! "expert management" cost the paper bounds at <0.2 % of task time.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use std::collections::BTreeSet;
 use std::hint::black_box;
 
 use coserve_core::evict::{
@@ -39,11 +38,10 @@ fn bench_policies(c: &mut Criterion) {
     let mut group = c.benchmark_group("eviction_select_victims");
     for &residents in &[16u32, 64, 256] {
         let (model, perf, pool) = setup(residents);
-        let protected = BTreeSet::new();
         let ctx = EvictionContext {
             model: &model,
             perf: &perf,
-            protected: &protected,
+            protected: &[],
         };
         let need = Bytes::mib(400);
         for policy in [
@@ -75,11 +73,10 @@ fn bench_orphan_heavy_pool(c: &mut Criterion) {
         pool.insert(e, model.weight_bytes(e), SimTime::ZERO)
             .expect("fits");
     }
-    let protected = BTreeSet::new();
     let ctx = EvictionContext {
         model: &model,
         perf: &perf,
-        protected: &protected,
+        protected: &[],
     };
     c.bench_function("eviction_stage1_orphans/18_detectors", |b| {
         b.iter(|| {
@@ -96,8 +93,8 @@ fn bench_orphan_heavy_pool(c: &mut Criterion) {
 }
 
 /// The engine's steady-state path: a pool packed to the brim (every
-/// Board A expert resident) with the precomputed ascending-usage order
-/// and reusable scratch, vs the allocating wrapper.
+/// Board A expert resident) with reusable scratch, vs the allocating
+/// wrapper.
 fn bench_full_pool_scratch_reuse(c: &mut Criterion) {
     let board = BoardSpec::board_a();
     let model = board.build_model().expect("board A validates");
@@ -112,11 +109,10 @@ fn bench_full_pool_scratch_reuse(c: &mut Criterion) {
         )
         .expect("fits");
     }
-    let protected = BTreeSet::new();
     let ctx = EvictionContext {
         model: &model,
         perf: &perf,
-        protected: &protected,
+        protected: &[],
     };
     let need = Bytes::mib(400);
     let residents = pool.len();
@@ -126,15 +122,8 @@ fn bench_full_pool_scratch_reuse(c: &mut Criterion) {
             format!("eviction_full_pool/{policy}_scratch/{residents}_residents"),
             |b| {
                 b.iter(|| {
-                    select_victims_into(
-                        policy,
-                        &pool,
-                        need,
-                        &ctx,
-                        perf.experts_by_usage_asc(),
-                        &mut scratch,
-                    )
-                    .expect("full pool covers the need");
+                    select_victims_into(policy, &pool, need, &ctx, &mut scratch)
+                        .expect("full pool covers the need");
                     black_box(scratch.victims().len())
                 });
             },

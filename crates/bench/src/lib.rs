@@ -15,6 +15,10 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
+pub mod figures;
+pub mod perf_report;
+pub mod sweep;
+
 use std::path::PathBuf;
 
 use coserve_baselines::suite::evaluation_suite;
@@ -211,6 +215,3 @@ mod tests {
         }
     }
 }
-pub mod figures;
-pub mod perf_report;
-pub mod sweep;

@@ -480,14 +480,13 @@ struct ExecState {
     work_exec: SimSpan,
     /// Cached predicted switch span per distinct queued expert, sorted
     /// by expert id (a reusable sorted vec, not a map, so steady state
-    /// allocates nothing).
+    /// allocates nothing). An entry is added when its expert enters the
+    /// queue and dropped when it leaves; when the expert enters or
+    /// leaves this pool or the staging cache, only that entry is
+    /// re-priced ([`EngineSession::reprice_switch`]).
     switch_spans: Vec<(ExpertId, SimSpan)>,
-    /// Σ of `switch_spans` values.
+    /// Σ of `switch_spans` values, exact like `work_exec`.
     switch_total: SimSpan,
-    /// Set whenever residency changes (this pool, or the shared staging
-    /// cache) could invalidate `switch_spans`; the next prediction
-    /// rebuilds the cache from the queue's distinct-expert index.
-    switch_dirty: bool,
 }
 
 /// Per-job terminal flags packed into one byte — the jobs table is a
@@ -666,8 +665,6 @@ pub struct EngineSession<'a> {
     legs_pool: Vec<std::collections::VecDeque<Leg>>,
     /// Reusable victim-selection buffers.
     evict_scratch: EvictionScratch,
-    /// Reusable protected-expert set for eviction calls.
-    protected_scratch: BTreeSet<ExpertId>,
     /// Structured-event sink; [`NoopTracer`] unless a collector was
     /// installed with [`EngineSession::set_tracer`]. Every emission
     /// site is guarded by the cached `tracing` flag, so the disabled
@@ -744,7 +741,6 @@ impl<'a> EngineSession<'a> {
                 work_exec: SimSpan::ZERO,
                 switch_spans: Vec::new(),
                 switch_total: SimSpan::ZERO,
-                switch_dirty: false,
             })
             .collect();
         let cache = if engine.device.has_staging_cache() {
@@ -829,7 +825,6 @@ impl<'a> EngineSession<'a> {
             batch_pool: Vec::new(),
             legs_pool: Vec::new(),
             evict_scratch: EvictionScratch::new(),
-            protected_scratch: BTreeSet::new(),
             tracer: Box::new(NoopTracer),
             tracing: false,
             trace_node: 0,
@@ -981,19 +976,6 @@ impl<'a> EngineSession<'a> {
         n
     }
 
-    /// Swaps the session's calendar for a reference (single-heap) one,
-    /// [`Calendar::reference`]. The equivalence tests run whole sessions
-    /// both ways and require bit-identical reports and traces. Must be
-    /// called before the first submission.
-    #[doc(hidden)]
-    pub fn use_reference_calendar(&mut self) {
-        assert!(
-            self.events.is_empty() && self.submitted_jobs.is_empty(),
-            "switch calendars only on a fresh session"
-        );
-        self.events = Calendar::reference(lane::COUNT);
-    }
-
     /// Takes every terminal job record produced since the last drain,
     /// in completion order.
     pub fn drain_completions(&mut self) -> Vec<Completion> {
@@ -1099,7 +1081,8 @@ impl<'a> EngineSession<'a> {
     /// How long past `at` the session's queued and in-flight work is
     /// predicted to take: the longest per-executor §4.2 remaining-time
     /// estimate (the one request assignment balances). Zero when idle.
-    pub fn predicted_backlog(&mut self, at: SimTime) -> SimSpan {
+    #[must_use]
+    pub fn predicted_backlog(&self, at: SimTime) -> SimSpan {
         (0..self.execs.len())
             .map(|exec_idx| self.predict_total(exec_idx, at))
             .fold(SimSpan::ZERO, SimSpan::max)
@@ -1431,15 +1414,14 @@ impl<'a> EngineSession<'a> {
     fn apply_insert_delta(&mut self, exec_idx: usize, delta: RunDelta) {
         let before = self.run_exec_span(exec_idx, delta.expert, delta.len_before);
         let after = self.run_exec_span(exec_idx, delta.expert, delta.len_after);
-        let newly_queued = delta.membership_changed && !self.execs[exec_idx].switch_dirty;
-        let switch = if newly_queued {
+        let switch = if delta.membership_changed {
             self.predicted_switch(exec_idx, delta.expert)
         } else {
             SimSpan::ZERO
         };
         let exec = &mut self.execs[exec_idx];
         exec.work_exec = exec.work_exec + after - before;
-        if newly_queued {
+        if delta.membership_changed {
             match exec
                 .switch_spans
                 .binary_search_by_key(&delta.expert, |&(e, _)| e)
@@ -1460,7 +1442,7 @@ impl<'a> EngineSession<'a> {
         let after = self.run_exec_span(exec_idx, delta.expert, delta.len_after);
         let exec = &mut self.execs[exec_idx];
         exec.work_exec = exec.work_exec + after - before;
-        if delta.membership_changed && !exec.switch_dirty {
+        if delta.membership_changed {
             if let Ok(pos) = exec
                 .switch_spans
                 .binary_search_by_key(&delta.expert, |&(e, _)| e)
@@ -1471,52 +1453,50 @@ impl<'a> EngineSession<'a> {
         }
     }
 
-    /// Rebuilds an executor's cached switch spans from the queue's
-    /// distinct-expert index — called lazily after residency changed.
-    fn refresh_switch_cache(&mut self, exec_idx: usize) {
-        let mut spans = std::mem::take(&mut self.execs[exec_idx].switch_spans);
-        spans.clear();
-        let mut total = SimSpan::ZERO;
-        for expert in self.execs[exec_idx].queue.queued_experts() {
-            let span = self.predicted_switch(exec_idx, expert);
-            // `queued_experts` yields in ascending id order, so pushing
-            // keeps the vec sorted for binary search.
-            spans.push((expert, span));
-            total += span;
+    /// Re-prices `expert`'s cached switch estimate on executor
+    /// `exec_idx` after the expert entered or left that executor's pool
+    /// or the staging cache — the only inputs of
+    /// [`EngineSession::predicted_switch`]. A no-op unless the expert
+    /// is queued there. Spans are integer nanoseconds, so swapping one
+    /// entry's term in `switch_total` matches a fresh sum bit for bit.
+    fn reprice_switch(&mut self, exec_idx: usize, expert: ExpertId) {
+        if !self.execs[exec_idx].queue.contains_expert(expert) {
+            return;
         }
+        let span = self.predicted_switch(exec_idx, expert);
         let exec = &mut self.execs[exec_idx];
-        exec.switch_spans = spans;
-        exec.switch_total = total;
-        exec.switch_dirty = false;
+        if let Ok(pos) = exec.switch_spans.binary_search_by_key(&expert, |&(e, _)| e) {
+            let old = std::mem::replace(&mut exec.switch_spans[pos].1, span);
+            exec.switch_total = exec.switch_total - old + span;
+        }
     }
 
-    /// Marks every executor's switch cache stale — the shared staging
-    /// cache changed, which can retier any queued expert's load.
-    fn mark_all_switch_dirty(&mut self) {
-        for exec in &mut self.execs {
-            exec.switch_dirty = true;
+    /// [`EngineSession::reprice_switch`] on every executor: the staging
+    /// cache is shared, so its membership prices `expert`'s load
+    /// everywhere.
+    fn reprice_switch_everywhere(&mut self, expert: ExpertId) {
+        for exec_idx in 0..self.execs.len() {
+            self.reprice_switch(exec_idx, expert);
         }
     }
 
     /// Predicted total remaining inference time of an executor queue
     /// (§4.2): in-flight remainder plus, per same-expert run, the linear
-    /// execution estimate and at most one expert switch. Served from
-    /// the incrementally maintained aggregates in O(1) (amortized);
-    /// debug builds verify them against a from-scratch recomputation.
-    fn predict_total(&mut self, exec_idx: usize, now: SimTime) -> SimSpan {
-        if self.execs[exec_idx].switch_dirty {
-            self.refresh_switch_cache(exec_idx);
-        }
+    /// execution estimate and at most one expert switch. A read of the
+    /// incrementally maintained aggregates; debug builds verify them
+    /// against a from-scratch recomputation.
+    fn predict_total(&self, exec_idx: usize, now: SimTime) -> SimSpan {
         #[cfg(debug_assertions)]
         self.debug_verify_aggregates(exec_idx);
         let exec = &self.execs[exec_idx];
         exec.busy_until.saturating_since(now) + exec.work_exec + exec.switch_total
     }
 
-    /// Debug-only: the cached aggregates must equal what the
-    /// pre-refactor per-probe rescan computed, bit for bit.
-    #[cfg(debug_assertions)]
-    fn debug_verify_aggregates(&self, exec_idx: usize) {
+    /// The executor's `(work_exec, switch_total)` recomputed from
+    /// scratch by walking its queue's runs and pricing each distinct
+    /// expert's switch once.
+    #[cfg(any(test, debug_assertions))]
+    fn recompute_aggregates(&self, exec_idx: usize) -> (SimSpan, SimSpan) {
         let exec = &self.execs[exec_idx];
         let mut seen: BTreeSet<ExpertId> = BTreeSet::new();
         let mut fresh_exec = SimSpan::ZERO;
@@ -1527,12 +1507,17 @@ impl<'a> EngineSession<'a> {
                 fresh_switch += self.predicted_switch(exec_idx, expert);
             }
         }
+        (fresh_exec, fresh_switch)
+    }
+
+    /// Debug-only: the cached aggregates must equal a from-scratch
+    /// recomputation, bit for bit.
+    #[cfg(debug_assertions)]
+    fn debug_verify_aggregates(&self, exec_idx: usize) {
+        let exec = &self.execs[exec_idx];
+        let (fresh_exec, fresh_switch) = self.recompute_aggregates(exec_idx);
         debug_assert_eq!(exec.work_exec, fresh_exec, "work_exec aggregate drifted");
-        debug_assert_eq!(
-            exec.switch_total, fresh_switch,
-            "switch aggregate drifted (dirty={})",
-            exec.switch_dirty
-        );
+        debug_assert_eq!(exec.switch_total, fresh_switch, "switch aggregate drifted");
     }
 
     /// Predicted additional latency of appending a request for `expert`
@@ -1570,10 +1555,7 @@ impl<'a> EngineSession<'a> {
                 let n = self.execs.len();
                 let mut totals = std::mem::take(&mut self.totals_scratch);
                 totals.clear();
-                for i in 0..n {
-                    let t = self.predict_total(i, now);
-                    totals.push(t);
-                }
+                totals.extend((0..n).map(|i| self.predict_total(i, now)));
                 // The max of "all queues except q" is the global max
                 // unless q *is* the (unique) argmax, in which case it is
                 // the runner-up — O(executors) total instead of
@@ -1721,22 +1703,20 @@ impl<'a> EngineSession<'a> {
                 }
             }
             // Free space via the configured eviction policy. The
-            // protected set, candidate ordering and victim list all
-            // live in buffers reused across evictions.
+            // protected set is a one-element slice over `expert`; the
+            // candidate ordering and victim list live in buffers reused
+            // across evictions, so none of this allocates.
             let need = weights.saturating_sub(self.execs[exec_idx].pool.available());
-            self.protected_scratch.clear();
-            self.protected_scratch.insert(expert);
             let ctx = EvictionContext {
                 model,
                 perf: self.engine.perf,
-                protected: &self.protected_scratch,
+                protected: std::slice::from_ref(&expert),
             };
             if select_victims_into(
                 self.engine.config.eviction,
                 &self.execs[exec_idx].pool,
                 need,
                 &ctx,
-                self.engine.perf.experts_by_usage_asc(),
                 &mut self.evict_scratch,
             )
             .is_err()
@@ -1751,6 +1731,7 @@ impl<'a> EngineSession<'a> {
                     .pool
                     .remove(victim)
                     .expect("victims are resident");
+                self.reprice_switch(exec_idx, victim);
                 if self.tracing {
                     self.emit(
                         now,
@@ -1863,9 +1844,7 @@ impl<'a> EngineSession<'a> {
                 .pool
                 .insert(expert, weights, now)
                 .expect("eviction freed enough space");
-            // This pool's residency changed (evictions + the load):
-            // cached switch predictions for its queue are stale.
-            self.execs[exec_idx].switch_dirty = true;
+            self.reprice_switch(exec_idx, expert);
             self.execs[exec_idx].switches += 1;
             self.execs[exec_idx].switch_time += switch_busy;
             pending_switch = Some(PendingSwitch {
@@ -1943,6 +1922,8 @@ impl<'a> EngineSession<'a> {
 
     /// Inserts into the staging cache, evicting least-recently-used
     /// entries as needed. Oversized experts are simply not cached.
+    /// Every expert that enters or leaves the cache is re-priced on
+    /// every executor, since the cache decides its load tier.
     fn cache_insert(&mut self, expert: ExpertId, bytes: Bytes, now: SimTime) {
         let Some(cache) = &mut self.cache else {
             return;
@@ -1954,30 +1935,27 @@ impl<'a> EngineSession<'a> {
         if bytes > cache.capacity() {
             return;
         }
-        let mut cache_evicted: Vec<ExpertId> = Vec::new();
-        while !cache.fits(bytes) {
+        while let Some(cache) = self.cache.as_mut().filter(|c| !c.fits(bytes)) {
             let lru = cache
                 .residents()
                 .min_by_key(|&(e, r)| (r.last_used, r.seq, e))
                 .map(|(e, _)| e)
                 .expect("cache is non-empty while it does not fit");
             cache.remove(lru);
+            self.reprice_switch_everywhere(lru);
             if self.tracing {
-                cache_evicted.push(lru);
+                self.emit(now, TraceKind::CacheEvicted { expert: lru });
             }
         }
-        cache
-            .insert(expert, bytes, now)
-            .expect("fits after eviction");
+        if let Some(cache) = &mut self.cache {
+            cache
+                .insert(expert, bytes, now)
+                .expect("fits after eviction");
+        }
+        self.reprice_switch_everywhere(expert);
         if self.tracing {
-            for victim in cache_evicted {
-                self.emit(now, TraceKind::CacheEvicted { expert: victim });
-            }
             self.emit(now, TraceKind::CacheInserted { expert });
         }
-        // Staging-cache membership changed: any executor's queued
-        // experts may now load from a different tier.
-        self.mark_all_switch_dirty();
     }
 
     /// Consumes the session into the classic batch [`RunReport`]. The
@@ -2086,6 +2064,19 @@ mod proptests {
     use coserve_workload::board::BoardSpec;
     use coserve_workload::stream::StreamOrder;
     use proptest::prelude::*;
+
+    impl EngineSession<'_> {
+        /// Swaps the session's calendar for a reference (single-heap)
+        /// one, [`Calendar::reference`]. Must be called before the first
+        /// submission.
+        fn use_reference_calendar(&mut self) {
+            assert!(
+                self.events.is_empty() && self.submitted_jobs.is_empty(),
+                "switch calendars only on a fresh session"
+            );
+            self.events = Calendar::reference(lane::COUNT);
+        }
+    }
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(12))]
@@ -3097,5 +3088,88 @@ mod tests {
             slowed.makespan > baseline.makespan,
             "6x tier dilation must stretch the run"
         );
+    }
+
+    /// Steps `session` dry one event at a time and, after every event,
+    /// checks each executor's cached `work_exec`, `switch_total` and
+    /// `switch_spans` entries against a from-scratch recompute. Unlike
+    /// `debug_verify_aggregates`, this also runs in release builds.
+    /// Returns the session's pool switches and trace-counted pool and
+    /// staging-cache evictions.
+    fn step_checking_aggregates(mut session: EngineSession<'_>) -> (u64, usize, usize) {
+        session.set_tracer(Box::new(coserve_trace::RingTracer::new()));
+        let mut events = 0usize;
+        while session.step() {
+            events += 1;
+            for (i, exec) in session.execs.iter().enumerate() {
+                let (work, switch) = session.recompute_aggregates(i);
+                assert_eq!(exec.work_exec, work, "executor {i}, event {events}");
+                assert_eq!(exec.switch_total, switch, "executor {i}, event {events}");
+                let queued: BTreeSet<ExpertId> = exec.queue.runs_iter().map(|(e, _)| e).collect();
+                assert!(
+                    exec.switch_spans.iter().map(|&(e, _)| e).eq(queued),
+                    "executor {i}, event {events}: entries are not the queued experts"
+                );
+                for &(e, span) in &exec.switch_spans {
+                    assert_eq!(span, session.predicted_switch(i, e), "{e} on executor {i}");
+                }
+            }
+        }
+        let switches = session.execs.iter().map(|e| e.switches).sum();
+        let trace = session.tracer_mut().drain();
+        let count = |pick: fn(&TraceKind) -> bool| trace.iter().filter(|ev| pick(&ev.kind)).count();
+        let evicted = count(|k| matches!(k, TraceKind::Evicted { .. }));
+        let cache_evicted = count(|k| matches!(k, TraceKind::CacheEvicted { .. }));
+        (switches, evicted, cache_evicted)
+    }
+
+    #[test]
+    fn switch_aggregates_stay_exact_after_every_event() {
+        use crate::presets;
+        use coserve_workload::arrivals::ArrivalProcess;
+        use coserve_workload::task::TaskSpec;
+
+        let device = devices::numa_rtx3080ti();
+        let task = TaskSpec::a1();
+        let model = task.build_model().unwrap();
+        let perf = Profiler::with_defaults().profile(&device, &model, UsageSource::Declared);
+
+        // Online preset, iid Poisson A1 well above capacity: the pools
+        // and the staging cache thrash, so entries are re-priced often.
+        let config = presets::coserve_online(&device);
+        let engine = Engine::new(&device, &model, &perf, &config).unwrap();
+        let stream = RequestStream::generate_open_loop(
+            "iid-overload",
+            task.board(),
+            &model,
+            1_000,
+            ArrivalProcess::poisson(40.0),
+            StreamOrder::Iid,
+            7,
+        );
+        let mut session = engine.session(stream.name());
+        for job in stream.jobs() {
+            session.submit(job.arrival, &job.stages).unwrap();
+        }
+        let (switches, evicted, cache_evicted) = step_checking_aggregates(session);
+        assert!(switches > 100, "{switches} switches");
+        assert!(evicted > 100, "{evicted} pool evictions");
+        assert!(
+            cache_evicted > 100,
+            "{cache_evicted} staging-cache evictions"
+        );
+
+        // Offline preset, board-order A1 at the paper's 4 ms interval:
+        // deep queues hold many distinct experts per executor.
+        let config = presets::coserve(&device);
+        let engine = Engine::new(&device, &model, &perf, &config).unwrap();
+        let stream = task.sample(400).stream(&model);
+        let mut session = engine.session(stream.name());
+        for job in stream.jobs() {
+            session.submit(job.arrival, &job.stages).unwrap();
+        }
+        let (switches, evicted, _) = step_checking_aggregates(session);
+        assert!(switches > 100, "{switches} switches");
+        assert!(evicted > 100, "{evicted} pool evictions");
     }
 }

@@ -10,13 +10,15 @@
 //!    need (fewest evictions), then the smallest orphan that does
 //!    (no gratuitous over-eviction);
 //! 2. if still short, evict remaining experts in ascending pre-assessed
-//!    usage probability.
+//!    usage probability: the unprotected residents stage 1 left are
+//!    sorted by the usage rank [`PerfMatrix::usage_rank`] memoizes, so
+//!    the cost follows the pool's residents (under 20 on Board A), not
+//!    the model's size (370 experts).
 //!
 //! The baselines' LRU (Samba-CoE) and FIFO (Samba-CoE FIFO) policies
 //! live here too, so every system shares one engine and differs only in
 //! policy.
 
-use std::collections::BTreeSet;
 use std::fmt;
 
 use coserve_model::coe::CoeModel;
@@ -71,8 +73,10 @@ pub struct EvictionContext<'a> {
     pub model: &'a CoeModel,
     /// The offline measurements (usage probabilities).
     pub perf: &'a PerfMatrix,
-    /// Experts that must not be evicted (e.g. the expert about to run).
-    pub protected: &'a BTreeSet<ExpertId>,
+    /// Experts that must not be evicted (e.g. the expert about to
+    /// run). A slice, so the engine passes its one expert without
+    /// building a set.
+    pub protected: &'a [ExpertId],
 }
 
 /// Reusable scratch buffers for victim selection, so the eviction hot
@@ -81,7 +85,8 @@ pub struct EvictionContext<'a> {
 /// evictions.
 #[derive(Debug, Clone, Default)]
 pub struct EvictionScratch {
-    /// Candidate ordering buffer (stage-1 orphans, or the LRU/FIFO sort).
+    /// Candidate ordering buffer (stage-1 orphans, then the stage-2
+    /// rank sort, or the LRU/FIFO sort).
     order: Vec<ExpertId>,
     /// The victims selected by the last call, in eviction order.
     victims: Vec<ExpertId>,
@@ -123,28 +128,18 @@ pub fn select_victims(
     ctx: &EvictionContext<'_>,
 ) -> Result<Vec<ExpertId>, EvictError> {
     let mut scratch = EvictionScratch::new();
-    select_victims_into(
-        policy,
-        pool,
-        need,
-        ctx,
-        ctx.perf.experts_by_usage_asc(),
-        &mut scratch,
-    )?;
+    select_victims_into(policy, pool, need, ctx, &mut scratch)?;
     Ok(std::mem::take(&mut scratch.victims))
 }
 
 /// Allocation-free victim selection: fills `scratch.victims` with the
 /// same eviction order [`select_victims`] would return.
 ///
-/// `usage_asc` is the order-maintained residency priority: every expert
-/// id sorted by ascending pre-assessed usage probability (ties by id),
-/// exactly [`crate::perf::PerfMatrix::experts_by_usage_asc`], which the
-/// matrix memoizes at construction. Stage 2 of the dependency-aware
-/// policy walks this precomputed order and filters for residency
-/// instead of re-sorting the resident set on every eviction. Residents
-/// outside `usage_asc` are never selected, so the order must cover the
-/// model.
+/// Every scan visits the pool's residents only. Stage 2 of the
+/// dependency-aware policy sorts the residents it may still take by
+/// [`PerfMatrix::usage_rank`], which the matrix memoizes at
+/// construction, so the steady state allocates nothing and never walks
+/// the whole model.
 ///
 /// # Errors
 ///
@@ -156,7 +151,6 @@ pub fn select_victims_into(
     pool: &ModelPool,
     need: Bytes,
     ctx: &EvictionContext<'_>,
-    usage_asc: &[ExpertId],
     scratch: &mut EvictionScratch,
 ) -> Result<(), EvictError> {
     scratch.victims.clear();
@@ -214,21 +208,27 @@ pub fn select_victims_into(
                 victims.push(chosen);
             }
 
-            // Stage 2: everything else, least-probable first — walked
-            // from the precomputed ascending-usage order. When stage 2
-            // runs, stage 1 exhausted every orphan, so the victim list
-            // so far is exactly the orphan set to exclude.
+            // Stage 2: everything else, least-probable first. When
+            // stage 2 runs, stage 1 exhausted every orphan, so the
+            // victim list so far is exactly the orphan set to exclude.
+            // Ranks are unique, so the sort is a total order.
             if freed < need {
-                for &e in usage_asc {
+                scratch.order.clear();
+                scratch.order.extend(
+                    pool.residents()
+                        .map(|(e, _)| e)
+                        .filter(|e| !ctx.protected.contains(e) && !victims.contains(e)),
+                );
+                scratch
+                    .order
+                    .sort_unstable_by_key(|&e| ctx.perf.usage_rank(e));
+                for &e in &scratch.order {
                     if freed >= need {
                         break;
                     }
                     let Some(meta) = pool.resident(e) else {
                         continue;
                     };
-                    if ctx.protected.contains(&e) || victims.contains(&e) {
-                        continue;
-                    }
                     victims.push(e);
                     freed += meta.bytes;
                 }
@@ -310,11 +310,10 @@ mod tests {
         let model = test_model();
         let perf = matrix_for(&model);
         let pool = ModelPool::new(Bytes::mib(100));
-        let protected = BTreeSet::new();
         let ctx = EvictionContext {
             model: &model,
             perf: &perf,
-            protected: &protected,
+            protected: &[],
         };
         let v = select_victims(EvictionPolicy::DependencyAware, &pool, Bytes::ZERO, &ctx).unwrap();
         assert!(v.is_empty());
@@ -328,11 +327,10 @@ mod tests {
         let mut pool = ModelPool::new(Bytes::mib(600));
         pool.insert(e(2), Bytes::mib(85), t(0)).unwrap();
         pool.insert(e(3), Bytes::mib(178), t(1)).unwrap();
-        let protected = BTreeSet::new();
         let ctx = EvictionContext {
             model: &model,
             perf: &perf,
-            protected: &protected,
+            protected: &[],
         };
         let v =
             select_victims(EvictionPolicy::DependencyAware, &pool, Bytes::mib(50), &ctx).unwrap();
@@ -350,11 +348,10 @@ mod tests {
         pool.insert(e(0), Bytes::mib(178), t(0)).unwrap();
         pool.insert(e(2), Bytes::mib(85), t(1)).unwrap();
         pool.insert(e(3), Bytes::mib(178), t(2)).unwrap();
-        let protected = BTreeSet::new();
         let ctx = EvictionContext {
             model: &model,
             perf: &perf,
-            protected: &protected,
+            protected: &[],
         };
         let v =
             select_victims(EvictionPolicy::DependencyAware, &pool, Bytes::mib(50), &ctx).unwrap();
@@ -380,11 +377,10 @@ mod tests {
         let mut pool = ModelPool::new(Bytes::gib(1));
         pool.insert(small, Bytes::mib(85), t(0)).unwrap();
         pool.insert(big, Bytes::mib(178), t(1)).unwrap();
-        let protected = BTreeSet::new();
         let ctx = EvictionContext {
             model: &model,
             perf: &perf,
-            protected: &protected,
+            protected: &[],
         };
         let v = select_victims(
             EvictionPolicy::DependencyAware,
@@ -416,11 +412,10 @@ mod tests {
         let mut pool = ModelPool::new(Bytes::gib(1));
         pool.insert(small, Bytes::mib(85), t(0)).unwrap();
         pool.insert(big, Bytes::mib(178), t(1)).unwrap();
-        let protected = BTreeSet::new();
         let ctx = EvictionContext {
             model: &model,
             perf: &perf,
-            protected: &protected,
+            protected: &[],
         };
         // 50 MiB need: the smaller orphan alone suffices.
         let v =
@@ -458,11 +453,10 @@ mod tests {
         pool.insert(d0, Bytes::mib(60), t(0)).unwrap();
         pool.insert(d1, Bytes::mib(90), t(1)).unwrap();
         pool.insert(d2, Bytes::mib(200), t(2)).unwrap();
-        let protected = BTreeSet::new();
         let ctx = EvictionContext {
             model: &model,
             perf: &perf,
-            protected: &protected,
+            protected: &[],
         };
         // Need 250: no single orphan covers it, so take the biggest
         // (200), then the smallest that covers the remaining 50 (60) —
@@ -486,11 +480,10 @@ mod tests {
         pool.insert(e(0), Bytes::mib(178), t(0)).unwrap();
         pool.insert(e(1), Bytes::mib(178), t(1)).unwrap();
         pool.insert(e(3), Bytes::mib(178), t(2)).unwrap();
-        let protected = BTreeSet::new();
         let ctx = EvictionContext {
             model: &model,
             perf: &perf,
-            protected: &protected,
+            protected: &[],
         };
         let v = select_victims(
             EvictionPolicy::DependencyAware,
@@ -511,11 +504,10 @@ mod tests {
         pool.insert(e(1), Bytes::mib(178), t(1)).unwrap();
         // e0 used recently: LRU evicts e1 first; FIFO still evicts e0.
         pool.touch(e(0), t(50));
-        let protected = BTreeSet::new();
         let ctx = EvictionContext {
             model: &model,
             perf: &perf,
-            protected: &protected,
+            protected: &[],
         };
         let lru = select_victims(EvictionPolicy::Lru, &pool, Bytes::mib(100), &ctx).unwrap();
         assert_eq!(lru, vec![e(1)]);
@@ -530,11 +522,10 @@ mod tests {
         let mut pool = ModelPool::new(Bytes::gib(1));
         pool.insert(e(0), Bytes::mib(178), t(0)).unwrap();
         pool.insert(e(1), Bytes::mib(178), t(1)).unwrap();
-        let protected: BTreeSet<ExpertId> = [e(0)].into_iter().collect();
         let ctx = EvictionContext {
             model: &model,
             perf: &perf,
-            protected: &protected,
+            protected: &[e(0)],
         };
         for policy in [
             EvictionPolicy::DependencyAware,
@@ -552,11 +543,10 @@ mod tests {
         let perf = matrix_for(&model);
         let mut pool = ModelPool::new(Bytes::gib(1));
         pool.insert(e(0), Bytes::mib(100), t(0)).unwrap();
-        let protected = BTreeSet::new();
         let ctx = EvictionContext {
             model: &model,
             perf: &perf,
-            protected: &protected,
+            protected: &[],
         };
         let err = select_victims(EvictionPolicy::Lru, &pool, Bytes::mib(500), &ctx).unwrap_err();
         assert_eq!(err.missing, Bytes::mib(400));
@@ -571,11 +561,10 @@ mod tests {
         for i in 0..4 {
             pool.insert(e(i), Bytes::mib(100), t(u64::from(i))).unwrap();
         }
-        let protected = BTreeSet::new();
         let ctx = EvictionContext {
             model: &model,
             perf: &perf,
-            protected: &protected,
+            protected: &[],
         };
         let v = select_victims(EvictionPolicy::Fifo, &pool, Bytes::mib(150), &ctx).unwrap();
         assert_eq!(v.len(), 2, "two 100 MiB victims cover 150 MiB");
@@ -615,6 +604,38 @@ mod proptests {
         b.build().unwrap()
     }
 
+    /// Experts in [`sparse_model`]: four decades of nine classifiers
+    /// and the detector they share.
+    const SPARSE_EXPERTS: u32 = 40;
+
+    /// A 40-expert model whose detectors (ids 9, 19, 29, 39) sit among
+    /// the classifiers, with usage probabilities that tie in groups, so
+    /// id order, usage order and residency all disagree.
+    fn sparse_model() -> CoeModel {
+        let mut b = CoeModel::builder("sparse");
+        b.arch(ArchSpec::resnet101());
+        b.arch(ArchSpec::yolov5m());
+        let mut class = 0u32;
+        for decade in 0..SPARSE_EXPERTS / 10 {
+            let cls: Vec<_> = (0..9u32)
+                .map(|i| {
+                    let prob = 0.05 + f64::from((decade * 9 + i) % 7) * 0.01;
+                    b.expert(format!("c{decade}.{i}"), RESNET101, prob)
+                })
+                .collect();
+            let det = b.expert(
+                format!("det{decade}"),
+                YOLOV5M,
+                0.2 + f64::from(decade % 2) * 0.1,
+            );
+            for c in cls {
+                b.rule(ClassId(class), RouteRule::with_follow_up(c, det, 0.5));
+                class += 1;
+            }
+        }
+        b.build().unwrap()
+    }
+
     /// The pre-refactor victim selection, verbatim: per-call sorts of
     /// the resident set. The allocation-free path is pinned against it.
     fn reference_select(
@@ -646,7 +667,8 @@ mod proptests {
                     let bb = pool.resident(b).expect("resident").bytes;
                     bb.cmp(&ba).then(a.cmp(&b))
                 });
-                let stage1_set: BTreeSet<ExpertId> = stage1.iter().copied().collect();
+                let stage1_set: std::collections::BTreeSet<ExpertId> =
+                    stage1.iter().copied().collect();
                 let mut remaining: std::collections::VecDeque<ExpertId> = stage1.into();
                 while freed < need && !remaining.is_empty() {
                     let still_needed = need - freed;
@@ -717,25 +739,29 @@ mod proptests {
     }
 
     proptest! {
-        /// The allocation-free selection (precomputed ascending-usage
-        /// order + reusable scratch) returns exactly what the
+        /// The allocation-free selection (resident-only scans, memoized
+        /// usage ranks, reusable scratch) returns exactly what the
         /// pre-refactor per-call-sort implementation returned, for every
         /// policy, over arbitrary pools, needs, touch histories and
         /// protected sets — including reusing one scratch across calls.
+        /// Residency is sparse over a 40-expert model (two random masks
+        /// ANDed: about ten residents), so both the resident id list
+        /// and the rank order have gaps.
         #[test]
         fn scratch_path_matches_reference(
-            resident_mask in 0u32..64,
-            touches in proptest::collection::vec((0u32..6, 1u64..50), 0..12),
-            need_mib in 1u64..600,
-            protect_sel in 0u32..7,
+            mask_a in any::<u64>(),
+            mask_b in any::<u64>(),
+            touches in proptest::collection::vec((0u32..SPARSE_EXPERTS, 1u64..50), 0..24),
+            need_mib in 1u64..1_200,
+            protect_sel in 0u32..SPARSE_EXPERTS + 1,
             policy_sel in 0u8..3,
         ) {
-            let model = chain_model(5);
+            let model = sparse_model();
             let perf = PerfMatrix::from_model_with("dev", &model, |_, _| None);
-            let mut pool = ModelPool::new(Bytes::gib(4));
-            for i in 0..6u32 {
-                if resident_mask & (1 << i) != 0 {
-                    let bytes = Bytes::mib(60 + 40 * u64::from(i));
+            let mut pool = ModelPool::new(Bytes::gib(16));
+            for i in 0..SPARSE_EXPERTS {
+                if (mask_a & mask_b) & (1 << i) != 0 {
+                    let bytes = Bytes::mib(60 + 20 * u64::from(i % 9));
                     pool.insert(ExpertId(i), bytes, SimTime::ZERO).unwrap();
                 }
             }
@@ -744,10 +770,10 @@ mod proptests {
                     pool.touch(ExpertId(e), SimTime::ZERO + coserve_sim::time::SimSpan::from_millis(ms));
                 }
             }
-            let mut protected = BTreeSet::new();
-            if protect_sel < 6 && pool.contains(ExpertId(protect_sel)) {
-                protected.insert(ExpertId(protect_sel));
-            }
+            let protected: Vec<ExpertId> = Some(ExpertId(protect_sel))
+                .filter(|&e| pool.contains(e))
+                .into_iter()
+                .collect();
             let ctx = EvictionContext { model: &model, perf: &perf, protected: &protected };
             let policy = match policy_sel {
                 0 => EvictionPolicy::DependencyAware,
@@ -758,10 +784,7 @@ mod proptests {
             for need_scale in [1u64, 2, 3] {
                 let need = Bytes::mib(need_mib * need_scale / 2);
                 let want = reference_select(policy, &pool, need, &ctx);
-                let got = select_victims_into(
-                    policy, &pool, need, &ctx,
-                    perf.experts_by_usage_asc(), &mut scratch,
-                );
+                let got = select_victims_into(policy, &pool, need, &ctx, &mut scratch);
                 match (want, got) {
                     (Ok(w), Ok(())) => prop_assert_eq!(w.as_slice(), scratch.victims()),
                     (Err(we), Err(ge)) => {
@@ -791,8 +814,7 @@ mod proptests {
                     pool.insert(ExpertId(i), bytes, SimTime::ZERO).unwrap();
                 }
             }
-            let protected = BTreeSet::new();
-            let ctx = EvictionContext { model: &model, perf: &perf, protected: &protected };
+            let ctx = EvictionContext { model: &model, perf: &perf, protected: &[] };
             let need = Bytes::mib(need_mib);
             match select_victims(EvictionPolicy::DependencyAware, &pool, need, &ctx) {
                 Ok(victims) => {

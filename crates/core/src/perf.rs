@@ -90,11 +90,12 @@ pub struct PerfMatrix {
     usage_probs: Vec<f64>,
     memory_scores: Vec<f64>,
     /// Expert ids by descending usage probability — memoized at
-    /// construction so hot paths (preload, eviction, placement) get a
-    /// slice instead of re-sorting per call.
+    /// construction so hot paths (preload, placement) get a slice
+    /// instead of re-sorting per call.
     by_usage_desc: Vec<ExpertId>,
-    /// The ascending counterpart: the §4.3 stage-2 eviction order.
-    by_usage_asc: Vec<ExpertId>,
+    /// Per expert id, its position in ascending usage order (ties by
+    /// id): the §4.3 stage-2 eviction key.
+    usage_rank: Vec<u32>,
 }
 
 impl PerfMatrix {
@@ -130,13 +131,19 @@ impl PerfMatrix {
                 .expect("probabilities are finite")
                 .then(a.cmp(&b))
         });
+        let mut usage_rank = vec![0u32; by_usage_asc.len()];
+        for (rank, e) in (0u32..).zip(&by_usage_asc) {
+            if let Some(slot) = usage_rank.get_mut(e.index()) {
+                *slot = rank;
+            }
+        }
         PerfMatrix {
             device_name: device_name.into(),
             entries,
             usage_probs,
             memory_scores,
             by_usage_desc,
-            by_usage_asc,
+            usage_rank,
         }
     }
 
@@ -205,12 +212,17 @@ impl PerfMatrix {
         &self.by_usage_desc
     }
 
-    /// Expert ids ordered by *ascending* usage probability (ties broken
-    /// by ascending id) — the order CoServe's stage-2 eviction walks
-    /// (§4.3). Memoized at construction.
+    /// Position of `e` when experts are ordered by *ascending* usage
+    /// probability, ties broken by ascending id — the key CoServe's
+    /// stage-2 eviction sorts by (§4.3). Ranks are unique, so sorting
+    /// by rank is exactly that order. Memoized at construction.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `e` is out of range.
     #[must_use]
-    pub fn experts_by_usage_asc(&self) -> &[ExpertId] {
-        &self.by_usage_asc
+    pub fn usage_rank(&self, e: ExpertId) -> u32 {
+        self.usage_rank[e.index()]
     }
 
     /// Builds a matrix directly from a model's declared probabilities
@@ -319,5 +331,17 @@ mod tests {
     fn usage_ties_break_by_id() {
         let m = PerfMatrix::new("dev", BTreeMap::new(), vec![0.5, 0.5], vec![1.0, 1.0]);
         assert_eq!(m.experts_by_usage(), vec![ExpertId(0), ExpertId(1)]);
+        assert_eq!(m.usage_rank(ExpertId(0)), 0);
+        assert_eq!(m.usage_rank(ExpertId(1)), 1);
+    }
+
+    #[test]
+    fn usage_rank_orders_ascending_usage() {
+        let probs = vec![0.2, 0.5, 0.1, 0.5, 0.3];
+        let m = PerfMatrix::new("dev", BTreeMap::new(), probs, vec![1.0; 5]);
+        let ranks: Vec<u32> = (0..5).map(|i| m.usage_rank(ExpertId(i))).collect();
+        // Ascending usage: e2 (0.1), e0 (0.2), e4 (0.3), e1 (0.5), e3
+        // (0.5, the tie goes to the lower id first).
+        assert_eq!(ranks, vec![1, 3, 0, 4, 2]);
     }
 }

@@ -9,8 +9,11 @@
 //! Residency is stored as a dense expert-indexed table (`Vec<Option>`),
 //! not a map: the engine probes [`ModelPool::contains`] on every
 //! assignment prediction, so membership must be an O(1) slot read.
-//! Expert ids are dense model indices, which keeps the table small and
-//! iteration in id order trivially deterministic.
+//! Expert ids are dense model indices, which keeps the table small.
+//! Next to the table the pool keeps its resident ids in ascending
+//! order, so [`ModelPool::residents`] visits the residents only — a
+//! pool holds under 20 of Board A's 370 experts, and the eviction
+//! scans walk it on every switch.
 
 use std::fmt;
 
@@ -65,8 +68,8 @@ pub struct ModelPool {
     /// Dense expert-indexed residency slots; grown on demand, `None`
     /// for non-resident experts.
     residents: Vec<Option<Resident>>,
-    /// Number of `Some` slots.
-    count: usize,
+    /// The ids of the `Some` slots, ascending.
+    ids: Vec<ExpertId>,
     next_seq: u64,
 }
 
@@ -77,7 +80,6 @@ impl PartialEq for ModelPool {
     fn eq(&self, other: &Self) -> bool {
         self.memory == other.memory
             && self.next_seq == other.next_seq
-            && self.count == other.count
             && self.residents().eq(other.residents())
     }
 }
@@ -89,7 +91,7 @@ impl ModelPool {
         ModelPool {
             memory: MemoryPool::new(capacity),
             residents: Vec::new(),
-            count: 0,
+            ids: Vec::new(),
             next_seq: 0,
         }
     }
@@ -125,13 +127,13 @@ impl ModelPool {
     /// Number of resident experts.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.count
+        self.ids.len()
     }
 
     /// Whether no experts are resident.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.count == 0
+        self.ids.is_empty()
     }
 
     /// Whether `expert` is resident — an O(1) slot read.
@@ -152,12 +154,12 @@ impl ModelPool {
         self.slot(expert)
     }
 
-    /// Iterates residents in expert-id order (deterministic).
+    /// Iterates residents in expert-id order (deterministic), visiting
+    /// the residents only, never the empty slots.
     pub fn residents(&self) -> impl Iterator<Item = (ExpertId, &Resident)> {
-        self.residents
+        self.ids
             .iter()
-            .enumerate()
-            .filter_map(|(i, r)| r.as_ref().map(|r| (ExpertId(i as u32), r)))
+            .filter_map(|&e| self.slot(e).map(|r| (e, r)))
     }
 
     /// Inserts `expert` with the given size.
@@ -193,14 +195,18 @@ impl ModelPool {
             seq,
             last_used: now,
         });
-        self.count += 1;
+        if let Err(pos) = self.ids.binary_search(&expert) {
+            self.ids.insert(pos, expert);
+        }
         Ok(())
     }
 
     /// Removes `expert`, returning its metadata (or `None` if absent).
     pub fn remove(&mut self, expert: ExpertId) -> Option<Resident> {
         let meta = self.residents.get_mut(expert.index())?.take()?;
-        self.count -= 1;
+        if let Ok(pos) = self.ids.binary_search(&expert) {
+            self.ids.remove(pos);
+        }
         self.memory.free(meta.bytes);
         Some(meta)
     }
@@ -337,6 +343,19 @@ mod proptests {
                 prop_assert_eq!(pool.used(), expected);
                 prop_assert!(pool.used() <= pool.capacity());
                 prop_assert_eq!(pool.len(), pool.residents().count());
+                // The id list is exactly the occupied slots, ascending.
+                let listed: Vec<ExpertId> = pool.residents().map(|(e, _)| e).collect();
+                let occupied: Vec<ExpertId> = pool
+                    .residents
+                    .iter()
+                    .enumerate()
+                    .filter(|(_, slot)| slot.is_some())
+                    .map(|(i, _)| ExpertId(i as u32))
+                    .collect();
+                prop_assert_eq!(listed, occupied);
+                for (e, meta) in pool.residents() {
+                    prop_assert_eq!(pool.resident(e), Some(meta));
+                }
             }
         }
     }

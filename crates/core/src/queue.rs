@@ -35,7 +35,7 @@
 //! oldest and therefore carries the run's maximum effective count,
 //! which makes the bound check O(runs), not O(requests).
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::VecDeque;
 
 use coserve_model::expert::ExpertId;
 use coserve_sim::time::SimTime;
@@ -119,10 +119,6 @@ pub struct ExecutorQueue {
     /// last-run lookups are O(1) slot reads on the assignment hot path.
     /// Grown on demand; `None` for experts not currently queued.
     index: Vec<Option<ExpertIndex>>,
-    /// The distinct queued experts, kept sorted by id — the
-    /// deterministic iteration order [`ExecutorQueue::queued_experts`]
-    /// promises, without walking the dense table.
-    present: Vec<ExpertId>,
     /// Total queued requests across all runs.
     total: usize,
     /// Runs ever retired at the front (virtual-run-index base).
@@ -202,13 +198,6 @@ impl ExecutorQueue {
         entry.last_run_len = len_after;
         if !extends {
             entry.runs += 1;
-        }
-        if membership_changed {
-            let pos = self
-                .present
-                .binary_search(&expert)
-                .expect_err("membership change implies the expert was absent");
-            self.present.insert(pos, expert);
         }
         RunDelta {
             expert,
@@ -343,11 +332,6 @@ impl ExecutorQueue {
         let membership_changed = entry.count == 0;
         if membership_changed {
             self.index[expert.index()] = None;
-            let pos = self
-                .present
-                .binary_search(&expert)
-                .expect("drained expert was present");
-            self.present.remove(pos);
         } else if len_after == 0 {
             entry.runs -= 1;
         } else if entry.last_run == front_virtual {
@@ -384,17 +368,6 @@ impl ExecutorQueue {
     #[must_use]
     pub fn runs(&self) -> Vec<(ExpertId, u32)> {
         self.runs_iter().collect()
-    }
-
-    /// Iterates the distinct experts currently queued, in id order.
-    pub fn queued_experts(&self) -> impl Iterator<Item = ExpertId> + '_ {
-        self.present.iter().copied()
-    }
-
-    /// Number of distinct experts currently queued.
-    #[must_use]
-    pub fn distinct_experts(&self) -> usize {
-        self.present.len()
     }
 
     /// Whether any queued request uses `expert` — an O(1) slot read,
@@ -437,69 +410,61 @@ impl ExecutorQueue {
         }
         out
     }
-
-    /// Panics unless the incremental index exactly matches a from-
-    /// scratch recomputation. Test/debug aid.
-    #[doc(hidden)]
-    pub fn assert_index_consistent(&self) {
-        let fresh = self.recompute_runs();
-        assert_eq!(self.runs(), fresh, "run deque diverged from queue");
-        assert_eq!(
-            self.total,
-            fresh.iter().map(|&(_, n)| n as usize).sum::<usize>(),
-            "total diverged from run contents"
-        );
-        assert!(
-            self.runs.iter().all(|r| !r.items.is_empty()),
-            "empty runs must be retired"
-        );
-        assert!(
-            self.spare.iter().all(VecDeque::is_empty),
-            "spare buffers must be recycled empty"
-        );
-        let mut counts: BTreeMap<ExpertId, (u32, u32, u64)> = BTreeMap::new();
-        for (pos, &(e, n)) in fresh.iter().enumerate() {
-            let entry = counts.entry(e).or_insert((0, 0, 0));
-            entry.0 += n;
-            entry.1 += 1;
-            entry.2 = self.runs_retired + pos as u64;
-        }
-        assert_eq!(
-            self.present.len(),
-            counts.len(),
-            "present set covers the wrong expert count"
-        );
-        assert!(
-            self.present.windows(2).all(|w| w[0] < w[1]),
-            "present set is not strictly sorted"
-        );
-        let indexed = self
-            .index
-            .iter()
-            .enumerate()
-            .filter(|(_, s)| s.is_some())
-            .count();
-        assert_eq!(indexed, counts.len(), "index covers the wrong expert set");
-        for (e, (count, runs, last_run)) in counts {
-            assert!(self.present.binary_search(&e).is_ok(), "{e} in present set");
-            let idx = self.index[e.index()].as_ref().expect("expert indexed");
-            assert_eq!(idx.count, count, "{e} count");
-            assert_eq!(idx.runs, runs, "{e} runs");
-            assert_eq!(idx.last_run, last_run, "{e} last_run");
-            let run_idx = (idx.last_run - self.runs_retired) as usize;
-            assert_eq!(self.runs[run_idx].expert, e, "{e} last_run points home");
-            assert_eq!(
-                idx.last_run_len,
-                self.runs[run_idx].items.len() as u32,
-                "{e} cached last-run length"
-            );
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::BTreeMap;
+
+    impl ExecutorQueue {
+        /// Panics unless the incremental index exactly matches a from-
+        /// scratch recomputation.
+        pub(super) fn assert_index_consistent(&self) {
+            let fresh = self.recompute_runs();
+            assert_eq!(self.runs(), fresh, "run deque diverged from queue");
+            assert_eq!(
+                self.total,
+                fresh.iter().map(|&(_, n)| n as usize).sum::<usize>(),
+                "total diverged from run contents"
+            );
+            assert!(
+                self.runs.iter().all(|r| !r.items.is_empty()),
+                "empty runs must be retired"
+            );
+            assert!(
+                self.spare.iter().all(VecDeque::is_empty),
+                "spare buffers must be recycled empty"
+            );
+            let mut counts: BTreeMap<ExpertId, (u32, u32, u64)> = BTreeMap::new();
+            for (pos, &(e, n)) in fresh.iter().enumerate() {
+                let entry = counts.entry(e).or_insert((0, 0, 0));
+                entry.0 += n;
+                entry.1 += 1;
+                entry.2 = self.runs_retired + pos as u64;
+            }
+            let indexed = self
+                .index
+                .iter()
+                .enumerate()
+                .filter(|(_, s)| s.is_some())
+                .count();
+            assert_eq!(indexed, counts.len(), "index covers the wrong expert set");
+            for (e, (count, runs, last_run)) in counts {
+                let idx = self.index[e.index()].as_ref().expect("expert indexed");
+                assert_eq!(idx.count, count, "{e} count");
+                assert_eq!(idx.runs, runs, "{e} runs");
+                assert_eq!(idx.last_run, last_run, "{e} last_run");
+                let run_idx = (idx.last_run - self.runs_retired) as usize;
+                assert_eq!(self.runs[run_idx].expert, e, "{e} last_run points home");
+                assert_eq!(
+                    idx.last_run_len,
+                    self.runs[run_idx].items.len() as u32,
+                    "{e} cached last-run length"
+                );
+            }
+        }
+    }
 
     fn req(job: u32, expert: u32) -> PendingRequest {
         PendingRequest {
@@ -692,9 +657,6 @@ mod tests {
         assert_eq!(q.runs(), q.recompute_runs());
         assert!(q.contains_expert(ExpertId(7)));
         assert!(!q.contains_expert(ExpertId(9)));
-        assert_eq!(q.distinct_experts(), 2);
-        let queued: Vec<ExpertId> = q.queued_experts().collect();
-        assert_eq!(queued, vec![ExpertId(5), ExpertId(7)]);
         assert_eq!(q.last_run_len(ExpertId(5)), 1);
         assert_eq!(q.last_run_len(ExpertId(7)), 1);
         assert_eq!(q.last_run_len(ExpertId(9)), 0);

@@ -61,6 +61,7 @@ pub fn run(files: &[ScannedFile], baseline: Option<&Baseline>) -> RunOutcome {
     for check in all_checks() {
         check.run(files, &mut diagnostics);
     }
+    diagnostics.extend(files.iter().flat_map(|f| f.errors.iter().cloned()));
     validate_allow_keys(files, &mut diagnostics);
 
     let counts = ratchet_counts(files);
@@ -222,6 +223,22 @@ mod tests {
             .diagnostics
             .iter()
             .any(|d| d.check == "panic-ratchet" && d.message.contains("tighten the ratchet")));
+    }
+
+    #[test]
+    fn scan_layout_errors_fail_the_run() {
+        let files = [ScannedFile::parse(
+            "crates/model/src/lib.rs",
+            "model",
+            FileKind::Src,
+            "#![forbid(unsafe_code)]\n#[cfg(test)]\nfn helper() {}\npub fn f() {}\n",
+        )];
+        let blessed = run(&files, None).fresh_baseline;
+        let outcome = run(&files, Some(&blessed));
+        assert!(outcome
+            .diagnostics
+            .iter()
+            .any(|d| d.check == "tidy" && d.line == 3 && d.message.contains("not a `mod`")));
     }
 
     #[test]

@@ -17,6 +17,15 @@
 //! Suppressions ride on line comments: `// tidy:allow(check-a,check-b)`
 //! silences those checks on the same line, or — when the comment is
 //! alone on its line — on the next line that carries code.
+//!
+//! Every line from a file's first `#[cfg(test)]` on counts as test
+//! code, which the checks exempt. That is sound only while the file
+//! ends in its test modules, so the scan also reports
+//! [`ScannedFile::errors`] when the layout breaks it: a `#[cfg(test)]`
+//! on an item that is not a `mod`, or non-test code after the test
+//! tail.
+
+use crate::check::Diagnostic;
 
 /// Where a scanned file sits in the workspace, which decides the set
 /// of checks that apply to it.
@@ -57,6 +66,10 @@ pub struct ScannedFile {
     pub kind: FileKind,
     /// Scanned lines, index 0 = line 1.
     pub lines: Vec<Line>,
+    /// Layout errors that make the test-tail marking unsound (see the
+    /// module docs). The runner reports them under the `tidy` key,
+    /// which no `tidy:allow` can silence.
+    pub errors: Vec<Diagnostic>,
 }
 
 impl ScannedFile {
@@ -64,13 +77,23 @@ impl ScannedFile {
     #[must_use]
     pub fn parse(path: &str, crate_name: &str, kind: FileKind, content: &str) -> ScannedFile {
         let mut lines = scan_lines(content);
-        mark_test_tail(&mut lines, kind);
+        let layout = mark_test_tail(&mut lines, kind);
         float_comment_only_allows(&mut lines);
+        let errors = layout
+            .into_iter()
+            .map(|(line, message)| Diagnostic {
+                check: "tidy",
+                file: path.to_string(),
+                line,
+                message: message.to_string(),
+            })
+            .collect();
         ScannedFile {
             path: path.to_string(),
             crate_name: crate_name.to_string(),
             kind,
             lines,
+            errors,
         }
     }
 
@@ -281,24 +304,99 @@ fn parse_allows(comment: &str) -> Vec<String> {
         .collect()
 }
 
+const CFG_TEST: &str = "#[cfg(test)]";
+
 /// Marks the `#[cfg(test)]` tail of a file as test code. The workspace
-/// idiom keeps the test module last in the file, so everything from
-/// the attribute onward is treated as tests. Files under `tests/` or
-/// `benches/` are test code in full.
-fn mark_test_tail(lines: &mut [Line], kind: FileKind) {
+/// idiom keeps the test modules last in the file, so everything from
+/// the first attribute onward is treated as tests. Files under
+/// `tests/` or `benches/` are test code in full.
+///
+/// Returns the `(1-based line, message)` of each layout error in any
+/// other file: a `#[cfg(test)]` item that is not a `mod`, and the first
+/// line of code that follows the closed test tail without opening
+/// another `#[cfg(test)]` module.
+fn mark_test_tail(lines: &mut [Line], kind: FileKind) -> Vec<(usize, &'static str)> {
     if kind == FileKind::TestDir {
         for line in lines.iter_mut() {
             line.in_test = true;
         }
-        return;
+        return Vec::new();
     }
+    let mut errors = Vec::new();
     let mut in_test = false;
-    for line in lines.iter_mut() {
-        if !in_test && line.code.replace(' ', "").contains("#[cfg(test)]") {
+    // Inside the tail: whether the last `#[cfg(test)]` still waits for
+    // the item it annotates, and the brace depth of the test items.
+    let mut awaiting_item = false;
+    let mut depth = 0usize;
+    let mut trailing_code_reported = false;
+    for (i, line) in lines.iter_mut().enumerate() {
+        let compact: String = line.code.split_whitespace().collect();
+        if compact.contains(CFG_TEST) {
             in_test = true;
+            awaiting_item = true;
         }
         line.in_test = in_test;
+        if !in_test {
+            continue;
+        }
+        let item = strip_attributes(&line.code);
+        if awaiting_item {
+            if !item.is_empty() {
+                awaiting_item = false;
+                if !is_mod_item(item) {
+                    errors.push((
+                        i + 1,
+                        "`#[cfg(test)]` on an item that is not a `mod`: the scan treats \
+                         the rest of the file as tests; move the item into the trailing \
+                         test module",
+                    ));
+                }
+            }
+        } else if depth == 0 && !item.is_empty() && !trailing_code_reported {
+            trailing_code_reported = true;
+            errors.push((
+                i + 1,
+                "code after the `#[cfg(test)]` tail is scanned as test code; move it \
+                 above the first test module",
+            ));
+        }
+        let opens = compact.matches('{').count();
+        let closes = compact.matches('}').count();
+        depth = (depth + opens).saturating_sub(closes);
     }
+    errors
+}
+
+/// A code line without its leading `#[...]` attributes, trimmed; empty
+/// when only attributes remain (or one continues on the next line).
+/// Literal bodies are blanked, so the first `]` closes the attribute.
+fn strip_attributes(mut code: &str) -> &str {
+    loop {
+        code = code.trim();
+        let Some(rest) = code.strip_prefix("#[") else {
+            return code;
+        };
+        match rest.find(']') {
+            Some(end) => code = rest.get(end + 1..).unwrap_or_default(),
+            None => return "",
+        }
+    }
+}
+
+/// Whether `item` declares a module: `mod`, optionally behind `pub` or
+/// `pub(...)`.
+fn is_mod_item(item: &str) -> bool {
+    let item = match item.strip_prefix("pub") {
+        Some(rest) if rest.trim_start().starts_with('(') => rest
+            .find(')')
+            .and_then(|close| rest.get(close + 1..))
+            .unwrap_or(rest),
+        Some(rest) => rest,
+        None => item,
+    };
+    let item = item.trim_start();
+    item.strip_prefix("mod")
+        .is_some_and(|rest| rest.starts_with(char::is_whitespace))
 }
 
 /// Moves `tidy:allow` directives on comment-only lines down to the
@@ -417,6 +515,39 @@ mod tests {
         assert!(!f.lines[0].in_test);
         assert!(f.lines[1].in_test);
         assert!(f.lines[3].in_test);
+    }
+
+    #[test]
+    fn trailing_test_modules_are_a_valid_layout() {
+        let f = parse(
+            "fn real() {}\n#[cfg(test)]\nmod tests {\n fn t() { let s = \"}\"; }\n}\n\n\
+             #[cfg(test)]\n#[allow(dead_code)]\npub(crate) mod proptests {\n}\n",
+        );
+        assert!(f.errors.is_empty(), "{:?}", f.errors);
+        assert!(f.lines[6].in_test);
+    }
+
+    #[test]
+    fn cfg_test_on_a_non_mod_item_is_an_error() {
+        let f = parse("fn real() {}\n#[cfg(test)]\nfn helper() {}\n");
+        assert_eq!(f.errors.len(), 1, "{:?}", f.errors);
+        assert_eq!(f.errors[0].line, 3);
+        assert_eq!(f.errors[0].check, "tidy");
+        assert!(f.errors[0].message.contains("not a `mod`"));
+        // Same-line attribute and item.
+        let f = parse("#[cfg(test)] impl Foo { fn t() {} }\n");
+        assert_eq!(f.errors.len(), 1, "{:?}", f.errors);
+        assert_eq!(f.errors[0].line, 1);
+    }
+
+    #[test]
+    fn code_after_the_test_tail_is_an_error() {
+        let f = parse("fn real() {}\n#[cfg(test)]\nmod tests {\n fn t() {}\n}\nfn late() {\n}\nfn later() {}\n");
+        assert_eq!(f.errors.len(), 1, "one report per file: {:?}", f.errors);
+        assert_eq!(f.errors[0].line, 6);
+        assert!(f.errors[0]
+            .message
+            .contains("after the `#[cfg(test)]` tail"));
     }
 
     #[test]
