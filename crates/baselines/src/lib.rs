@@ -18,7 +18,7 @@ pub mod prelude {
     pub use crate::samba::{
         all_baselines, samba_coe, samba_coe_fifo, samba_coe_parallel, FCFS_SCHEDULING_COST,
     };
-    pub use crate::suite::{evaluation_suite, suite_names};
+    pub use crate::suite::evaluation_suite;
 }
 
 pub use prelude::*;

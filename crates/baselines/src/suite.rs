@@ -33,18 +33,6 @@ pub fn evaluation_suite(
     (systems, tuned)
 }
 
-/// The five system names in presentation order (legend of Figure 13).
-#[must_use]
-pub fn suite_names() -> Vec<&'static str> {
-    vec![
-        "Samba-CoE",
-        "Samba-CoE FIFO",
-        "Samba-CoE Parallel",
-        "CoServe Best",
-        "CoServe Casual",
-    ]
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -70,7 +58,16 @@ mod tests {
         );
         let (systems, tuned) = evaluation_suite(&device, &model, &perf, &sample);
         let names: Vec<&str> = systems.iter().map(|c| c.name.as_str()).collect();
-        assert_eq!(names, suite_names());
+        assert_eq!(
+            names,
+            [
+                "Samba-CoE",
+                "Samba-CoE FIFO",
+                "Samba-CoE Parallel",
+                "CoServe Best",
+                "CoServe Casual",
+            ]
+        );
         // Either the window target was adopted or the validation guard
         // fell back to Casual's fraction split; both are valid Best
         // configs.

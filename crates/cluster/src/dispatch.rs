@@ -24,9 +24,11 @@
 //!
 //! When a request's chain includes experts the routed node does not
 //! hold, each such stage pays one **cross-node hop**: an 8 MiB
-//! activation transfer over the [`Fabric`] link from the nearest live
-//! holder, charged by delaying the request's arrival at the node. Hop
-//! counts and total fabric time flow into the
+//! activation transfer from the nearest live holder over the fleet's
+//! one [`LinkProfile`], charged by delaying the request's arrival at
+//! the node. The link is the same between every pair of nodes, so
+//! holders differ only in the faults their link suffers. Hop counts and
+//! total fabric time flow into the
 //! [`coserve_metrics::cluster::ClusterReport`].
 
 use std::fmt;
@@ -38,7 +40,7 @@ use coserve_model::coe::CoeModel;
 use coserve_model::expert::ExpertId;
 use coserve_sim::device::ProcessorKind;
 use coserve_sim::memory::Bytes;
-use coserve_sim::network::{Fabric, NodeId};
+use coserve_sim::network::LinkProfile;
 use coserve_sim::time::{SimSpan, SimTime};
 use coserve_workload::stream::Job;
 
@@ -331,14 +333,13 @@ impl Dispatcher {
         job: &Job,
         model: &CoeModel,
         plan: &PlacementPlan,
-        fabric: &Fabric,
+        link: LinkProfile,
         nodes: &[NodeLoadModel<'_>],
         alive: &[bool],
         mut faults: Option<RouteFaults<'_>>,
     ) -> Routing {
         let n = self.num_nodes();
         assert_eq!(plan.num_nodes(), n, "plan/node count mismatch");
-        assert_eq!(fabric.len(), n, "fabric/node count mismatch");
         assert_eq!(nodes.len(), n, "load model/node count mismatch");
         assert_eq!(alive.len(), n, "alive mask/node count mismatch");
         assert!(alive.iter().any(|&a| a), "routing needs a live node");
@@ -430,8 +431,9 @@ impl Dispatcher {
         self.tick_sent[target] += 1;
 
         // Fabric charge: every chain stage whose expert lives elsewhere
-        // ships its activations from the nearest live holder, over the
-        // link's (possibly degraded) current condition.
+        // ships its activations from the nearest live holder. Every
+        // healthy hop costs the same; faults dilate or cut single links.
+        let raw = link.transfer_duration(ACTIVATION_BYTES);
         let mut delay = SimSpan::ZERO;
         for &expert in &job.stages {
             if plan.is_placed(target, expert) {
@@ -445,7 +447,6 @@ impl Dispatcher {
                     continue;
                 }
                 live_holders += 1;
-                let raw = fabric.transfer_duration(ACTIVATION_BYTES, NodeId(h), NodeId(target));
                 let (hop, extra) =
                     match faults.as_ref().map(|f| f.plan.link(h, target, job.arrival)) {
                         None | Some(LinkOutcome::Healthy) => (raw, SimSpan::ZERO),
@@ -646,13 +647,12 @@ mod tests {
     use crate::placement::{plan_placement, PlacementStrategy};
     use coserve_core::profiler::{Profiler, UsageSource};
     use coserve_model::devices;
-    use coserve_sim::network::LinkProfile;
     use coserve_workload::board::BoardSpec;
     use coserve_workload::stream::{RequestStream, StreamOrder};
 
-    type Fixture = (CoeModel, PerfMatrix, RequestStream, Fabric);
+    type Fixture = (CoeModel, PerfMatrix, RequestStream, LinkProfile);
 
-    fn setup(nodes: usize) -> Fixture {
+    fn setup() -> Fixture {
         let board = BoardSpec::synthetic("disp", 30, 3, 1.2, 40.0, 0.5);
         let model = board.build_model().unwrap();
         let device = devices::numa_rtx3080ti();
@@ -666,8 +666,7 @@ mod tests {
             StreamOrder::Iid,
             11,
         );
-        let fabric = Fabric::fully_connected(nodes, LinkProfile::ethernet_10g());
-        (model, perf, stream, fabric)
+        (model, perf, stream, LinkProfile::ethernet_10g())
     }
 
     fn load_models(perf: &PerfMatrix, n: usize) -> Vec<NodeLoadModel<'_>> {
@@ -691,7 +690,7 @@ mod tests {
     /// routing order, plus the dispatcher with its hop and fabric
     /// counters.
     fn route_all(
-        (model, perf, stream, fabric): &Fixture,
+        (model, perf, stream, link): &Fixture,
         plan: &PlacementPlan,
         route: RoutePolicy,
     ) -> (Vec<Vec<Job>>, Dispatcher) {
@@ -701,7 +700,7 @@ mod tests {
         let mut d = dispatcher(n, route, FeedbackMode::OpenLoop);
         let mut per_node = vec![Vec::new(); n];
         for job in stream.jobs() {
-            match d.route_job(job, model, plan, fabric, &nodes, &alive, None) {
+            match d.route_job(job, model, plan, *link, &nodes, &alive, None) {
                 Routing::Routed { node, job } => per_node[node].push(job),
                 other => panic!("every node is live and pacing is off: {other:?}"),
             }
@@ -711,7 +710,7 @@ mod tests {
 
     #[test]
     fn every_job_is_routed_exactly_once() {
-        let fx = setup(4);
+        let fx = setup();
         let (model, perf, stream, _) = &fx;
         let plan = plan_placement(model, perf, 4, PlacementStrategy::UsageAware, 7);
         for route in RoutePolicy::ALL {
@@ -723,7 +722,7 @@ mod tests {
 
     #[test]
     fn round_robin_rotates_evenly() {
-        let fx = setup(4);
+        let fx = setup();
         let (model, perf, stream, _) = &fx;
         let plan = plan_placement(model, perf, 4, PlacementStrategy::UsageAware, 7);
         let (per_node, _) = route_all(&fx, &plan, RoutePolicy::RoundRobin);
@@ -734,7 +733,7 @@ mod tests {
 
     #[test]
     fn residency_first_avoids_hops_round_robin_pays_them() {
-        let fx = setup(4);
+        let fx = setup();
         let (model, perf, ..) = &fx;
         let plan = plan_placement(model, perf, 4, PlacementStrategy::UsageAware, 7);
         let (_, rf) = route_all(&fx, &plan, RoutePolicy::ResidencyFirst);
@@ -751,7 +750,7 @@ mod tests {
 
     #[test]
     fn replicated_placement_never_crosses_nodes() {
-        let fx = setup(3);
+        let fx = setup();
         let (model, perf, stream, _) = &fx;
         let plan = plan_placement(model, perf, 3, PlacementStrategy::Replicated, 7);
         let (per_node, d) = route_all(&fx, &plan, RoutePolicy::LeastLoaded);
@@ -771,7 +770,7 @@ mod tests {
 
     #[test]
     fn fabric_delay_shifts_arrivals_forward() {
-        let fx = setup(4);
+        let fx = setup();
         let (model, perf, stream, _) = &fx;
         let plan = plan_placement(model, perf, 4, PlacementStrategy::Sharded, 7);
         let (per_node, d) = route_all(&fx, &plan, RoutePolicy::RoundRobin);
@@ -791,7 +790,7 @@ mod tests {
 
     #[test]
     fn least_loaded_balances_work_left() {
-        let fx = setup(2);
+        let fx = setup();
         let (model, perf, stream, _) = &fx;
         let plan = plan_placement(model, perf, 2, PlacementStrategy::Replicated, 7);
         let (per_node, _) = route_all(&fx, &plan, RoutePolicy::LeastLoaded);
@@ -804,7 +803,7 @@ mod tests {
 
     #[test]
     fn dispatch_is_deterministic() {
-        let fx = setup(4);
+        let fx = setup();
         let (model, perf, ..) = &fx;
         let plan = plan_placement(model, perf, 4, PlacementStrategy::Random, 3);
         let (a, da) = route_all(&fx, &plan, RoutePolicy::ResidencyFirst);
@@ -816,13 +815,13 @@ mod tests {
 
     #[test]
     fn dead_nodes_are_never_routed_to() {
-        let (model, perf, stream, fabric) = setup(4);
+        let (model, perf, stream, link) = setup();
         let plan = plan_placement(&model, &perf, 4, PlacementStrategy::Replicated, 7);
         let nodes = load_models(&perf, 4);
         let mut d = dispatcher(4, RoutePolicy::LeastLoaded, FeedbackMode::OpenLoop);
         let alive = [true, false, true, false];
         for job in stream.jobs() {
-            match d.route_job(job, &model, &plan, &fabric, &nodes, &alive, None) {
+            match d.route_job(job, &model, &plan, link, &nodes, &alive, None) {
                 Routing::Routed { node, .. } => assert!(alive[node], "routed to dead node {node}"),
                 Routing::Unhosted { expert } => {
                     panic!("replicated placement cannot orphan {expert}")
@@ -835,7 +834,7 @@ mod tests {
 
     #[test]
     fn orphaned_chains_are_unhosted() {
-        let (model, perf, stream, fabric) = setup(2);
+        let (model, perf, stream, link) = setup();
         let plan = plan_placement(&model, &perf, 2, PlacementStrategy::Sharded, 7);
         let nodes = load_models(&perf, 2);
         let mut d = dispatcher(2, RoutePolicy::ResidencyFirst, FeedbackMode::OpenLoop);
@@ -844,7 +843,7 @@ mod tests {
         let mut rejected = 0usize;
         for job in stream.jobs() {
             if let Routing::Unhosted { expert } =
-                d.route_job(job, &model, &plan, &fabric, &nodes, &alive, None)
+                d.route_job(job, &model, &plan, link, &nodes, &alive, None)
             {
                 assert!(plan.is_placed(1, expert) && !plan.is_placed(0, expert));
                 rejected += 1;
@@ -858,14 +857,14 @@ mod tests {
 
     #[test]
     fn feedback_scales_predictions_and_scores_error() {
-        let (model, perf, stream, fabric) = setup(2);
+        let (model, perf, stream, link) = setup();
         let plan = plan_placement(&model, &perf, 2, PlacementStrategy::Replicated, 7);
         let nodes = load_models(&perf, 2);
         let alive = [true, true];
         let mut d = dispatcher(2, RoutePolicy::LeastLoaded, FeedbackMode::Corrected);
         assert_eq!(d.estimate_error_ms(), None);
         for job in stream.jobs().iter().take(50) {
-            let _ = d.route_job(job, &model, &plan, &fabric, &nodes, &alive, None);
+            let _ = d.route_job(job, &model, &plan, link, &nodes, &alive, None);
         }
         // Pretend both nodes took 3× the predicted busy time and
         // finished late: the error ledger fills and, corrected, the
@@ -883,7 +882,7 @@ mod tests {
 
     #[test]
     fn pacing_budget_filters_and_sheds() {
-        let (model, perf, stream, fabric) = setup(2);
+        let (model, perf, stream, link) = setup();
         let plan = plan_placement(&model, &perf, 2, PlacementStrategy::Replicated, 7);
         let nodes = load_models(&perf, 2);
         let alive = [true, true];
@@ -909,7 +908,7 @@ mod tests {
         let mut to = [0usize; 2];
         for job in stream.jobs().iter().take(20) {
             if let Routing::Routed { node, .. } =
-                d.route_job(job, &model, &plan, &fabric, &nodes, &alive, None)
+                d.route_job(job, &model, &plan, link, &nodes, &alive, None)
             {
                 to[node] += 1;
             }
@@ -925,7 +924,7 @@ mod tests {
         let mut shed = 0usize;
         for job in stream.jobs().iter().take(20) {
             if matches!(
-                d.route_job(job, &model, &plan, &fabric, &nodes, &dead, None),
+                d.route_job(job, &model, &plan, link, &nodes, &dead, None),
                 Routing::Paced
             ) {
                 shed += 1;
@@ -948,7 +947,7 @@ mod tests {
 
     #[test]
     fn pacing_off_routes_identically() {
-        let (model, perf, stream, fabric) = setup(3);
+        let (model, perf, stream, link) = setup();
         let plan = plan_placement(&model, &perf, 3, PlacementStrategy::UsageAware, 7);
         let nodes = load_models(&perf, 3);
         let alive = [true, true, true];
@@ -958,8 +957,8 @@ mod tests {
         let mut paced = plain.clone().with_pacing(true);
         for job in stream.jobs() {
             paced.begin_tick();
-            let a = plain.route_job(job, &model, &plan, &fabric, &nodes, &alive, None);
-            let b = paced.route_job(job, &model, &plan, &fabric, &nodes, &alive, None);
+            let a = plain.route_job(job, &model, &plan, link, &nodes, &alive, None);
+            let b = paced.route_job(job, &model, &plan, link, &nodes, &alive, None);
             assert_eq!(a, b);
         }
     }
@@ -975,7 +974,7 @@ mod tests {
 
     #[test]
     fn corrected_feedback_steers_off_a_slow_node() {
-        let (model, perf, stream, fabric) = setup(3);
+        let (model, perf, stream, link) = setup();
         let plan = plan_placement(&model, &perf, 3, PlacementStrategy::Replicated, 7);
         let nodes = load_models(&perf, 3);
         let alive = vec![true; 3];
@@ -995,7 +994,7 @@ mod tests {
             .collect();
         let (warmup, measured) = jobs.split_at(60);
         for job in warmup {
-            d.route_job(job, &model, &plan, &fabric, &nodes, &alive, None);
+            d.route_job(job, &model, &plan, link, &nodes, &alive, None);
         }
         // Telemetry for the warmup tick: node 0 spent far more busy
         // time than predicted (a slow node), the others far less. The
@@ -1007,7 +1006,7 @@ mod tests {
         let mut counts = [0usize; 3];
         for job in measured {
             if let Routing::Routed { node, .. } =
-                d.route_job(job, &model, &plan, &fabric, &nodes, &alive, None)
+                d.route_job(job, &model, &plan, link, &nodes, &alive, None)
             {
                 counts[node] += 1;
             }
@@ -1020,7 +1019,7 @@ mod tests {
 
     #[test]
     fn disabled_fault_plan_routes_bit_identically() {
-        let (model, perf, stream, fabric) = setup(4);
+        let (model, perf, stream, link) = setup();
         let plan = plan_placement(&model, &perf, 4, PlacementStrategy::Sharded, 7);
         let nodes = load_models(&perf, 4);
         let alive = vec![true; 4];
@@ -1029,12 +1028,12 @@ mod tests {
         let disabled = coserve_faults::FaultPlan::disabled();
         let mut ledger = FaultLedger::default();
         for job in stream.jobs() {
-            let a = plain.route_job(job, &model, &plan, &fabric, &nodes, &alive, None);
+            let a = plain.route_job(job, &model, &plan, link, &nodes, &alive, None);
             let b = faulted.route_job(
                 job,
                 &model,
                 &plan,
-                &fabric,
+                link,
                 &nodes,
                 &alive,
                 Some(RouteFaults {
@@ -1051,14 +1050,14 @@ mod tests {
 
     #[test]
     fn dilated_links_stretch_charged_hops() {
-        let (model, perf, stream, fabric) = setup(4);
+        let (model, perf, stream, link) = setup();
         let plan = plan_placement(&model, &perf, 4, PlacementStrategy::Sharded, 7);
         let nodes = load_models(&perf, 4);
         let alive = vec![true; 4];
         let fresh = || dispatcher(4, RoutePolicy::RoundRobin, FeedbackMode::OpenLoop);
         let mut baseline = fresh();
         for job in stream.jobs() {
-            baseline.route_job(job, &model, &plan, &fabric, &nodes, &alive, None);
+            baseline.route_job(job, &model, &plan, link, &nodes, &alive, None);
         }
         let fault_plan = coserve_faults::FaultPlan::seeded(5).with_link(
             0.9,
@@ -1073,7 +1072,7 @@ mod tests {
                 job,
                 &model,
                 &plan,
-                &fabric,
+                link,
                 &nodes,
                 &alive,
                 Some(RouteFaults {
@@ -1093,7 +1092,7 @@ mod tests {
 
     #[test]
     fn partitions_hedge_when_enabled_and_degrade_when_not() {
-        let (model, perf, stream, fabric) = setup(4);
+        let (model, perf, stream, link) = setup();
         let plan = plan_placement(&model, &perf, 4, PlacementStrategy::Sharded, 7);
         let nodes = load_models(&perf, 4);
         let alive = vec![true; 4];
@@ -1115,7 +1114,7 @@ mod tests {
                     job,
                     &model,
                     &plan,
-                    &fabric,
+                    link,
                     &nodes,
                     &alive,
                     Some(RouteFaults {

@@ -1,7 +1,7 @@
 //! # coserve-cluster
 //!
 //! Cluster-scale serving for the CoServe reproduction: one CoE model
-//! served by a fleet of heterogeneous nodes.
+//! served by a fleet of `n` identical nodes joined by one network link.
 //!
 //! The single-device system (`coserve-core`) already solves *which
 //! experts stay resident* and *which executor runs a batch*. Scaling
@@ -12,9 +12,9 @@
 //!   replicated, cold tail sharded with dependency co-location);
 //! * [`mod@dispatch`] — which node each request is routed to, weighing
 //!   expert residency against per-node queue depth;
-//! * the network [`coserve_sim::network::Fabric`] — what a cross-node
-//!   hop costs, charged whenever a request's expert chain is not fully
-//!   local.
+//! * the fleet's [`coserve_sim::network::LinkProfile`] — what a
+//!   cross-node hop costs, charged whenever a request's expert chain is
+//!   not fully local. Every pair of nodes shares this one link.
 //!
 //! [`ClusterSystem`] ties them together: each node serves the jobs the
 //! dispatcher routes to it through one unmodified engine session
@@ -26,7 +26,7 @@
 //! The [`runtime`] module drives the fleet as an event-driven
 //! **control loop**: tick-driven dispatch with per-node telemetry
 //! feedback and mid-run node failures (re-routing + shard
-//! re-replication over the fabric) — see
+//! re-replication over the link) — see
 //! [`ClusterSystem::serve_runtime`]. The one-shot serve is its
 //! single-tick case.
 //!
@@ -63,13 +63,12 @@ use std::fmt;
 
 use coserve_core::config::{AdmissionControl, SystemConfig};
 use coserve_core::engine::EngineError;
-use coserve_core::perf::PerfMatrix;
 use coserve_core::profiler::{Profiler, UsageSource};
 use coserve_core::system::ServingSystem;
 use coserve_metrics::cluster::ClusterReport;
 use coserve_model::coe::CoeModel;
 use coserve_sim::device::DeviceProfile;
-use coserve_sim::network::{Fabric, LinkProfile};
+use coserve_sim::network::LinkProfile;
 use coserve_workload::stream::RequestStream;
 
 pub mod dispatch;
@@ -79,31 +78,6 @@ pub mod runtime;
 use dispatch::RoutePolicy;
 use placement::{plan_placement, PlacementPlan, PlacementStrategy};
 use runtime::RuntimeOptions;
-
-/// One node of a cluster: a name, the hardware, and the per-node
-/// serving configuration (the fleet may be heterogeneous in both).
-#[derive(Debug, Clone)]
-pub struct NodeSpec {
-    /// Display name ("rack0/gpu1").
-    pub name: String,
-    /// The node's hardware.
-    pub device: DeviceProfile,
-    /// The node's serving configuration. Its `preload_order` is
-    /// overwritten by the placement plan at cluster construction.
-    pub config: SystemConfig,
-}
-
-impl NodeSpec {
-    /// A new node spec.
-    #[must_use]
-    pub fn new(name: impl Into<String>, device: DeviceProfile, config: SystemConfig) -> Self {
-        NodeSpec {
-            name: name.into(),
-            device,
-            config,
-        }
-    }
-}
 
 /// Seed [`PlacementStrategy::Random`] places experts with.
 const PLACEMENT_SEED: u64 = 7;
@@ -150,13 +124,6 @@ impl ClusterOptions {
 pub enum ClusterError {
     /// No nodes were supplied.
     Empty,
-    /// The fabric covers a different number of nodes than the fleet.
-    FabricMismatch {
-        /// Nodes in the fabric.
-        fabric: usize,
-        /// Nodes in the fleet.
-        nodes: usize,
-    },
     /// A node's configuration failed engine validation.
     Node {
         /// Index of the failing node.
@@ -170,9 +137,6 @@ impl fmt::Display for ClusterError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             ClusterError::Empty => write!(f, "cluster needs at least one node"),
-            ClusterError::FabricMismatch { fabric, nodes } => {
-                write!(f, "fabric covers {fabric} nodes but the fleet has {nodes}")
-            }
             ClusterError::Node { node, source } => {
                 write!(f, "node {node} is not servable: {source}")
             }
@@ -182,103 +146,30 @@ impl fmt::Display for ClusterError {
 
 impl std::error::Error for ClusterError {}
 
-/// A ready-to-serve cluster: per-node serving systems (each profiled on
-/// its own hardware), the placement plan, and the network fabric.
+/// A ready-to-serve cluster: `n` identical nodes sharing one offline
+/// profile, the placement plan, and the link every pair of nodes
+/// shares.
 #[derive(Debug, Clone)]
 pub struct ClusterSystem {
-    names: Vec<String>,
     nodes: Vec<ServingSystem>,
-    fabric: Fabric,
+    link: LinkProfile,
     plan: PlacementPlan,
     options: ClusterOptions,
 }
 
 impl ClusterSystem {
-    /// Builds a cluster from node specs. Each node is profiled offline
-    /// on its own device; the placement plan (computed from the first
-    /// node's matrix — usage probabilities are device-independent)
-    /// overrides each node's preload order so nodes specialize in their
-    /// shard.
+    /// A fleet of `n` identical nodes — `device` serving under `config`
+    /// — with every pair joined by `link`. The device is profiled
+    /// offline once and every node shares the matrix; the placement
+    /// plan overrides each node's preload order so nodes specialize in
+    /// their shard.
     ///
     /// # Errors
     ///
-    /// Returns [`ClusterError`] when the fleet is empty, the fabric
-    /// size disagrees, or any node's configuration fails engine
-    /// validation on its device.
-    ///
-    /// # Panics
-    ///
-    /// Panics when a node's device lacks kernels for the model's
-    /// architectures — the offline profiler has nothing to measure
-    /// (same contract as [`Profiler::profile`]).
-    pub fn new(
-        specs: Vec<NodeSpec>,
-        model: &CoeModel,
-        fabric: Fabric,
-        options: ClusterOptions,
-    ) -> Result<Self, ClusterError> {
-        if specs.is_empty() {
-            return Err(ClusterError::Empty);
-        }
-        if fabric.len() != specs.len() {
-            return Err(ClusterError::FabricMismatch {
-                fabric: fabric.len(),
-                nodes: specs.len(),
-            });
-        }
-        let profiler = Profiler::with_defaults();
-        // Profile each *distinct* device once — a homogeneous fleet
-        // shares one offline pass instead of re-measuring identical
-        // hardware per node (profiling is deterministic, so the shared
-        // matrix is exactly what per-node passes would produce).
-        let mut profiled: Vec<(usize, PerfMatrix)> = Vec::new();
-        let matrices: Vec<PerfMatrix> = specs
-            .iter()
-            .enumerate()
-            .map(|(idx, s)| {
-                if let Some((_, m)) = profiled
-                    .iter()
-                    .find(|entry| specs[entry.0].device == s.device)
-                {
-                    return m.clone();
-                }
-                let m = profiler.profile(&s.device, model, UsageSource::Declared);
-                profiled.push((idx, m.clone()));
-                m
-            })
-            .collect();
-        let plan = plan_placement(
-            model,
-            &matrices[0],
-            specs.len(),
-            options.placement,
-            PLACEMENT_SEED,
-        );
-        let mut names = Vec::with_capacity(specs.len());
-        let mut nodes = Vec::with_capacity(specs.len());
-        for (i, (spec, perf)) in specs.into_iter().zip(matrices).enumerate() {
-            let mut config = spec.config;
-            config.preload_order = Some(plan.preload_order(i).to_vec());
-            let system = ServingSystem::with_matrix(spec.device, model.clone(), perf, config)
-                .map_err(|source| ClusterError::Node { node: i, source })?;
-            names.push(spec_name_or_default(&system, spec.name, i));
-            nodes.push(system);
-        }
-        Ok(ClusterSystem {
-            names,
-            nodes,
-            fabric,
-            plan,
-            options,
-        })
-    }
-
-    /// A homogeneous fleet: `n` identical nodes on a fully connected
-    /// fabric of `link`s.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ClusterError`] exactly as [`ClusterSystem::new`] does.
+    /// Returns [`ClusterError::Empty`] when `n` is zero, and
+    /// [`ClusterError::Node`] when `device` lacks a kernel the profiler
+    /// needs (reported for node 0) or a node's configuration fails
+    /// engine validation on `device`.
     pub fn homogeneous(
         n: usize,
         device: &DeviceProfile,
@@ -290,10 +181,26 @@ impl ClusterSystem {
         if n == 0 {
             return Err(ClusterError::Empty);
         }
-        let specs = (0..n)
-            .map(|i| NodeSpec::new(format!("node-{i}"), device.clone(), config.clone()))
-            .collect();
-        ClusterSystem::new(specs, model, Fabric::fully_connected(n, link), options)
+        let profiler = Profiler::with_defaults();
+        profiler
+            .check_kernels(device, model)
+            .map_err(|source| ClusterError::Node { node: 0, source })?;
+        let perf = profiler.profile(device, model, UsageSource::Declared);
+        let plan = plan_placement(model, &perf, n, options.placement, PLACEMENT_SEED);
+        let nodes = (0..n)
+            .map(|i| {
+                let mut config = config.clone();
+                config.preload_order = Some(plan.preload_order(i).to_vec());
+                ServingSystem::with_matrix(device.clone(), model.clone(), perf.clone(), config)
+                    .map_err(|source| ClusterError::Node { node: i, source })
+            })
+            .collect::<Result<_, _>>()?;
+        Ok(ClusterSystem {
+            nodes,
+            link,
+            plan,
+            options,
+        })
     }
 
     /// Number of nodes.
@@ -308,22 +215,16 @@ impl ClusterSystem {
         &self.nodes
     }
 
-    /// The node names, in node order.
-    #[must_use]
-    pub fn node_names(&self) -> &[String] {
-        &self.names
-    }
-
     /// The shared CoE model.
     #[must_use]
     pub fn model(&self) -> &CoeModel {
         self.nodes[0].model()
     }
 
-    /// The network fabric.
+    /// The link every pair of nodes shares.
     #[must_use]
-    pub fn fabric(&self) -> &Fabric {
-        &self.fabric
+    pub fn link(&self) -> LinkProfile {
+        self.link
     }
 
     /// The placement plan.
@@ -339,7 +240,7 @@ impl ClusterSystem {
     }
 
     /// Serves `stream` across the fleet: routes every request, charges
-    /// fabric hops, runs one engine per node, merges the reports.
+    /// cross-node hops, runs one engine per node, merges the reports.
     #[must_use]
     pub fn serve(&self, stream: &RequestStream) -> ClusterReport {
         self.serve_inner(stream, None)
@@ -371,14 +272,6 @@ impl ClusterSystem {
     }
 }
 
-fn spec_name_or_default(system: &ServingSystem, name: String, index: usize) -> String {
-    if name.is_empty() {
-        format!("{}#{index}", system.device().name())
-    } else {
-        name
-    }
-}
-
 /// Convenient re-exports of the most commonly used items.
 pub mod prelude {
     pub use crate::dispatch::{
@@ -390,7 +283,7 @@ pub mod prelude {
     pub use crate::runtime::{
         FailureEvent, FailureKind, FailureSchedule, ReplacementPolicy, RuntimeOptions,
     };
-    pub use crate::{ClusterError, ClusterOptions, ClusterSystem, NodeSpec};
+    pub use crate::{ClusterError, ClusterOptions, ClusterSystem};
 }
 
 #[cfg(test)]
@@ -421,8 +314,7 @@ mod tests {
     fn cluster_serves_and_conserves_jobs() {
         let (cluster, stream) = small_cluster(3, ClusterOptions::default());
         assert_eq!(cluster.num_nodes(), 3);
-        assert_eq!(cluster.node_names().len(), 3);
-        assert_eq!(cluster.fabric().len(), 3);
+        assert_eq!(cluster.link(), LinkProfile::ethernet_10g());
         let report = cluster.serve(&stream);
         assert_eq!(report.submitted, 100);
         assert_eq!(
@@ -448,62 +340,24 @@ mod tests {
     }
 
     #[test]
-    fn heterogeneous_fleet_builds() {
-        let task = TaskSpec::a1().scaled(0.02);
-        let model = task.build_model().unwrap();
-        let numa = devices::numa_rtx3080ti();
-        let uma = devices::uma_apple_m2();
-        let specs = vec![
-            NodeSpec::new("numa-0", numa.clone(), presets::coserve(&numa)),
-            NodeSpec::new("uma-0", uma.clone(), presets::coserve(&uma)),
-        ];
-        let cluster = ClusterSystem::new(
-            specs,
-            &model,
-            Fabric::fully_connected(2, LinkProfile::ethernet_100g()),
-            ClusterOptions::default(),
-        )
-        .unwrap();
-        let report = cluster.serve(&task.stream(cluster.model()));
-        assert_eq!(report.completed, 50);
-        assert_eq!(report.nodes[0].device, numa.name());
-        assert_eq!(report.nodes[1].device, uma.name());
-    }
-
-    #[test]
     fn construction_errors_are_reported() {
         let task = TaskSpec::a1().scaled(0.01);
         let model = task.build_model().unwrap();
         let device = devices::numa_rtx3080ti();
+        let link = LinkProfile::ethernet_10g();
+        let build = |n: usize, config: &SystemConfig| {
+            ClusterSystem::homogeneous(n, &device, config, &model, link, ClusterOptions::default())
+        };
         let config = presets::coserve(&device);
-        assert_eq!(
-            ClusterSystem::new(
-                Vec::new(),
-                &model,
-                Fabric::fully_connected(1, LinkProfile::ethernet_10g()),
-                ClusterOptions::default(),
-            )
-            .unwrap_err(),
-            ClusterError::Empty
-        );
-        let specs = vec![NodeSpec::new("a", device, config)];
-        let err = ClusterSystem::new(
-            specs,
-            &model,
-            Fabric::fully_connected(3, LinkProfile::ethernet_10g()),
-            ClusterOptions::default(),
-        )
-        .unwrap_err();
-        assert!(matches!(err, ClusterError::FabricMismatch { .. }));
-        assert!(err.to_string().contains("fabric covers 3"));
+        assert_eq!(build(0, &config).unwrap_err(), ClusterError::Empty);
         // A node configuration without executors is refused up front.
-        let mut idle = presets::coserve(&devices::numa_rtx3080ti());
+        let mut idle = config.clone();
         idle.executors.clear();
-        let specs = vec![NodeSpec::new("idle", devices::numa_rtx3080ti(), idle)];
-        let fabric = Fabric::fully_connected(1, LinkProfile::ethernet_10g());
-        let err = ClusterSystem::new(specs, &model, fabric, ClusterOptions::default());
         let source = EngineError::NoExecutors;
-        assert_eq!(err.unwrap_err(), ClusterError::Node { node: 0, source });
+        assert_eq!(
+            build(1, &idle).unwrap_err(),
+            ClusterError::Node { node: 0, source }
+        );
         // The per-node validation error names the failing node.
         let node_err = ClusterError::Node {
             node: 2,
@@ -513,6 +367,31 @@ mod tests {
             },
         };
         assert!(node_err.to_string().contains("node 2 is not servable"));
+    }
+
+    #[test]
+    fn kernel_less_device_is_a_construction_error() {
+        let model = TaskSpec::a1().scaled(0.01).build_model().unwrap();
+        let bare = DeviceProfile::numa_rtx3080ti(); // no kernels installed
+        let err = ClusterSystem::homogeneous(
+            2,
+            &bare,
+            &presets::coserve(&devices::numa_rtx3080ti()),
+            &model,
+            LinkProfile::ethernet_10g(),
+            ClusterOptions::default(),
+        )
+        .unwrap_err();
+        assert!(
+            matches!(
+                err,
+                ClusterError::Node {
+                    node: 0,
+                    source: EngineError::MissingKernel(_, _),
+                }
+            ),
+            "{err}"
+        );
     }
 
     #[test]

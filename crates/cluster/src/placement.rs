@@ -183,18 +183,6 @@ impl PlacementPlan {
         self.placed_bytes[node]
     }
 
-    /// Mean number of copies per expert (1 = pure sharding, `n` = full
-    /// replication). Zero for an expert-less model.
-    #[must_use]
-    pub fn replication_factor(&self) -> f64 {
-        let experts: BTreeSet<ExpertId> = self.placed.iter().flatten().copied().collect();
-        if experts.is_empty() {
-            return 0.0;
-        }
-        let copies: usize = self.placed.iter().map(BTreeSet::len).sum();
-        copies as f64 / experts.len() as f64
-    }
-
     /// The strategy that produced the plan (its `Display` is the label
     /// the reports and figure tables print).
     #[must_use]
@@ -546,6 +534,19 @@ mod tests {
     use coserve_core::profiler::{Profiler, UsageSource};
     use coserve_model::devices;
     use coserve_workload::board::BoardSpec;
+
+    impl PlacementPlan {
+        /// Mean number of copies per expert (1 = pure sharding, `n` =
+        /// full replication). Zero for an expert-less model.
+        fn replication_factor(&self) -> f64 {
+            let experts: BTreeSet<ExpertId> = self.placed.iter().flatten().copied().collect();
+            if experts.is_empty() {
+                return 0.0;
+            }
+            let copies: usize = self.placed.iter().map(BTreeSet::len).sum();
+            copies as f64 / experts.len() as f64
+        }
+    }
 
     fn setup() -> (CoeModel, PerfMatrix) {
         let board = BoardSpec::synthetic("place", 40, 4, 1.2, 40.0, 0.5);

@@ -15,7 +15,7 @@
 //!   re-placement policy is [`ReplacementPolicy::Static`]) the planner
 //!   derives a successor [`PlacementPlan`] that re-replicates the dead
 //!   node's orphaned shard, shipping the [`migration_plan`] delta over
-//!   the *same fabric links requests use*.
+//!   the *same link requests use*.
 //!
 //! Each node serves through one [`EngineSession`] for the whole run:
 //! routing submits a job straight into its node's session, and a tick
@@ -42,7 +42,6 @@ use coserve_metrics::report::RunReport;
 use coserve_metrics::stats::Summary;
 use coserve_model::expert::ExpertId;
 use coserve_sim::events::Calendar;
-use coserve_sim::network::NodeId;
 use coserve_sim::time::{SimSpan, SimTime};
 use coserve_sim::transfer::TransferRoute;
 use coserve_trace::{NoopTracer, TraceEvent, TraceKind, Tracer};
@@ -519,11 +518,11 @@ impl<'a> Runtime<'a> {
             .nodes()
             .iter()
             .zip(configs)
-            .zip(sys.node_names())
-            .map(|((system, config), name)| NodeState {
+            .enumerate()
+            .map(|(i, (system, config))| NodeState {
                 system,
                 config,
-                label: format!("{} @ {}", stream.name(), name),
+                label: format!("{} @ node-{i}", stream.name()),
                 session: None,
                 routed: Vec::new(),
                 last: SessionCounters::default(),
@@ -642,7 +641,7 @@ impl<'a> Runtime<'a> {
             job,
             self.sys.model(),
             &self.plan,
-            self.sys.fabric(),
+            self.sys.link(),
             &self.loads,
             &self.alive,
             route_faults,
@@ -849,10 +848,7 @@ impl<'a> Runtime<'a> {
                 }
                 (Some(from), healthy_or_dilated) => {
                     self.dynamics.migration_hops += 1;
-                    let raw =
-                        self.sys
-                            .fabric()
-                            .transfer_duration(bytes, NodeId(from), NodeId(mv.to));
+                    let raw = self.sys.link().transfer_duration(bytes);
                     match healthy_or_dilated {
                         LinkOutcome::Dilated(factor) => {
                             let slowed = raw.mul_f64(factor);

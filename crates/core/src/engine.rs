@@ -1006,6 +1006,9 @@ impl<'a> EngineSession<'a> {
 
     /// Stamps subsequently emitted events with `node` (cluster wiring;
     /// single-node sessions keep the default `0`).
+    // Kept without a caller until cluster runs trace every node: each
+    // node session then stamps its own id through this.
+    // tidy:allow(test-only-api)
     pub fn set_trace_node(&mut self, node: u32) {
         self.trace_node = node;
     }

@@ -12,7 +12,7 @@ use std::collections::BTreeMap;
 use coserve_model::coe::CoeModel;
 use coserve_model::expert::ExpertId;
 use coserve_sim::device::{ArchId, ProcessorKind};
-use coserve_sim::memory::{Bytes, MemoryTier};
+use coserve_sim::memory::Bytes;
 use coserve_sim::time::SimSpan;
 
 /// Measured performance of one (architecture × processor) pair.
@@ -50,21 +50,6 @@ impl PerfEntry {
             return SimSpan::ZERO;
         }
         SimSpan::from_millis_f64(self.k_ms * f64::from(n) + self.b_ms)
-    }
-
-    /// Predicted load latency from `tier`.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `tier` is [`MemoryTier::Gpu`]: a resident expert
-    /// needs no load.
-    #[must_use]
-    pub fn load_from(&self, tier: MemoryTier) -> SimSpan {
-        match tier {
-            MemoryTier::Ssd => self.load_from_ssd,
-            MemoryTier::Cpu => self.load_from_cpu,
-            MemoryTier::Gpu => panic!("resident experts need no load"),
-        }
     }
 
     /// The largest batch whose inference memory fits `budget`, capped by
@@ -276,19 +261,6 @@ mod tests {
         let l5 = e.predicted_latency(5).as_millis_f64();
         assert!((l1 - 9.1).abs() < 1e-6);
         assert!((l5 - 13.5).abs() < 1e-6);
-    }
-
-    #[test]
-    fn load_from_tiers() {
-        let e = entry();
-        assert_eq!(e.load_from(MemoryTier::Ssd), SimSpan::from_millis(900));
-        assert_eq!(e.load_from(MemoryTier::Cpu), SimSpan::from_millis(60));
-    }
-
-    #[test]
-    #[should_panic(expected = "no load")]
-    fn load_from_gpu_panics() {
-        let _ = entry().load_from(MemoryTier::Gpu);
     }
 
     #[test]

@@ -24,6 +24,7 @@ use coserve_sim::time::SimSpan;
 use coserve_sim::transfer::TransferRoute;
 use coserve_workload::stream::RequestStream;
 
+use crate::engine::EngineError;
 use crate::perf::{PerfEntry, PerfMatrix};
 
 /// Where the profiler gets expert usage probabilities from.
@@ -154,13 +155,37 @@ impl Profiler {
         }
     }
 
+    /// Checks that `device` has a kernel for every architecture of
+    /// `model` on both processors — the pairs [`Profiler::profile`]
+    /// sweeps.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`EngineError::MissingKernel`] for the first pair without
+    /// one.
+    pub fn check_kernels(
+        &self,
+        device: &DeviceProfile,
+        model: &CoeModel,
+    ) -> Result<(), EngineError> {
+        for arch in model.archs() {
+            for proc in ProcessorKind::ALL {
+                if device.kernel(arch.id(), proc).is_none() {
+                    return Err(EngineError::MissingKernel(arch.id(), proc));
+                }
+            }
+        }
+        Ok(())
+    }
+
     /// Profiles a full device/model combination and assembles the
     /// performance matrix.
     ///
     /// # Panics
     ///
     /// Panics when a model architecture lacks a kernel on either
-    /// processor of the device — the deployment would be unservable.
+    /// processor of the device — the deployment would be unservable;
+    /// [`Profiler::check_kernels`] reports that case as an error.
     #[must_use]
     pub fn profile(
         &self,

@@ -49,14 +49,18 @@ impl ServingSystem {
     ///
     /// # Errors
     ///
-    /// Returns [`EngineError`] when the device lacks kernels for the
-    /// model's architectures on a configured processor.
+    /// Returns [`EngineError::MissingKernel`] when the device lacks a
+    /// kernel for one of the model's architectures on either processor
+    /// (the profiler measures both), and otherwise any error
+    /// [`ServingSystem::with_matrix`] returns for the configuration.
     pub fn new(
         device: DeviceProfile,
         model: CoeModel,
         config: SystemConfig,
     ) -> Result<Self, EngineError> {
-        let perf = Profiler::with_defaults().profile(&device, &model, UsageSource::Declared);
+        let profiler = Profiler::with_defaults();
+        profiler.check_kernels(&device, &model)?;
+        let perf = profiler.profile(&device, &model, UsageSource::Declared);
         Self::with_matrix(device, model, perf, config)
     }
 
@@ -105,18 +109,6 @@ impl ServingSystem {
     #[must_use]
     pub fn config(&self) -> &SystemConfig {
         &self.config
-    }
-
-    /// Replaces the configuration (revalidating it).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`EngineError`] when the new configuration is not
-    /// servable on this device/model.
-    pub fn reconfigure(&mut self, config: SystemConfig) -> Result<(), EngineError> {
-        Engine::new(&self.device, &self.model, &self.perf, &config)?;
-        self.config = config;
-        Ok(())
     }
 
     /// The memory layout initialization would use.
@@ -205,22 +197,6 @@ mod tests {
     }
 
     #[test]
-    fn reconfigure_revalidates() {
-        let device = devices::uma_apple_m2();
-        let task = TaskSpec::b1().scaled(0.01);
-        let model = task.build_model().unwrap();
-        let mut system = ServingSystem::new(
-            device,
-            model,
-            presets::coserve_casual(&devices::uma_apple_m2()),
-        )
-        .unwrap();
-        let new = presets::coserve(system.device()).renamed("renamed");
-        system.reconfigure(new).unwrap();
-        assert_eq!(system.config().name, "renamed");
-    }
-
-    #[test]
     fn serve_configured_matches_serve_for_own_config() {
         let device = devices::numa_rtx3080ti();
         let task = TaskSpec::a1().scaled(0.02);
@@ -255,5 +231,14 @@ mod tests {
         // engine error instead of panicking.
         let perf = PerfMatrix::from_model_with("bare", &model, |_, _| None);
         assert!(ServingSystem::with_matrix(bare, model, perf, config).is_err());
+    }
+
+    #[test]
+    fn new_reports_a_device_without_kernels() {
+        let bare = coserve_sim::device::DeviceProfile::numa_rtx3080ti();
+        let model = TaskSpec::a1().scaled(0.01).build_model().unwrap();
+        let config = presets::coserve(&devices::numa_rtx3080ti());
+        let err = ServingSystem::new(bare, model, config).unwrap_err();
+        assert!(matches!(err, EngineError::MissingKernel(_, _)), "{err}");
     }
 }

@@ -16,7 +16,7 @@
 //!   scheduling and expert management, memory autotuning, engine);
 //! * [`baselines`] — the Samba-CoE baselines and evaluation suite;
 //! * [`cluster`] — cluster-scale serving: expert placement planning,
-//!   network-fabric costs and multi-node dispatch;
+//!   the fleet's network link and multi-node dispatch;
 //! * [`metrics`] — run reports, statistics and table rendering;
 //! * [`trace`] — structured sim-time tracing and Perfetto export.
 //!
@@ -65,9 +65,7 @@ pub mod serve;
 
 /// One-stop imports for the common workflow.
 pub mod prelude {
-    pub use crate::serve::{
-        open_loop_stream, serve_cluster, serve_cluster_runtime, serve_open_loop, OpenLoopOptions,
-    };
+    pub use crate::serve::{open_loop_stream, serve_cluster, serve_open_loop, OpenLoopOptions};
     pub use coserve_baselines::prelude::*;
     pub use coserve_cluster::prelude::*;
     pub use coserve_core::prelude::*;

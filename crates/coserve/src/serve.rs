@@ -11,7 +11,6 @@
 //! seed produce a bit-identical [`RunReport`], so latency-vs-load
 //! sweeps across systems compare byte-identical arrival schedules.
 
-use coserve_cluster::runtime::RuntimeOptions;
 use coserve_cluster::ClusterSystem;
 use coserve_core::config::AdmissionControl;
 use coserve_core::presets::ONLINE_MAX_OVERTAKE;
@@ -125,39 +124,12 @@ pub fn serve_cluster(
     cluster.serve_with_online(&stream, options.admission, ONLINE_MAX_OVERTAKE)
 }
 
-/// Like [`serve_cluster`], but through the *dynamic* cluster runtime:
-/// tick-driven dispatch with telemetry feedback and mid-run node
-/// failures with re-routing and shard re-replication — everything
-/// `runtime` configures. The admission bound in `options` and the
-/// overtake bound [`ONLINE_MAX_OVERTAKE`] override whatever
-/// `runtime.online` carries, keeping the two option structs composable.
-/// Deterministic: the same cluster, board, options, runtime options and
-/// seed produce a bit-identical [`ClusterReport`].
-///
-/// # Panics
-///
-/// Panics if `options.requests` is zero or the failure schedule names a
-/// node outside the fleet.
-#[must_use]
-pub fn serve_cluster_runtime(
-    cluster: &ClusterSystem,
-    board: &BoardSpec,
-    options: &OpenLoopOptions,
-    runtime: &RuntimeOptions,
-) -> ClusterReport {
-    let stream = open_loop_stream(cluster.model(), board, options);
-    let runtime = runtime
-        .clone()
-        .online(options.admission, ONLINE_MAX_OVERTAKE);
-    cluster.serve_runtime(&stream, &runtime)
-}
-
-/// The request stream [`serve_open_loop`], [`serve_cluster`] and
-/// [`serve_cluster_runtime`] serve for `model` — exposed so callers can
-/// inspect offered load or replay the identical schedule through a
-/// custom engine configuration. It takes no serving configuration, so
-/// every system compared on the same model, board and options sees the
-/// same arrivals.
+/// The request stream [`serve_open_loop`] and [`serve_cluster`] serve
+/// for `model` — exposed so callers can inspect offered load, replay
+/// the identical schedule through a custom engine configuration, or
+/// drive the dynamic cluster runtime ([`ClusterSystem::serve_runtime`])
+/// with it. It takes no serving configuration, so every system compared
+/// on the same model, board and options sees the same arrivals.
 #[must_use]
 pub fn open_loop_stream(
     model: &CoeModel,
@@ -237,40 +209,6 @@ mod tests {
         assert_eq!(a.num_nodes(), 2);
         let b = serve_cluster(&cluster, &board, &options);
         assert_eq!(a, b, "cluster open-loop runs must be bit-identical");
-    }
-
-    #[test]
-    fn cluster_runtime_facade_injects_failures() {
-        use coserve_cluster::runtime::FailureSchedule;
-        use coserve_sim::time::{SimSpan, SimTime};
-
-        let board = BoardSpec::synthetic("cluster-runtime", 24, 3, 1.2, 40.0, 0.5);
-        let model = board.build_model().unwrap();
-        let device = devices::numa_rtx3080ti();
-        let cluster = ClusterSystem::homogeneous(
-            3,
-            &device,
-            &presets::coserve(&device),
-            &model,
-            coserve_sim::network::LinkProfile::ethernet_10g(),
-            coserve_cluster::ClusterOptions::default(),
-        )
-        .unwrap();
-        let options = OpenLoopOptions::new(ArrivalProcess::poisson(200.0)).requests(150);
-        let runtime = RuntimeOptions::default()
-            .tick(SimSpan::from_millis(100))
-            .failures(FailureSchedule::new().kill(1, SimTime::ZERO + SimSpan::from_millis(300)));
-        let a = serve_cluster_runtime(&cluster, &board, &options, &runtime);
-        assert_eq!(a.submitted, 150);
-        assert_eq!(a.completed + a.failed + a.dropped, a.submitted);
-        assert_eq!(a.dynamics.failures.len(), 1);
-        assert!(a.recovery_time().is_some());
-        assert!(a.dynamics.migrations > 0);
-        let b = serve_cluster_runtime(&cluster, &board, &options, &runtime);
-        assert_eq!(a, b, "runtime runs must be bit-identical");
-        // The open-loop knobs flow into the runtime's online override:
-        // admission accounting is live on every node.
-        assert!(a.admitted > 0 && a.admitted <= a.submitted);
     }
 
     #[test]

@@ -363,6 +363,9 @@ impl FaultPlan {
     /// client-side fault class (mid-frame disconnects, stalled and
     /// re-chunked reads, bit corruption) used to drive servers and
     /// protocol decoders through hostile inputs.
+    // Only the wire chaos tests (`crates/server/tests/chaos.rs`) drive
+    // connections through it, like the `ByteChaos` methods below.
+    // tidy:allow(test-only-api)
     #[must_use]
     pub fn connection_chaos(&self, conn: u64) -> ByteChaos {
         ByteChaos {
@@ -452,6 +455,8 @@ impl ByteChaos {
     /// re-chunking with interleaved stalls, and — when `lossy` — a
     /// possible mid-stream disconnect. The delivered lengths always sum
     /// to `len` unless a `Disconnect` cuts the tail.
+    // Called by the wire chaos tests (`crates/server/tests/chaos.rs`).
+    // tidy:allow(test-only-api)
     #[must_use]
     pub fn schedule(&mut self, len: usize, lossy: bool) -> Vec<ChaosStep> {
         let mut steps = Vec::new();
@@ -494,6 +499,8 @@ impl ByteChaos {
     /// Flips seeded bytes of `bytes` in place (roughly `rate` of them,
     /// always at least one when the buffer is non-empty and
     /// `rate > 0`). Returns how many bytes were corrupted.
+    // Called by the wire chaos tests (`crates/server/tests/chaos.rs`).
+    // tidy:allow(test-only-api)
     #[must_use]
     pub fn corrupt(&mut self, bytes: &mut [u8], rate: f64) -> usize {
         if bytes.is_empty() || rate <= 0.0 {

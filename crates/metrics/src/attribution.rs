@@ -449,17 +449,6 @@ impl ExpertHeat {
     }
 }
 
-/// Flat `name -> count` tally of every event kind, for Pelikan-style
-/// counter export (`trace_events_arrived 42` lines).
-#[must_use]
-pub fn kind_counts(events: &[TraceEvent]) -> BTreeMap<&'static str, u64> {
-    let mut counts: BTreeMap<&'static str, u64> = BTreeMap::new();
-    for ev in events {
-        *counts.entry(ev.kind.name()).or_insert(0) += 1;
-    }
-    counts
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -638,23 +627,6 @@ mod tests {
         let ids: Vec<u32> = heat.rows().iter().map(|r| r.expert.0).collect();
         assert_eq!(ids, vec![1, 2, 3]);
         assert_eq!(heat.table().len(), 3);
-    }
-
-    #[test]
-    fn kind_counts_tallies_names() {
-        let events = vec![
-            stage_done(0, 0, 0, 0, 0, 1),
-            stage_done(0, 1, 0, 0, 0, 1),
-            TraceEvent {
-                at: SimTime::ZERO,
-                node: 0,
-                kind: TraceKind::NodeRevived,
-            },
-        ];
-        let counts = kind_counts(&events);
-        assert_eq!(counts.get("stage-done"), Some(&2));
-        assert_eq!(counts.get("node-revived"), Some(&1));
-        assert_eq!(counts.get("arrived"), None);
     }
 
     #[test]

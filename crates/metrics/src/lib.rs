@@ -20,13 +20,11 @@ pub mod table;
 
 /// Convenient re-exports of the most commonly used items.
 pub mod prelude {
-    pub use crate::attribution::{
-        kind_counts, ExpertHeat, ExpertHeatRow, LatencyAttribution, StageAttribution,
-    };
+    pub use crate::attribution::{ExpertHeat, ExpertHeatRow, LatencyAttribution, StageAttribution};
     pub use crate::cluster::{ClusterReport, FailureRecord, FleetDynamics, TickStat};
     pub use crate::faults::FaultLedger;
     pub use crate::report::{ExecutorReport, RunReport, RunSnapshot, SwitchEvent};
-    pub use crate::stats::{linear_fit, percentile, LinFit, Summary};
+    pub use crate::stats::{linear_fit, LinFit, Summary};
     pub use crate::table::{fmt_f64, Table};
 }
 

@@ -152,17 +152,6 @@ fn percentile_sorted(sorted: &[f64], p: f64) -> f64 {
     sorted[lo] + (sorted[hi] - sorted[lo]) * frac
 }
 
-/// The `p`-th percentile of an arbitrary sample; `None` when empty.
-#[must_use]
-pub fn percentile(values: &[f64], p: f64) -> Option<f64> {
-    if values.is_empty() {
-        return None;
-    }
-    let mut sorted = values.to_vec();
-    sorted.sort_by(|a, b| a.partial_cmp(b).expect("finite samples"));
-    Some(percentile_sorted(&sorted, p))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -230,7 +219,6 @@ mod tests {
     fn empty_samples_are_explicit_not_nan() {
         assert!(Summary::of(&[]).is_none());
         assert!(Summary::of_spans(&[]).is_none());
-        assert_eq!(percentile(&[], 99.0), None);
         // Every non-empty summary is fully finite.
         let s = Summary::of(&[1.0, 2.0, 3.0]).unwrap();
         assert!(s.is_finite());
@@ -255,10 +243,9 @@ mod tests {
     #[test]
     fn percentile_interpolates() {
         let v = [10.0, 20.0, 30.0, 40.0];
-        assert_eq!(percentile(&v, 0.0), Some(10.0));
-        assert_eq!(percentile(&v, 100.0), Some(40.0));
-        assert!((percentile(&v, 50.0).unwrap() - 25.0).abs() < 1e-9);
-        assert_eq!(percentile(&[], 50.0), None);
+        assert_eq!(percentile_sorted(&v, 0.0), 10.0);
+        assert_eq!(percentile_sorted(&v, 100.0), 40.0);
+        assert!((percentile_sorted(&v, 50.0) - 25.0).abs() < 1e-9);
     }
 }
 
@@ -289,11 +276,13 @@ mod proptests {
         fn percentiles_bounded_and_monotone(
             values in proptest::collection::vec(-1e6f64..1e6, 1..50),
         ) {
+            let mut sorted = values.clone();
+            sorted.sort_by(f64::total_cmp);
             let lo = values.iter().cloned().fold(f64::INFINITY, f64::min);
             let hi = values.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
             let mut prev = lo;
             for p in [0.0, 10.0, 50.0, 90.0, 99.0, 100.0] {
-                let v = percentile(&values, p).unwrap();
+                let v = percentile_sorted(&sorted, p);
                 prop_assert!(v >= lo - 1e-9 && v <= hi + 1e-9);
                 prop_assert!(v + 1e-9 >= prev);
                 prev = v;

@@ -75,7 +75,7 @@ impl From<GraphError> for ModelError {
 /// b.rule(ClassId(0), RouteRule::with_follow_up(cls, det, 0.9));
 /// let model = b.build()?;
 /// assert_eq!(model.num_experts(), 2);
-/// assert!(model.graph().is_subsequent(det));
+/// assert!(model.graph().preliminaries_of(det).contains(&cls));
 /// # Ok(())
 /// # }
 /// ```
@@ -97,7 +97,6 @@ impl CoeModel {
             archs: BTreeMap::new(),
             experts: Vec::new(),
             routing: RoutingTable::new(),
-            extra_edges: Vec::new(),
         }
     }
 
@@ -230,7 +229,6 @@ pub struct CoeModelBuilder {
     archs: BTreeMap<ArchId, ArchSpec>,
     experts: Vec<Expert>,
     routing: RoutingTable,
-    extra_edges: Vec<(ExpertId, ExpertId)>,
 }
 
 impl CoeModelBuilder {
@@ -252,13 +250,6 @@ impl CoeModelBuilder {
     /// rule implicitly add dependency edges at build time.
     pub fn rule(&mut self, class: ClassId, rule: RouteRule) -> &mut Self {
         self.routing.set_rule(class, rule);
-        self
-    }
-
-    /// Adds an explicit dependency edge beyond those implied by routing
-    /// rules.
-    pub fn dependency(&mut self, preliminary: ExpertId, subsequent: ExpertId) -> &mut Self {
-        self.extra_edges.push((preliminary, subsequent));
         self
     }
 
@@ -290,9 +281,6 @@ impl CoeModelBuilder {
             for pair in rule.stages().windows(2) {
                 graph.add_dependency(pair[0].expert, pair[1].expert)?;
             }
-        }
-        for &(p, s) in &self.extra_edges {
-            graph.add_dependency(p, s)?;
         }
         Ok(CoeModel {
             name: self.name.clone(),
@@ -338,9 +326,8 @@ mod tests {
     fn routing_rules_imply_dependencies() {
         let m = small_model();
         let det = ExpertId(2);
-        assert!(m.graph().is_subsequent(det));
         assert_eq!(m.graph().preliminaries_of(det).len(), 2);
-        assert!(m.graph().is_preliminary(ExpertId(0)));
+        assert!(m.graph().preliminaries_of(ExpertId(0)).is_empty());
     }
 
     #[test]
@@ -427,14 +414,13 @@ mod tests {
     }
 
     #[test]
-    fn build_rejects_cyclic_extra_edges() {
+    fn build_rejects_cyclic_rules() {
         let mut b = CoeModel::builder("cycle");
         b.arch(ArchSpec::resnet101());
         let a = b.expert("a", RESNET101, 0.1);
         let c = b.expert("c", RESNET101, 0.1);
-        b.rule(ClassId(0), RouteRule::single(a));
-        b.dependency(a, c);
-        b.dependency(c, a);
+        b.rule(ClassId(0), RouteRule::with_follow_up(a, c, 0.5));
+        b.rule(ClassId(1), RouteRule::with_follow_up(c, a, 0.5));
         assert!(matches!(b.build().unwrap_err(), ModelError::Graph(_)));
     }
 

@@ -155,28 +155,24 @@ mod tests {
         }
     }
 
+    /// The batch size in `1..=32` with the lowest average per-request
+    /// latency on `device`'s ResNet101 kernel for `proc` (the first on
+    /// ties).
+    fn optimal_batch(device: &DeviceProfile, proc: ProcessorKind) -> u32 {
+        let latency = device.kernel(RESNET101, proc).unwrap().latency;
+        let avg = |n: u32| latency.latency_ms(n) / f64::from(n);
+        (1..=32).min_by(|&a, &b| avg(a).total_cmp(&avg(b))).unwrap()
+    }
+
     #[test]
     fn figure5_gpu_avg_latency_plateaus_where_paper_says() {
-        let numa = numa_rtx3080ti();
-        let numa_opt = numa
-            .kernel(RESNET101, ProcessorKind::Gpu)
-            .unwrap()
-            .latency
-            .optimal_batch(32);
+        let numa_opt = optimal_batch(&numa_rtx3080ti(), ProcessorKind::Gpu);
         assert!((12..=20).contains(&numa_opt), "NUMA GPU optimum {numa_opt}");
 
         let uma = uma_apple_m2();
-        let uma_opt = uma
-            .kernel(RESNET101, ProcessorKind::Gpu)
-            .unwrap()
-            .latency
-            .optimal_batch(32);
+        let uma_opt = optimal_batch(&uma, ProcessorKind::Gpu);
         assert!((5..=8).contains(&uma_opt), "UMA GPU optimum {uma_opt}");
-        let uma_cpu_opt = uma
-            .kernel(RESNET101, ProcessorKind::Cpu)
-            .unwrap()
-            .latency
-            .optimal_batch(32);
+        let uma_cpu_opt = optimal_batch(&uma, ProcessorKind::Cpu);
         assert!(
             (4..=7).contains(&uma_cpu_opt),
             "UMA CPU optimum {uma_cpu_opt}"

@@ -73,12 +73,6 @@ impl DependencyGraph {
         self.subsequents.is_empty()
     }
 
-    /// Number of edges.
-    #[must_use]
-    pub fn edge_count(&self) -> usize {
-        self.subsequents.iter().map(BTreeSet::len).sum()
-    }
-
     fn check(&self, e: ExpertId) -> Result<(), GraphError> {
         if e.index() >= self.len() {
             Err(GraphError::UnknownExpert(e))
@@ -153,18 +147,6 @@ impl DependencyGraph {
         &self.preliminaries[e.index()]
     }
 
-    /// Whether `e` is a subsequent expert (has at least one preliminary).
-    #[must_use]
-    pub fn is_subsequent(&self, e: ExpertId) -> bool {
-        !self.preliminaries[e.index()].is_empty()
-    }
-
-    /// Whether `e` is a preliminary expert (depends on nothing).
-    #[must_use]
-    pub fn is_preliminary(&self, e: ExpertId) -> bool {
-        !self.is_subsequent(e)
-    }
-
     /// Stage-1 eviction predicate (§4.3): `e` is a subsequent expert and
     /// *none* of its preliminaries satisfies `loaded`. Such an expert
     /// cannot run until a preliminary is re-loaded, so keeping it
@@ -183,6 +165,13 @@ impl DependencyGraph {
 mod tests {
     use super::*;
 
+    impl DependencyGraph {
+        /// Number of edges.
+        fn edge_count(&self) -> usize {
+            self.subsequents.iter().map(BTreeSet::len).sum()
+        }
+    }
+
     fn e(i: u32) -> ExpertId {
         ExpertId(i)
     }
@@ -200,9 +189,9 @@ mod tests {
         let mut g = DependencyGraph::new(3);
         g.add_dependency(e(0), e(2)).unwrap();
         g.add_dependency(e(1), e(2)).unwrap();
-        assert!(g.is_preliminary(e(0)));
-        assert!(g.is_preliminary(e(1)));
-        assert!(g.is_subsequent(e(2)));
+        assert!(g.preliminaries_of(e(0)).is_empty());
+        assert!(g.preliminaries_of(e(1)).is_empty());
+        assert!(!g.preliminaries_of(e(2)).is_empty());
         assert_eq!(g.preliminaries_of(e(2)).len(), 2);
         assert_eq!(g.subsequents_of(e(0)).len(), 1);
         assert_eq!(g.edge_count(), 2);
@@ -269,7 +258,6 @@ mod tests {
         for i in 0..10 {
             g.add_dependency(e(i), e(10)).unwrap();
         }
-        assert!(g.is_subsequent(e(10)));
         assert_eq!(g.preliminaries_of(e(10)).len(), 10);
         assert!(!g.is_orphaned_subsequent(e(10), |p| p == e(7)));
     }

@@ -22,7 +22,7 @@
 //! let det = b.expert("det-solder", YOLOV5M, 0.55);
 //! b.rule(ClassId(0), RouteRule::with_follow_up(cls, det, 0.92));
 //! let model = b.build()?;
-//! assert!(model.graph().is_subsequent(det));
+//! assert!(model.graph().preliminaries_of(det).contains(&cls));
 //! # Ok(())
 //! # }
 //! ```

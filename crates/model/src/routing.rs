@@ -108,17 +108,6 @@ impl RouteRule {
         }
     }
 
-    /// A rule from explicit stages.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `stages` is empty.
-    #[must_use]
-    pub fn from_stages(stages: Vec<RouteStage>) -> Self {
-        assert!(!stages.is_empty(), "a route rule needs at least one stage");
-        RouteRule { stages }
-    }
-
     /// The stages, first to last.
     #[must_use]
     pub fn stages(&self) -> &[RouteStage] {
@@ -245,18 +234,14 @@ mod tests {
 
     #[test]
     fn three_stage_chain_multiplies() {
-        let r = RouteRule::from_stages(vec![
-            RouteStage::then_with_prob(e(0), 0.5),
-            RouteStage::then_with_prob(e(1), 0.5),
-            RouteStage::terminal(e(2)),
-        ]);
+        let r = RouteRule {
+            stages: vec![
+                RouteStage::then_with_prob(e(0), 0.5),
+                RouteStage::then_with_prob(e(1), 0.5),
+                RouteStage::terminal(e(2)),
+            ],
+        };
         assert!((r.stage_reach_prob(2) - 0.25).abs() < 1e-12);
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one stage")]
-    fn empty_rule_panics() {
-        let _ = RouteRule::from_stages(vec![]);
     }
 
     #[test]

@@ -556,18 +556,19 @@ impl FrameBuffer {
         self.buf.drain(..4 + len);
         Ok(Some(payload))
     }
-
-    /// Bytes buffered but not yet consumed.
-    #[must_use]
-    pub fn pending_bytes(&self) -> usize {
-        self.buf.len()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use proptest::prelude::*;
+
+    impl FrameBuffer {
+        /// Bytes buffered but not yet consumed.
+        fn pending_bytes(&self) -> usize {
+            self.buf.len()
+        }
+    }
 
     fn round_trip_request(req: &Request) {
         let payload = encode_request(req);

@@ -68,31 +68,6 @@ impl LatencyModel {
     pub fn latency(&self, n: u32) -> SimSpan {
         SimSpan::from_millis_f64(self.latency_ms(n))
     }
-
-    /// Average (per-request) latency of a batch of `n`, in milliseconds.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n` is zero.
-    #[must_use]
-    pub fn avg_latency_ms(&self, n: u32) -> f64 {
-        assert!(n > 0, "average latency of an empty batch is undefined");
-        self.latency_ms(n) / n as f64
-    }
-
-    /// The batch size minimising average per-request latency, searched
-    /// over `1..=limit`. This is the "plateau" point the profiler aims
-    /// to recover.
-    #[must_use]
-    pub fn optimal_batch(&self, limit: u32) -> u32 {
-        (1..=limit.max(1))
-            .min_by(|&a, &b| {
-                self.avg_latency_ms(a)
-                    .partial_cmp(&self.avg_latency_ms(b))
-                    .expect("latencies are finite")
-            })
-            .expect("range is non-empty")
-    }
 }
 
 /// Ground-truth memory footprint for one (architecture × processor) pair.
@@ -122,26 +97,6 @@ impl MemoryModel {
     #[must_use]
     pub fn footprint(&self, n: u32) -> Bytes {
         self.workspace + self.weights + self.per_item * u64::from(n)
-    }
-
-    /// Memory needed *beyond* the resident weights to run a batch of `n`.
-    #[must_use]
-    pub fn inference_footprint(&self, n: u32) -> Bytes {
-        self.workspace + self.per_item * u64::from(n)
-    }
-
-    /// The largest batch whose inference footprint fits in `budget`
-    /// (zero when even the workspace does not fit).
-    #[must_use]
-    pub fn max_batch_within(&self, budget: Bytes) -> u32 {
-        if budget < self.workspace {
-            return 0;
-        }
-        let room = budget - self.workspace;
-        if self.per_item.is_zero() {
-            return u32::MAX;
-        }
-        u32::try_from(room.get() / self.per_item.get()).unwrap_or(u32::MAX)
     }
 }
 
@@ -177,31 +132,9 @@ mod tests {
     #[test]
     fn avg_latency_decreases_then_rises() {
         let m = LatencyModel::linear(8.0, 1.0).with_saturation(6, 3.0);
-        assert!(m.avg_latency_ms(1) > m.avg_latency_ms(4));
-        assert!(m.avg_latency_ms(6) < m.avg_latency_ms(20));
-    }
-
-    #[test]
-    fn optimal_batch_sits_near_saturation() {
-        let m = LatencyModel::linear(9.0, 2.2).with_saturation(6, 1.2);
-        let opt = m.optimal_batch(32);
-        assert!(
-            (5..=9).contains(&opt),
-            "optimal batch {opt} far from saturation 6"
-        );
-    }
-
-    #[test]
-    fn optimal_batch_for_pure_linear_is_limit() {
-        // Without a knee, bigger batches always amortize B further.
-        let m = LatencyModel::linear(10.0, 1.0);
-        assert_eq!(m.optimal_batch(32), 32);
-    }
-
-    #[test]
-    #[should_panic(expected = "empty batch")]
-    fn avg_latency_zero_panics() {
-        let _ = LatencyModel::linear(1.0, 1.0).avg_latency_ms(0);
+        let avg = |n: u32| m.latency_ms(n) / f64::from(n);
+        assert!(avg(1) > avg(4));
+        assert!(avg(6) < avg(20));
     }
 
     #[test]
@@ -209,22 +142,6 @@ mod tests {
         let m = MemoryModel::new(Bytes::mib(200), Bytes::mib(178), Bytes::mib(260));
         assert_eq!(m.footprint(0), Bytes::mib(378));
         assert_eq!(m.footprint(2), Bytes::mib(378 + 520));
-        assert_eq!(m.inference_footprint(2), Bytes::mib(200 + 520));
-    }
-
-    #[test]
-    fn max_batch_within_budget() {
-        let m = MemoryModel::new(Bytes::mib(200), Bytes::mib(178), Bytes::mib(260));
-        assert_eq!(m.max_batch_within(Bytes::mib(199)), 0);
-        assert_eq!(m.max_batch_within(Bytes::mib(200)), 0);
-        assert_eq!(m.max_batch_within(Bytes::mib(460)), 1);
-        assert_eq!(m.max_batch_within(Bytes::mib(200 + 260 * 10)), 10);
-    }
-
-    #[test]
-    fn max_batch_with_zero_per_item_is_unbounded() {
-        let m = MemoryModel::new(Bytes::mib(10), Bytes::mib(1), Bytes::ZERO);
-        assert_eq!(m.max_batch_within(Bytes::mib(20)), u32::MAX);
     }
 }
 
@@ -245,25 +162,6 @@ mod proptests {
         ) {
             let m = LatencyModel::linear(base, k).with_saturation(sat, pen);
             prop_assert!(m.latency_ms(n + 1) >= m.latency_ms(n));
-        }
-
-        /// The batch reported by `max_batch_within` actually fits, and
-        /// one more does not.
-        #[test]
-        fn max_batch_is_tight(
-            ws in 0u64..1024,
-            w in 0u64..1024,
-            per in 1u64..512,
-            budget in 0u64..1_000_000,
-        ) {
-            let m = MemoryModel::new(Bytes::new(ws), Bytes::new(w), Bytes::new(per));
-            let n = m.max_batch_within(Bytes::new(budget));
-            if n > 0 {
-                prop_assert!(m.inference_footprint(n) <= Bytes::new(budget));
-            }
-            if n < u32::MAX {
-                prop_assert!(m.inference_footprint(n + 1) > Bytes::new(budget));
-            }
         }
     }
 }

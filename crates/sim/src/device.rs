@@ -15,7 +15,7 @@ use std::collections::BTreeMap;
 use std::fmt;
 
 use crate::compute::{LatencyModel, MemoryModel};
-use crate::memory::{Bytes, MemoryTier};
+use crate::memory::Bytes;
 use crate::time::SimSpan;
 use crate::transfer::{TransferCosts, TransferRoute, TransferStages};
 
@@ -43,15 +43,6 @@ pub enum ProcessorKind {
 impl ProcessorKind {
     /// Both processor kinds, in a stable order.
     pub const ALL: [ProcessorKind; 2] = [ProcessorKind::Gpu, ProcessorKind::Cpu];
-
-    /// The memory tier this processor executes from.
-    #[must_use]
-    pub fn home_tier(self) -> MemoryTier {
-        match self {
-            ProcessorKind::Gpu => MemoryTier::Gpu,
-            ProcessorKind::Cpu => MemoryTier::Cpu,
-        }
-    }
 }
 
 impl fmt::Display for ProcessorKind {
@@ -525,9 +516,7 @@ mod tests {
     }
 
     #[test]
-    fn processor_home_tiers() {
-        assert_eq!(ProcessorKind::Gpu.home_tier(), MemoryTier::Gpu);
-        assert_eq!(ProcessorKind::Cpu.home_tier(), MemoryTier::Cpu);
+    fn kinds_display_their_names() {
         assert_eq!(ProcessorKind::Gpu.to_string(), "GPU");
         assert_eq!(MemoryArch::Numa.to_string(), "NUMA");
         assert_eq!(ArchId(5).to_string(), "arch#5");

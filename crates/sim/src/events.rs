@@ -250,12 +250,6 @@ impl<E> Calendar<E> {
         Some(self.take_min(at, source))
     }
 
-    /// The timestamp of the next event without removing it.
-    #[must_use]
-    pub fn peek_time(&self) -> Option<SimTime> {
-        self.min_key().map(|(at, _, _)| at)
-    }
-
     /// Number of pending events across every lane and the heap.
     #[must_use]
     pub fn len(&self) -> usize {
@@ -279,6 +273,13 @@ impl<E> Calendar<E> {
 mod tests {
     use super::*;
     use crate::time::SimSpan;
+
+    impl<E> Calendar<E> {
+        /// The timestamp of the next event without removing it.
+        pub(super) fn peek_time(&self) -> Option<SimTime> {
+            self.min_key().map(|(at, _, _)| at)
+        }
+    }
 
     // The reference calendar is the oracle `calendar_matches_event_queue`
     // holds the lanes against, so its own order is pinned directly.

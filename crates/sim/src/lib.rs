@@ -44,7 +44,7 @@ pub mod prelude {
     pub use crate::device::{ArchId, DeviceProfile, KernelProfile, MemoryArch, ProcessorKind};
     pub use crate::events::Calendar;
     pub use crate::memory::{AllocError, Bytes, MemoryPool, MemoryTier};
-    pub use crate::network::{Fabric, LinkProfile, NodeId};
+    pub use crate::network::LinkProfile;
     pub use crate::resource::{FifoResource, Reservation};
     pub use crate::rng::SimRng;
     pub use crate::time::{SimSpan, SimTime};

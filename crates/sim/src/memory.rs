@@ -43,15 +43,6 @@ impl Bytes {
         Bytes(gib * 1024 * 1024 * 1024)
     }
 
-    /// Fractional mebibytes, rounded to the nearest byte (clamped at zero).
-    #[must_use]
-    pub fn mib_f64(mib: f64) -> Self {
-        if !mib.is_finite() || mib <= 0.0 {
-            return Bytes::ZERO;
-        }
-        Bytes((mib * 1024.0 * 1024.0).round() as u64)
-    }
-
     /// The raw byte count.
     #[must_use]
     pub const fn get(self) -> u64 {
@@ -295,9 +286,6 @@ mod tests {
         assert_eq!(Bytes::kib(2).get(), 2048);
         assert_eq!(Bytes::mib(1).get(), 1 << 20);
         assert_eq!(Bytes::gib(1).get(), 1 << 30);
-        assert_eq!(Bytes::mib_f64(1.5).get(), 3 << 19);
-        assert_eq!(Bytes::mib_f64(-2.0), Bytes::ZERO);
-        assert_eq!(Bytes::mib_f64(f64::NAN), Bytes::ZERO);
     }
 
     #[test]

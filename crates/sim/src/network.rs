@@ -1,42 +1,23 @@
-//! The inter-node network fabric.
+//! The inter-node network link.
 //!
 //! Single-device CoServe moves experts along intra-node routes
 //! (SSD→CPU→GPU, [`crate::transfer`]). Scaling *out* adds a second
 //! cost surface: moving request activations and expert checkpoints
-//! *between* nodes. A [`Fabric`] models that surface the same way
+//! *between* nodes. A [`LinkProfile`] models that surface the same way
 //! [`crate::transfer::TransferCosts`] models the intra-node paths —
-//! per-link bandwidth plus a fixed latency, fully deterministic — so a
-//! cluster dispatcher can charge cross-node hops with the same fidelity
-//! the engine charges expert switches.
+//! bandwidth plus a fixed latency, fully deterministic — so a cluster
+//! dispatcher can charge cross-node hops with the same fidelity the
+//! engine charges expert switches.
 //!
-//! The topology is a complete graph over `n` nodes with a default
-//! [`LinkProfile`] and optional per-link overrides (e.g. two nodes in
-//! the same rack on a faster switch). Links are symmetric: the cost of
-//! `a → b` equals `b → a`.
+//! A fleet has one link: every pair of distinct nodes is joined by the
+//! same [`LinkProfile`], in both directions. Moving data within a node
+//! never crosses it (the intra-node tiers already charge local
+//! movement).
 
-use std::collections::BTreeMap;
 use std::fmt;
 
 use crate::memory::Bytes;
 use crate::time::SimSpan;
-
-/// Identifies a node in a cluster fabric.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct NodeId(pub usize);
-
-impl NodeId {
-    /// The id as a usize index.
-    #[must_use]
-    pub fn index(self) -> usize {
-        self.0
-    }
-}
-
-impl fmt::Display for NodeId {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "node#{}", self.0)
-    }
-}
 
 /// Bandwidth and fixed latency of one inter-node link.
 ///
@@ -77,18 +58,6 @@ impl LinkProfile {
         LinkProfile::new(1_250.0, SimSpan::from_micros(50))
     }
 
-    /// 100 Gbit/s Ethernet: 12,500 MB/s, 20 µs fixed latency.
-    #[must_use]
-    pub fn ethernet_100g() -> Self {
-        LinkProfile::new(12_500.0, SimSpan::from_micros(20))
-    }
-
-    /// 200 Gbit/s InfiniBand-class interconnect: 25,000 MB/s, 5 µs.
-    #[must_use]
-    pub fn infiniband_200g() -> Self {
-        LinkProfile::new(25_000.0, SimSpan::from_micros(5))
-    }
-
     /// Duration of moving `bytes` across this link.
     #[must_use]
     pub fn transfer_duration(&self, bytes: Bytes) -> SimSpan {
@@ -104,137 +73,6 @@ impl LinkProfile {
 impl fmt::Display for LinkProfile {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "{:.0} MB/s (+{})", self.bandwidth_mbps, self.latency)
-    }
-}
-
-/// A cluster network topology: a complete graph over `n` nodes with a
-/// default link and optional per-pair overrides.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Fabric {
-    nodes: usize,
-    default: LinkProfile,
-    overrides: BTreeMap<(usize, usize), LinkProfile>,
-}
-
-impl Fabric {
-    /// A fully connected fabric of `nodes` nodes, every pair joined by
-    /// `link`.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `nodes` is zero.
-    #[must_use]
-    pub fn fully_connected(nodes: usize, link: LinkProfile) -> Self {
-        assert!(nodes > 0, "fabric needs at least one node");
-        Fabric {
-            nodes,
-            default: link,
-            overrides: BTreeMap::new(),
-        }
-    }
-
-    /// A rack-aware fabric: nodes are grouped into racks of
-    /// `rack_size` consecutive indices (the last rack may be smaller);
-    /// pairs within one rack ride the fast `intra` link (top-of-rack
-    /// switch), pairs in different racks the oversubscribed `inter`
-    /// uplink. Built on the per-pair overrides, so
-    /// [`Fabric::with_link`] can still special-case individual pairs
-    /// afterwards.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `nodes` or `rack_size` is zero.
-    #[must_use]
-    pub fn rack_aware(
-        nodes: usize,
-        rack_size: usize,
-        intra: LinkProfile,
-        inter: LinkProfile,
-    ) -> Self {
-        assert!(rack_size > 0, "racks need at least one node");
-        let mut fabric = Fabric::fully_connected(nodes, inter);
-        for a in 0..nodes {
-            for b in (a + 1)..nodes {
-                if a / rack_size == b / rack_size {
-                    fabric = fabric.with_link(NodeId(a), NodeId(b), intra);
-                }
-            }
-        }
-        fabric
-    }
-
-    /// Overrides the (symmetric) link between `a` and `b`.
-    ///
-    /// # Panics
-    ///
-    /// Panics when either endpoint is out of range or `a == b` (there
-    /// is no self-link; local moves are free by definition).
-    #[must_use]
-    pub fn with_link(mut self, a: NodeId, b: NodeId, link: LinkProfile) -> Self {
-        assert!(
-            a.index() < self.nodes && b.index() < self.nodes,
-            "link endpoint out of range"
-        );
-        assert_ne!(a, b, "self-links are implicit and free");
-        let key = (a.index().min(b.index()), a.index().max(b.index()));
-        self.overrides.insert(key, link);
-        self
-    }
-
-    /// Number of nodes.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.nodes
-    }
-
-    /// Whether the fabric has no nodes (never true after construction).
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.nodes == 0
-    }
-
-    /// The link profile between two distinct nodes.
-    ///
-    /// # Panics
-    ///
-    /// Panics when an endpoint is out of range or `a == b`.
-    #[must_use]
-    pub fn link(&self, a: NodeId, b: NodeId) -> &LinkProfile {
-        assert!(
-            a.index() < self.nodes && b.index() < self.nodes,
-            "link endpoint out of range"
-        );
-        assert_ne!(a, b, "no link from a node to itself");
-        let key = (a.index().min(b.index()), a.index().max(b.index()));
-        self.overrides.get(&key).unwrap_or(&self.default)
-    }
-
-    /// Duration of moving `bytes` from node `a` to node `b`
-    /// ([`SimSpan::ZERO`] when `a == b` — the intra-node tiers already
-    /// charge local movement).
-    ///
-    /// # Panics
-    ///
-    /// Panics when an endpoint is out of range.
-    #[must_use]
-    pub fn transfer_duration(&self, bytes: Bytes, a: NodeId, b: NodeId) -> SimSpan {
-        if a == b {
-            assert!(a.index() < self.nodes, "node out of range");
-            return SimSpan::ZERO;
-        }
-        self.link(a, b).transfer_duration(bytes)
-    }
-}
-
-impl fmt::Display for Fabric {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "fabric of {} nodes, default link {} ({} overrides)",
-            self.nodes,
-            self.default,
-            self.overrides.len()
-        )
     }
 }
 
@@ -256,124 +94,12 @@ mod tests {
     }
 
     #[test]
-    fn presets_are_ordered_by_speed() {
-        let b = Bytes::mib(64);
-        let eth10 = LinkProfile::ethernet_10g().transfer_duration(b);
-        let eth100 = LinkProfile::ethernet_100g().transfer_duration(b);
-        let ib = LinkProfile::infiniband_200g().transfer_duration(b);
-        assert!(eth10 > eth100);
-        assert!(eth100 > ib);
-    }
-
-    #[test]
     fn infinite_bandwidth_is_free_wire_time() {
         let link = LinkProfile::new(f64::INFINITY, SimSpan::from_micros(10));
         assert_eq!(
             link.transfer_duration(Bytes::gib(100)),
             SimSpan::from_micros(10)
         );
-    }
-
-    #[test]
-    fn fabric_links_are_symmetric() {
-        let fast = LinkProfile::ethernet_100g();
-        let fabric = Fabric::fully_connected(4, LinkProfile::ethernet_10g()).with_link(
-            NodeId(1),
-            NodeId(3),
-            fast,
-        );
-        assert_eq!(fabric.len(), 4);
-        assert!(!fabric.is_empty());
-        assert_eq!(fabric.link(NodeId(1), NodeId(3)), &fast);
-        assert_eq!(fabric.link(NodeId(3), NodeId(1)), &fast);
-        assert_eq!(
-            fabric.link(NodeId(0), NodeId(1)),
-            &LinkProfile::ethernet_10g()
-        );
-        let b = Bytes::mib(8);
-        assert_eq!(
-            fabric.transfer_duration(b, NodeId(3), NodeId(1)),
-            fast.transfer_duration(b)
-        );
-    }
-
-    #[test]
-    fn rack_aware_fabric_pins_asymmetric_transfer_times() {
-        // Two racks of two: {0,1} and {2,3}. Intra-rack 100 GbE,
-        // inter-rack an oversubscribed 10 GbE uplink.
-        let fabric = Fabric::rack_aware(
-            4,
-            2,
-            LinkProfile::ethernet_100g(),
-            LinkProfile::ethernet_10g(),
-        );
-        let payload = Bytes::new(125_000_000); // 125 MB
-                                               // Intra-rack: 125 MB at 12,500 MB/s = 10 ms + 20 µs.
-        let intra = SimSpan::from_millis(10) + SimSpan::from_micros(20);
-        // Inter-rack: 125 MB at 1,250 MB/s = 100 ms + 50 µs.
-        let inter = SimSpan::from_millis(100) + SimSpan::from_micros(50);
-        assert_eq!(
-            fabric.transfer_duration(payload, NodeId(0), NodeId(1)),
-            intra
-        );
-        assert_eq!(
-            fabric.transfer_duration(payload, NodeId(2), NodeId(3)),
-            intra
-        );
-        assert_eq!(
-            fabric.transfer_duration(payload, NodeId(0), NodeId(2)),
-            inter
-        );
-        assert_eq!(
-            fabric.transfer_duration(payload, NodeId(1), NodeId(3)),
-            inter
-        );
-        // The asymmetry is an order of magnitude, symmetric per pair.
-        assert!(inter > intra * 9);
-        assert_eq!(
-            fabric.transfer_duration(payload, NodeId(3), NodeId(1)),
-            fabric.transfer_duration(payload, NodeId(1), NodeId(3)),
-        );
-        // An odd tail rack still forms: node 4 alone in rack 2.
-        let odd = Fabric::rack_aware(
-            5,
-            2,
-            LinkProfile::ethernet_100g(),
-            LinkProfile::ethernet_10g(),
-        );
-        assert_eq!(odd.transfer_duration(payload, NodeId(4), NodeId(0)), inter);
-    }
-
-    #[test]
-    fn local_moves_are_free() {
-        let fabric = Fabric::fully_connected(2, LinkProfile::ethernet_10g());
-        assert_eq!(
-            fabric.transfer_duration(Bytes::gib(10), NodeId(1), NodeId(1)),
-            SimSpan::ZERO
-        );
-    }
-
-    #[test]
-    #[should_panic(expected = "self-links")]
-    fn self_link_override_panics() {
-        let _ = Fabric::fully_connected(2, LinkProfile::ethernet_10g()).with_link(
-            NodeId(0),
-            NodeId(0),
-            LinkProfile::ethernet_100g(),
-        );
-    }
-
-    #[test]
-    #[should_panic(expected = "out of range")]
-    fn out_of_range_link_panics() {
-        let fabric = Fabric::fully_connected(2, LinkProfile::ethernet_10g());
-        let _ = fabric.link(NodeId(0), NodeId(5));
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one node")]
-    fn empty_fabric_panics() {
-        let _ = Fabric::fully_connected(0, LinkProfile::ethernet_10g());
     }
 
     #[test]
@@ -384,9 +110,6 @@ mod tests {
 
     #[test]
     fn displays_name_the_parts() {
-        assert_eq!(NodeId(3).to_string(), "node#3");
         assert!(LinkProfile::ethernet_10g().to_string().contains("1250"));
-        let fabric = Fabric::fully_connected(4, LinkProfile::ethernet_10g());
-        assert!(fabric.to_string().contains("4 nodes"));
     }
 }

@@ -23,14 +23,6 @@ pub struct Reservation {
     pub end: SimTime,
 }
 
-impl Reservation {
-    /// How long the requester waited before service began.
-    #[must_use]
-    pub fn queueing_delay(&self, requested_at: SimTime) -> SimSpan {
-        self.start.saturating_since(requested_at)
-    }
-}
-
 /// A resource that serves one reservation at a time, FIFO.
 ///
 /// ```
@@ -78,13 +70,6 @@ impl FifoResource {
         self.busy_total += duration;
         self.reservations += 1;
         Reservation { start, end }
-    }
-
-    /// The earliest instant a new reservation could start if requested
-    /// at `at`.
-    #[must_use]
-    pub fn earliest_start(&self, at: SimTime) -> SimTime {
-        self.next_free.max(at)
     }
 
     /// When the resource becomes idle given current commitments.
@@ -172,12 +157,6 @@ impl PooledResource {
         self.name
     }
 
-    /// Number of servers.
-    #[must_use]
-    pub fn slot_count(&self) -> usize {
-        self.slots.len()
-    }
-
     /// Reserves the earliest-available server for `duration`, starting
     /// no earlier than `not_before`. Deterministic: ties pick the
     /// lowest-indexed server.
@@ -233,27 +212,12 @@ mod tests {
         SimTime::ZERO + ms(v)
     }
 
-    /// Regression: a reservation can be interrogated with a request
-    /// timestamp *later* than its granted start (the engine replays
-    /// reordered bookkeeping when batches complete out of arrival
-    /// order). The delay must clamp to zero, never panic.
-    #[test]
-    fn queueing_delay_clamps_for_reordered_request_times() {
-        let mut r = FifoResource::new("gpu");
-        let first = r.reserve(at(0), ms(10)); // occupies [0, 10)
-        let second = r.reserve(at(2), ms(5)); // queues: starts at 10
-        assert_eq!(second.queueing_delay(at(2)), ms(8));
-        // Reordered: asking with a timestamp after the granted start.
-        assert_eq!(first.queueing_delay(at(7)), SimSpan::ZERO);
-    }
-
     #[test]
     fn immediate_grant_when_idle() {
         let mut r = FifoResource::new("gpu");
         let res = r.reserve(at(5), ms(10));
         assert_eq!(res.start, at(5));
         assert_eq!(res.end, at(15));
-        assert_eq!(res.queueing_delay(at(5)), SimSpan::ZERO);
     }
 
     #[test]
@@ -263,7 +227,6 @@ mod tests {
         let res = r.reserve(at(3), ms(4));
         assert_eq!(res.start, at(10));
         assert_eq!(res.end, at(14));
-        assert_eq!(res.queueing_delay(at(3)), ms(7));
     }
 
     #[test]
@@ -293,7 +256,7 @@ mod tests {
         assert_eq!(r.reservation_count(), 2);
         assert!((r.utilization(at(20)) - 0.5).abs() < 1e-9);
         assert_eq!(r.utilization(SimTime::ZERO), 0.0);
-        assert_eq!(r.earliest_start(at(3)), at(10));
+        assert_eq!(r.next_free(), at(10));
         assert!(r.to_string().contains("x: busy until"));
     }
 
@@ -323,7 +286,6 @@ mod pooled_tests {
         assert!(starts.iter().all(|&s| s == at(0)));
         let fourth = p.reserve(at(0), ms(10));
         assert_eq!(fourth.start, at(10));
-        assert_eq!(p.slot_count(), 3);
         assert_eq!(p.reservation_count(), 4);
         assert_eq!(p.busy_total(), ms(40));
     }

@@ -115,15 +115,6 @@ impl SimRng {
         self.next_f64() < p.clamp(0.0, 1.0)
     }
 
-    /// Picks a uniformly random element of `items`, or `None` when empty.
-    pub fn choose<'a, T>(&mut self, items: &'a [T]) -> Option<&'a T> {
-        if items.is_empty() {
-            None
-        } else {
-            Some(&items[self.next_below(items.len() as u64) as usize])
-        }
-    }
-
     /// Fisher–Yates shuffle, in place.
     pub fn shuffle<T>(&mut self, items: &mut [T]) {
         for i in (1..items.len()).rev() {
@@ -247,13 +238,6 @@ mod tests {
         sorted.sort_unstable();
         assert_eq!(sorted, (0..50).collect::<Vec<_>>());
         assert_ne!(v, (0..50).collect::<Vec<_>>(), "shuffle did nothing");
-    }
-
-    #[test]
-    fn choose_empty_is_none() {
-        let mut r = SimRng::seed_from(6);
-        assert_eq!(r.choose::<u8>(&[]), None);
-        assert_eq!(r.choose(&[42]), Some(&42));
     }
 
     #[test]

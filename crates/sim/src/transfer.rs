@@ -20,7 +20,7 @@
 
 use std::fmt;
 
-use crate::memory::{Bytes, MemoryTier};
+use crate::memory::Bytes;
 use crate::time::SimSpan;
 
 /// A direction of expert movement between tiers.
@@ -34,37 +34,6 @@ pub enum TransferRoute {
     SsdToGpu,
     /// GPU memory → CPU memory (demotion into the staging cache).
     GpuToCpu,
-}
-
-impl TransferRoute {
-    /// The route that loads an expert currently resident in `tier` into
-    /// GPU memory.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `tier` is already [`MemoryTier::Gpu`] — there is
-    /// nothing to transfer.
-    #[must_use]
-    pub fn into_gpu_from(tier: MemoryTier) -> TransferRoute {
-        match tier {
-            MemoryTier::Cpu => TransferRoute::CpuToGpu,
-            MemoryTier::Ssd => TransferRoute::SsdToGpu,
-            MemoryTier::Gpu => panic!("expert is already in GPU memory"),
-        }
-    }
-
-    /// The route that loads an expert currently resident in `tier` into
-    /// CPU memory for CPU-side inference.
-    ///
-    /// Experts already in CPU memory (or demoted from GPU on a UMA
-    /// device) need no transfer, represented as `None`.
-    #[must_use]
-    pub fn into_cpu_from(tier: MemoryTier) -> Option<TransferRoute> {
-        match tier {
-            MemoryTier::Ssd => Some(TransferRoute::SsdToCpu),
-            MemoryTier::Cpu | MemoryTier::Gpu => None,
-        }
-    }
 }
 
 impl fmt::Display for TransferRoute {
@@ -264,27 +233,11 @@ mod tests {
     }
 
     #[test]
-    fn route_helpers() {
-        assert_eq!(
-            TransferRoute::into_gpu_from(MemoryTier::Ssd),
-            TransferRoute::SsdToGpu
-        );
-        assert_eq!(
-            TransferRoute::into_gpu_from(MemoryTier::Cpu),
-            TransferRoute::CpuToGpu
-        );
-        assert_eq!(
-            TransferRoute::into_cpu_from(MemoryTier::Ssd),
-            Some(TransferRoute::SsdToCpu)
-        );
-        assert_eq!(TransferRoute::into_cpu_from(MemoryTier::Cpu), None);
+    fn routes_display_their_paths() {
+        assert_eq!(TransferRoute::SsdToCpu.to_string(), "SSD→CPU");
+        assert_eq!(TransferRoute::CpuToGpu.to_string(), "CPU→GPU");
         assert_eq!(TransferRoute::SsdToGpu.to_string(), "SSD→GPU");
-    }
-
-    #[test]
-    #[should_panic(expected = "already in GPU")]
-    fn into_gpu_from_gpu_panics() {
-        let _ = TransferRoute::into_gpu_from(MemoryTier::Gpu);
+        assert_eq!(TransferRoute::GpuToCpu.to_string(), "GPU→CPU");
     }
 
     #[test]

@@ -5,7 +5,7 @@
 //! reproduction's correctness story rests on, run as
 //! `cargo run -p coserve-tidy` locally and as a CI gate.
 //!
-//! Four families of checks:
+//! Five families of checks:
 //!
 //! * **Determinism** — the bit-identical-figure guarantee (the
 //!   mechanism PR 4's hot-path overhaul and PR 6's wire protocol were
@@ -25,6 +25,9 @@
 //! * **Hygiene** — `#![forbid(unsafe_code)]` in every crate root, no
 //!   leftover debug macros, artifact paths resolved through
 //!   `coserve_metrics::output` ([`checks::hygiene`]).
+//! * **Test-only API** — a library `pub fn` that only tests call is
+//!   kept alive for nothing; [`checks::api`] flags every one that no
+//!   non-test code names.
 //!
 //! What makes this better than grep is the [`scan`] module: a
 //! token-level scanner that strips comments and blanks string/char
@@ -42,6 +45,7 @@ pub mod baseline;
 pub mod check;
 pub mod checks {
     //! The check implementations.
+    pub mod api;
     pub mod calendar;
     pub mod determinism;
     pub mod hygiene;

@@ -3,6 +3,7 @@
 
 use crate::baseline::Baseline;
 use crate::check::{Check, Diagnostic};
+use crate::checks::api::TestOnlyApi;
 use crate::checks::calendar::CalendarHygiene;
 use crate::checks::determinism::Determinism;
 use crate::checks::hygiene::{ForbidUnsafe, NoDebugMacros, OutDir, TraceHygiene};
@@ -20,6 +21,7 @@ pub fn all_checks() -> Vec<Box<dyn Check>> {
         Box::new(NoDebugMacros),
         Box::new(TraceHygiene),
         Box::new(OutDir),
+        Box::new(TestOnlyApi),
     ]
 }
 
@@ -178,7 +180,7 @@ mod tests {
             "crates/model/src/lib.rs",
             "model",
             FileKind::Src,
-            "#![forbid(unsafe_code)]\npub fn f() -> u32 { 1 }\n",
+            "#![forbid(unsafe_code)]\nfn f() -> u32 { 1 }\n",
         )
     }
 

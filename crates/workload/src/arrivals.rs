@@ -81,33 +81,6 @@ impl ArrivalProcess {
         }
     }
 
-    /// The long-run mean arrival rate in requests per second — the
-    /// *offered load* a latency-vs-load curve plots on its x-axis.
-    #[must_use]
-    pub fn offered_load_rps(&self) -> f64 {
-        match *self {
-            ArrivalProcess::Uniform { interval } => {
-                let secs = interval.as_secs_f64();
-                if secs > 0.0 {
-                    1.0 / secs
-                } else {
-                    f64::INFINITY
-                }
-            }
-            ArrivalProcess::Poisson { rate_per_sec } => rate_per_sec,
-            ArrivalProcess::Mmpp {
-                base_rate,
-                burst_rate,
-                mean_base_ms,
-                mean_burst_ms,
-            } => {
-                // Phase occupancy is proportional to mean dwell time.
-                (base_rate * mean_base_ms + burst_rate * mean_burst_ms)
-                    / (mean_base_ms + mean_burst_ms)
-            }
-        }
-    }
-
     /// Samples `n` arrival timestamps starting at time zero, in
     /// non-decreasing order.
     ///
@@ -264,6 +237,34 @@ mod proptests {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl ArrivalProcess {
+        /// The long-run mean arrival rate in requests per second — the
+        /// *offered load* a latency-vs-load curve plots on its x-axis.
+        pub(super) fn offered_load_rps(&self) -> f64 {
+            match *self {
+                ArrivalProcess::Uniform { interval } => {
+                    let secs = interval.as_secs_f64();
+                    if secs > 0.0 {
+                        1.0 / secs
+                    } else {
+                        f64::INFINITY
+                    }
+                }
+                ArrivalProcess::Poisson { rate_per_sec } => rate_per_sec,
+                ArrivalProcess::Mmpp {
+                    base_rate,
+                    burst_rate,
+                    mean_base_ms,
+                    mean_burst_ms,
+                } => {
+                    // Phase occupancy is proportional to mean dwell time.
+                    (base_rate * mean_base_ms + burst_rate * mean_burst_ms)
+                        / (mean_base_ms + mean_burst_ms)
+                }
+            }
+        }
+    }
 
     #[test]
     fn uniform_matches_fixed_interval() {

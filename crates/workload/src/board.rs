@@ -232,12 +232,6 @@ impl BoardSpec {
         self.detector_archs.len()
     }
 
-    /// Total component instances on one board.
-    #[must_use]
-    pub fn instances_per_board(&self) -> f64 {
-        self.components.iter().map(|c| c.quantity_per_board).sum()
-    }
-
     /// The class distribution induced by component quantities.
     #[must_use]
     pub fn class_distribution(&self) -> ClassDistribution {
@@ -305,162 +299,21 @@ impl BoardSpec {
     }
 }
 
-/// Error from parsing a board CSV.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ParseBoardError {
-    /// 1-based line number of the offending row.
-    pub line: usize,
-    /// What went wrong.
-    pub message: String,
-}
-
-impl std::fmt::Display for ParseBoardError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "board csv line {}: {}", self.line, self.message)
-    }
-}
-
-impl std::error::Error for ParseBoardError {}
-
-impl BoardSpec {
-    /// Parses a board from CSV text with the header
-    /// `name,quantity_per_board,detector_group,detector_arch,pass_prob`.
-    ///
-    /// `detector_group`/`detector_arch` may be empty for components
-    /// without a detection stage; `detector_arch` is `yolov5m` or
-    /// `yolov5l` and must be consistent within a group. Classes are
-    /// assigned densely in row order — this is how a deployment turns
-    /// its real component list (the paper's "users can specify which
-    /// components are inspected by which experts", §4.5) into a
-    /// servable spec.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ParseBoardError`] for malformed rows, inconsistent
-    /// detector architectures, or an empty table.
-    pub fn from_csv(name: impl Into<String>, csv: &str) -> Result<BoardSpec, ParseBoardError> {
-        let mut components = Vec::new();
-        let mut group_archs: std::collections::BTreeMap<u32, DetectorArch> =
-            std::collections::BTreeMap::new();
-        let mut rows = csv.lines().enumerate();
-        // Header row is mandatory.
-        let Some((_, header)) = rows.next() else {
-            return Err(ParseBoardError {
-                line: 1,
-                message: "missing header".into(),
-            });
-        };
-        if header.trim() != "name,quantity_per_board,detector_group,detector_arch,pass_prob" {
-            return Err(ParseBoardError {
-                line: 1,
-                message: format!("unexpected header {header:?}"),
-            });
-        }
-        for (idx, row) in rows {
-            let line = idx + 1;
-            let row = row.trim();
-            if row.is_empty() {
-                continue;
-            }
-            let cells: Vec<&str> = row.split(',').map(str::trim).collect();
-            if cells.len() != 5 {
-                return Err(ParseBoardError {
-                    line,
-                    message: format!("expected 5 cells, found {}", cells.len()),
-                });
-            }
-            let quantity: f64 = cells[1].parse().map_err(|e| ParseBoardError {
-                line,
-                message: format!("bad quantity {:?}: {e}", cells[1]),
-            })?;
-            let pass_prob: f64 = cells[4].parse().map_err(|e| ParseBoardError {
-                line,
-                message: format!("bad pass probability {:?}: {e}", cells[4]),
-            })?;
-            if !(0.0..=1.0).contains(&pass_prob) {
-                return Err(ParseBoardError {
-                    line,
-                    message: format!("pass probability {pass_prob} outside [0,1]"),
-                });
-            }
-            if quantity <= 0.0 || !quantity.is_finite() {
-                return Err(ParseBoardError {
-                    line,
-                    message: format!("quantity {quantity} must be positive"),
-                });
-            }
-            let detector_group = match (cells[2], cells[3]) {
-                ("", "") => None,
-                (g, a) => {
-                    let group: u32 = g.parse().map_err(|e| ParseBoardError {
-                        line,
-                        message: format!("bad detector group {g:?}: {e}"),
-                    })?;
-                    let arch = match a.to_ascii_lowercase().as_str() {
-                        "yolov5m" => DetectorArch::YoloV5m,
-                        "yolov5l" => DetectorArch::YoloV5l,
-                        other => {
-                            return Err(ParseBoardError {
-                                line,
-                                message: format!("unknown detector arch {other:?}"),
-                            })
-                        }
-                    };
-                    if let Some(&existing) = group_archs.get(&group) {
-                        if existing != arch {
-                            return Err(ParseBoardError {
-                                line,
-                                message: format!(
-                                    "detector group {group} declared with two architectures"
-                                ),
-                            });
-                        }
-                    } else {
-                        group_archs.insert(group, arch);
-                    }
-                    Some(group)
-                }
-            };
-            components.push(ComponentSpec {
-                class: ClassId(components.len() as u32),
-                name: cells[0].to_string(),
-                quantity_per_board: quantity,
-                detector_group,
-                pass_prob,
-            });
-        }
-        if components.is_empty() {
-            return Err(ParseBoardError {
-                line: 1,
-                message: "no component rows".into(),
-            });
-        }
-        // Remap sparse group ids to dense indices.
-        let dense: std::collections::BTreeMap<u32, u32> = group_archs
-            .keys()
-            .enumerate()
-            .map(|(i, &g)| (g, i as u32))
-            .collect();
-        for c in &mut components {
-            if let Some(g) = c.detector_group {
-                c.detector_group = Some(dense[&g]);
-            }
-        }
-        let detector_archs: Vec<DetectorArch> = group_archs.values().copied().collect();
-        Ok(BoardSpec::new(name, components, detector_archs))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Total component instances on one board.
+    fn instances_per_board(spec: &BoardSpec) -> f64 {
+        spec.components().iter().map(|c| c.quantity_per_board).sum()
+    }
 
     #[test]
     fn board_a_matches_paper_shape() {
         let a = BoardSpec::board_a();
         assert_eq!(a.num_components(), 352);
         assert_eq!(a.num_detectors(), 18);
-        assert!(a.instances_per_board() > 500.0);
+        assert!(instances_per_board(&a) > 500.0);
         assert_eq!(a.name(), "Circuit Board A");
     }
 
@@ -530,8 +383,8 @@ mod tests {
         // Detectors come after all classifiers.
         let det = spec.detector_of(0);
         assert_eq!(det, ExpertId(352));
-        assert!(model.graph().is_subsequent(det));
-        assert!(model.graph().is_preliminary(ExpertId(41)));
+        assert!(!model.graph().preliminaries_of(det).is_empty());
+        assert!(model.graph().preliminaries_of(ExpertId(41)).is_empty());
     }
 
     #[test]
@@ -609,7 +462,7 @@ mod tests {
         );
         let model = spec.build_model().unwrap();
         assert_eq!(model.num_experts(), 3);
-        assert_eq!(spec.instances_per_board(), 7.0);
+        assert_eq!(instances_per_board(&spec), 7.0);
     }
 
     #[test]
@@ -642,52 +495,6 @@ mod tests {
             }],
             vec![DetectorArch::YoloV5m],
         );
-    }
-
-    #[test]
-    fn csv_round_trip() {
-        let csv = "\
-name,quantity_per_board,detector_group,detector_arch,pass_prob
-resistor-r1,24,0,yolov5m,0.95
-capacitor-c3,12,,,0.9
-ic-u7,2,5,yolov5l,0.85
-";
-        let board = BoardSpec::from_csv("csv-board", csv).unwrap();
-        assert_eq!(board.num_components(), 3);
-        assert_eq!(board.num_detectors(), 2, "sparse group ids densified");
-        assert_eq!(board.components()[0].name, "resistor-r1");
-        assert_eq!(board.components()[1].detector_group, None);
-        assert_eq!(board.components()[2].detector_group, Some(1));
-        let model = board.build_model().unwrap();
-        assert_eq!(model.num_experts(), 5);
-    }
-
-    #[test]
-    fn csv_rejects_bad_rows() {
-        let header = "name,quantity_per_board,detector_group,detector_arch,pass_prob\n";
-        let err = BoardSpec::from_csv("x", "").unwrap_err();
-        assert_eq!(err.line, 1);
-        let err = BoardSpec::from_csv("x", header).unwrap_err();
-        assert!(err.message.contains("no component rows"));
-        let err = BoardSpec::from_csv("x", &format!("{header}a,1,0,unknownnet,0.5\n")).unwrap_err();
-        assert!(err.message.contains("unknown detector arch"), "{err}");
-        let err = BoardSpec::from_csv("x", &format!("{header}a,-3,,,0.5\n")).unwrap_err();
-        assert!(err.message.contains("must be positive"));
-        let err = BoardSpec::from_csv("x", &format!("{header}a,1,,,1.5\n")).unwrap_err();
-        assert!(err.message.contains("outside [0,1]"));
-        let err = BoardSpec::from_csv(
-            "x",
-            &format!("{header}a,1,0,yolov5m,0.5\nb,1,0,yolov5l,0.5\n"),
-        )
-        .unwrap_err();
-        assert!(err.message.contains("two architectures"));
-        assert!(err.to_string().contains("line 3"));
-    }
-
-    #[test]
-    fn csv_rejects_wrong_header() {
-        let err = BoardSpec::from_csv("x", "a,b,c\n1,2,3\n").unwrap_err();
-        assert!(err.message.contains("unexpected header"));
     }
 
     #[test]

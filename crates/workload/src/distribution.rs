@@ -47,17 +47,6 @@ impl ClassDistribution {
         }
     }
 
-    /// A uniform distribution over `n` classes.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n` is zero.
-    #[must_use]
-    pub fn uniform(n: usize) -> Self {
-        assert!(n > 0, "distribution needs at least one class");
-        ClassDistribution::from_weights(vec![1.0; n])
-    }
-
     /// A Zipf-with-floor distribution over `n` classes: class `i`
     /// (0-based) gets weight `max(floor, scale · (i+1)^-s)`.
     ///
@@ -114,24 +103,25 @@ impl ClassDistribution {
         let idx = self.cumulative.partition_point(|&c| c <= x);
         ClassId(idx.min(self.weights.len() - 1) as u32)
     }
-
-    /// The fraction of probability mass covered by the `k` most likely
-    /// classes — the CDF in the paper's Figure 11.
-    #[must_use]
-    pub fn top_k_mass(&self, k: usize) -> f64 {
-        let mut sorted = self.weights.clone();
-        sorted.sort_by(|a, b| b.partial_cmp(a).expect("finite weights"));
-        sorted.iter().take(k).sum::<f64>() / self.total
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    impl ClassDistribution {
+        /// The fraction of probability mass covered by the `k` most
+        /// likely classes — the CDF in the paper's Figure 11.
+        pub(crate) fn top_k_mass(&self, k: usize) -> f64 {
+            let mut sorted = self.weights.clone();
+            sorted.sort_by(|a, b| b.partial_cmp(a).expect("finite weights"));
+            sorted.iter().take(k).sum::<f64>() / self.total
+        }
+    }
+
     #[test]
     fn uniform_probabilities() {
-        let d = ClassDistribution::uniform(4);
+        let d = ClassDistribution::from_weights(vec![1.0; 4]);
         assert_eq!(d.len(), 4);
         assert!(!d.is_empty());
         for i in 0..4 {
@@ -191,7 +181,7 @@ mod tests {
 
     #[test]
     fn sampling_is_deterministic() {
-        let d = ClassDistribution::uniform(10);
+        let d = ClassDistribution::from_weights(vec![1.0; 10]);
         let mut a = SimRng::seed_from(5);
         let mut b = SimRng::seed_from(5);
         for _ in 0..100 {

@@ -36,7 +36,7 @@ pub mod task;
 /// Convenient re-exports of the most commonly used items.
 pub mod prelude {
     pub use crate::arrivals::ArrivalProcess;
-    pub use crate::board::{BoardSpec, ComponentSpec, DetectorArch, ParseBoardError};
+    pub use crate::board::{BoardSpec, ComponentSpec, DetectorArch};
     pub use crate::distribution::ClassDistribution;
     pub use crate::stream::{Job, JobId, RequestStream, StreamOrder};
     pub use crate::task::{TaskSpec, PAPER_ARRIVAL_INTERVAL};

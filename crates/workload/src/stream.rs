@@ -226,26 +226,6 @@ impl RequestStream {
         self.jobs.is_empty()
     }
 
-    /// Total inference stages across all jobs (each stage is one batchable
-    /// unit of work).
-    #[must_use]
-    pub fn total_stages(&self) -> usize {
-        self.jobs.iter().map(|j| j.stages.len()).sum()
-    }
-
-    /// The distinct experts the stream touches, sorted.
-    #[must_use]
-    pub fn distinct_experts(&self) -> Vec<ExpertId> {
-        let mut ids: Vec<ExpertId> = self
-            .jobs
-            .iter()
-            .flat_map(|j| j.stages.iter().copied())
-            .collect();
-        ids.sort();
-        ids.dedup();
-        ids
-    }
-
     /// The arrival time of the last job.
     ///
     /// # Panics
@@ -312,7 +292,8 @@ mod tests {
         // a substantial fraction of jobs have two stages.
         let two_stage = s.jobs().iter().filter(|j| j.stages.len() == 2).count();
         assert!(two_stage > 100, "two-stage jobs: {two_stage}");
-        assert_eq!(s.total_stages(), s.len() + two_stage);
+        let total_stages: usize = s.jobs().iter().map(|j| j.stages.len()).sum();
+        assert_eq!(total_stages, s.len() + two_stage);
     }
 
     #[test]
@@ -453,14 +434,6 @@ mod tests {
         assert!(t.name().contains("first 10"));
         // Truncation below one clamps to one job.
         assert_eq!(s.truncated(0).len(), 1);
-    }
-
-    #[test]
-    fn distinct_experts_is_sorted_and_deduped() {
-        let (_, s) = make(StreamOrder::Iid, 300, 4);
-        let d = s.distinct_experts();
-        assert!(!d.is_empty());
-        assert!(d.windows(2).all(|w| w[0] < w[1]));
     }
 
     #[test]
