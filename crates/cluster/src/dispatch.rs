@@ -6,10 +6,15 @@
 //!
 //! * **residency** — how many experts of the request's pre-rolled chain
 //!   the candidate node holds under the placement plan (local experts
-//!   mean no fabric transfers and no cold loads), and
+//!   mean no fabric transfers and no cold loads), read from the plan's
+//!   per-expert holders index, so a routing decision touches only the
+//!   experts the request names, and
 //! * **queue depth** — a work-left estimate per node, maintained from
 //!   the [`PerfMatrix`] predictions the paper's scheduler already uses
-//!   (§4.2): never the simulator's ground truth.
+//!   (§4.2), never the simulator's ground truth. Every node of a fleet
+//!   is the same device under the same configuration, so each expert's
+//!   prediction is priced once, into a [`ServiceTable`], when the
+//!   cluster is built.
 //!
 //! The estimate is *open-loop* by default, exactly as the paper's
 //! front-end is. A [`Dispatcher`] running under the cluster runtime can
@@ -33,6 +38,7 @@
 
 use std::fmt;
 
+use coserve_core::config::SystemConfig;
 use coserve_core::perf::PerfMatrix;
 use coserve_faults::{FaultPlan, LinkOutcome};
 use coserve_metrics::faults::FaultLedger;
@@ -108,28 +114,64 @@ impl fmt::Display for FeedbackMode {
     }
 }
 
-/// What the dispatcher needs to know about one node to estimate load.
-#[derive(Debug, Clone, Copy)]
-pub struct NodeLoadModel<'a> {
-    /// The node's offline measurements (prediction source, §4.2).
-    pub perf: &'a PerfMatrix,
+/// What the dispatcher predicts one request costs a fleet node: each
+/// expert's single-request span from the node's offline measurements
+/// (§4.2), priced once, and the executors the node drains work across.
+#[derive(Debug, Clone, PartialEq)]
+pub struct ServiceTable {
+    /// Single-request span of each expert, by expert index.
+    spans: Vec<SimSpan>,
     /// Total executors on the node (work drains this much faster).
-    pub executors: usize,
-    /// Whether the node has GPU executors (predictions use the GPU
-    /// entry when available, the CPU entry otherwise).
-    pub has_gpu: bool,
+    executors: usize,
+}
+
+impl ServiceTable {
+    /// Prices every expert of `model` for a node serving under `config`:
+    /// on the GPU entry of `perf` when the node has a GPU executor, on
+    /// the CPU entry otherwise.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `perf` lacks that entry for one of the model's
+    /// architectures, which
+    /// [`coserve_core::profiler::Profiler::check_kernels`] rules out for
+    /// a profiled device.
+    #[must_use]
+    pub(crate) fn new(model: &CoeModel, perf: &PerfMatrix, config: &SystemConfig) -> Self {
+        let proc = if config.gpu_executor_count() > 0 {
+            ProcessorKind::Gpu
+        } else {
+            ProcessorKind::Cpu
+        };
+        let spans = model
+            .experts()
+            .iter()
+            .map(|expert| perf.expect_entry(expert.arch(), proc).predicted_latency(1))
+            .collect();
+        ServiceTable {
+            spans,
+            executors: config.executors.len(),
+        }
+    }
+
+    /// Predicted service time of one request chain: the spans of its
+    /// stages, divided by the executors draining in parallel.
+    fn price(&self, stages: &[ExpertId]) -> SimSpan {
+        let total: SimSpan = stages.iter().map(|e| self.spans[e.index()]).sum();
+        SimSpan::from_millis_f64(total.as_millis_f64() / self.executors.max(1) as f64)
+    }
 }
 
 /// The routing decision for one job.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Routing {
-    /// The job goes to `node`, with its arrival already shifted by the
-    /// fabric delays its off-node chain stages paid.
+    /// The job goes to `node`, arriving there once the fabric delays its
+    /// off-node chain stages paid have passed.
     Routed {
         /// The chosen node.
         node: usize,
-        /// The job as the node will see it.
-        job: Job,
+        /// The job's arrival at the node.
+        arrival: SimTime,
     },
     /// Some chain stage's expert has no live holder: the front-end
     /// cannot serve the request (only possible after node failures
@@ -312,7 +354,9 @@ impl Dispatcher {
     /// live holder, picks the target by the routing policy over live
     /// nodes, charges one fabric hop per off-node chain stage (from the
     /// nearest live holder), and advances the target's work-left
-    /// estimate by the predicted (feedback-scaled) service time.
+    /// estimate by the predicted (feedback-scaled) service time from
+    /// `service`. Residency and hops are read from the plan's holders
+    /// index, so the call touches only the experts the job names.
     ///
     /// With `faults` set, a deterministic fault plan applies to the
     /// fabric: dilated links stretch the charged hops, and when a
@@ -325,42 +369,38 @@ impl Dispatcher {
     /// # Panics
     ///
     /// Panics when the plan/mask sizes disagree with the dispatcher, no
-    /// node is live, or a perf matrix lacks an entry the prediction
-    /// needs.
-    #[allow(clippy::too_many_arguments)] // the routing context + one fault context
+    /// node is live, or a stage's expert is outside the plan or the
+    /// table (both cover the whole model the cluster was built for).
     pub fn route_job(
         &mut self,
         job: &Job,
-        model: &CoeModel,
         plan: &PlacementPlan,
+        service: &ServiceTable,
         link: LinkProfile,
-        nodes: &[NodeLoadModel<'_>],
         alive: &[bool],
         mut faults: Option<RouteFaults<'_>>,
     ) -> Routing {
         let n = self.num_nodes();
         assert_eq!(plan.num_nodes(), n, "plan/node count mismatch");
-        assert_eq!(nodes.len(), n, "load model/node count mismatch");
         assert_eq!(alive.len(), n, "alive mask/node count mismatch");
         assert!(alive.iter().any(|&a| a), "routing needs a live node");
         let seq = self.seq;
         self.seq += 1;
 
+        // Each stage credits its live holders; the first stage with none
+        // rejects the job.
+        self.residency.fill(0);
         for &expert in &job.stages {
-            if !plan.is_hosted(expert, alive) {
+            let mut hosted = false;
+            for &holder in plan.holders(expert) {
+                if alive[holder] {
+                    self.residency[holder] += 1;
+                    hosted = true;
+                }
+            }
+            if !hosted {
                 return Routing::Unhosted { expert };
             }
-        }
-
-        for (node, &live) in alive.iter().enumerate() {
-            self.residency[node] = if live {
-                job.stages
-                    .iter()
-                    .filter(|&&e| plan.is_placed(node, e))
-                    .count()
-            } else {
-                0
-            };
         }
         // Candidates are scanned in an order rotated by the dispatch
         // sequence number, so fully tied nodes (hot-only chains on
@@ -436,13 +476,14 @@ impl Dispatcher {
         let raw = link.transfer_duration(ACTIVATION_BYTES);
         let mut delay = SimSpan::ZERO;
         for &expert in &job.stages {
-            if plan.is_placed(target, expert) {
+            let holders = plan.holders(expert);
+            if holders.contains(&target) {
                 continue;
             }
             let mut nearest: Option<(SimSpan, SimSpan)> = None; // (hop, fault extra)
             let mut live_holders = 0u64;
             let mut cut_links = 0u64;
-            for &h in plan.holders(expert) {
+            for &h in holders {
                 if !alive[h] {
                     continue;
                 }
@@ -495,25 +536,20 @@ impl Dispatcher {
         }
 
         let arrival = job.arrival + delay;
-        let raw = predicted_service(model, &nodes[target], &job.stages);
+        let raw = service.price(&job.stages);
         // The correction ratio compares observation against the *raw*
         // prediction — dividing by the already-scaled value would make
         // the EWMA converge to the square root of the true slowdown.
         self.predicted_since_observe[target] += raw;
-        let service = if self.feedback == FeedbackMode::Corrected {
+        let scaled = if self.feedback == FeedbackMode::Corrected {
             SimSpan::from_millis_f64(raw.as_millis_f64() * self.service_scale[target])
         } else {
             raw
         };
-        self.busy_until[target] = self.busy_until[target].max(arrival) + service;
+        self.busy_until[target] = self.busy_until[target].max(arrival) + scaled;
         Routing::Routed {
             node: target,
-            job: Job {
-                id: job.id,
-                class: job.class,
-                arrival,
-                stages: job.stages.clone(),
-            },
+            arrival,
         }
     }
 
@@ -623,35 +659,26 @@ fn select_target(
     }
 }
 
-/// Predicted service time of one request chain on a node: the measured
-/// `K + B` per stage, divided by the executors draining in parallel.
-fn predicted_service(model: &CoeModel, node: &NodeLoadModel<'_>, stages: &[ExpertId]) -> SimSpan {
-    let proc = if node.has_gpu {
-        ProcessorKind::Gpu
-    } else {
-        ProcessorKind::Cpu
-    };
-    let total: SimSpan = stages
-        .iter()
-        .map(|&e| {
-            let arch = model.expert(e).arch();
-            node.perf.expect_entry(arch, proc).predicted_latency(1)
-        })
-        .sum();
-    SimSpan::from_millis_f64(total.as_millis_f64() / node.executors.max(1) as f64)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::placement::{plan_placement, PlacementStrategy};
+    use coserve_core::presets;
     use coserve_core::profiler::{Profiler, UsageSource};
     use coserve_model::devices;
     use coserve_workload::board::BoardSpec;
     use coserve_workload::stream::{RequestStream, StreamOrder};
 
-    type Fixture = (CoeModel, PerfMatrix, RequestStream, LinkProfile);
+    type Fixture = (
+        CoeModel,
+        PerfMatrix,
+        RequestStream,
+        LinkProfile,
+        ServiceTable,
+    );
 
+    /// A 30-expert board, its profile on a 3 GPU + 1 CPU executor node,
+    /// a 300-job stream, the link and the node's service table.
     fn setup() -> Fixture {
         let board = BoardSpec::synthetic("disp", 30, 3, 1.2, 40.0, 0.5);
         let model = board.build_model().unwrap();
@@ -666,18 +693,8 @@ mod tests {
             StreamOrder::Iid,
             11,
         );
-        (model, perf, stream, LinkProfile::ethernet_10g())
-    }
-
-    fn load_models(perf: &PerfMatrix, n: usize) -> Vec<NodeLoadModel<'_>> {
-        vec![
-            NodeLoadModel {
-                perf,
-                executors: 4,
-                has_gpu: true,
-            };
-            n
-        ]
+        let service = ServiceTable::new(&model, &perf, &presets::coserve(&device));
+        (model, perf, stream, LinkProfile::ethernet_10g(), service)
     }
 
     /// A dispatcher over `n` nodes.
@@ -687,21 +704,23 @@ mod tests {
 
     /// Routes the fixture's whole stream through a fresh open-loop
     /// dispatcher with every node live: the jobs each node receives, in
-    /// routing order, plus the dispatcher with its hop and fabric
-    /// counters.
+    /// routing order and at their routed arrivals, plus the dispatcher
+    /// with its hop and fabric counters.
     fn route_all(
-        (model, perf, stream, link): &Fixture,
+        (_, _, stream, link, service): &Fixture,
         plan: &PlacementPlan,
         route: RoutePolicy,
     ) -> (Vec<Vec<Job>>, Dispatcher) {
         let n = plan.num_nodes();
-        let nodes = load_models(perf, n);
         let alive = vec![true; n];
         let mut d = dispatcher(n, route, FeedbackMode::OpenLoop);
         let mut per_node = vec![Vec::new(); n];
         for job in stream.jobs() {
-            match d.route_job(job, model, plan, *link, &nodes, &alive, None) {
-                Routing::Routed { node, job } => per_node[node].push(job),
+            match d.route_job(job, plan, service, *link, &alive, None) {
+                Routing::Routed { node, arrival } => per_node[node].push(Job {
+                    arrival,
+                    ..job.clone()
+                }),
                 other => panic!("every node is live and pacing is off: {other:?}"),
             }
         }
@@ -711,7 +730,7 @@ mod tests {
     #[test]
     fn every_job_is_routed_exactly_once() {
         let fx = setup();
-        let (model, perf, stream, _) = &fx;
+        let (model, perf, stream, ..) = &fx;
         let plan = plan_placement(model, perf, 4, PlacementStrategy::UsageAware, 7);
         for route in RoutePolicy::ALL {
             let (per_node, _) = route_all(&fx, &plan, route);
@@ -723,7 +742,7 @@ mod tests {
     #[test]
     fn round_robin_rotates_evenly() {
         let fx = setup();
-        let (model, perf, stream, _) = &fx;
+        let (model, perf, stream, ..) = &fx;
         let plan = plan_placement(model, perf, 4, PlacementStrategy::UsageAware, 7);
         let (per_node, _) = route_all(&fx, &plan, RoutePolicy::RoundRobin);
         for node in &per_node {
@@ -751,7 +770,7 @@ mod tests {
     #[test]
     fn replicated_placement_never_crosses_nodes() {
         let fx = setup();
-        let (model, perf, stream, _) = &fx;
+        let (model, perf, stream, ..) = &fx;
         let plan = plan_placement(model, perf, 3, PlacementStrategy::Replicated, 7);
         let (per_node, d) = route_all(&fx, &plan, RoutePolicy::LeastLoaded);
         assert_eq!(d.cross_node_hops(), 0);
@@ -771,7 +790,7 @@ mod tests {
     #[test]
     fn fabric_delay_shifts_arrivals_forward() {
         let fx = setup();
-        let (model, perf, stream, _) = &fx;
+        let (model, perf, stream, ..) = &fx;
         let plan = plan_placement(model, perf, 4, PlacementStrategy::Sharded, 7);
         let (per_node, d) = route_all(&fx, &plan, RoutePolicy::RoundRobin);
         assert!(d.cross_node_hops() > 0);
@@ -791,7 +810,7 @@ mod tests {
     #[test]
     fn least_loaded_balances_work_left() {
         let fx = setup();
-        let (model, perf, stream, _) = &fx;
+        let (model, perf, stream, ..) = &fx;
         let plan = plan_placement(model, perf, 2, PlacementStrategy::Replicated, 7);
         let (per_node, _) = route_all(&fx, &plan, RoutePolicy::LeastLoaded);
         let (a, b) = (per_node[0].len(), per_node[1].len());
@@ -815,13 +834,12 @@ mod tests {
 
     #[test]
     fn dead_nodes_are_never_routed_to() {
-        let (model, perf, stream, link) = setup();
+        let (model, perf, stream, link, service) = setup();
         let plan = plan_placement(&model, &perf, 4, PlacementStrategy::Replicated, 7);
-        let nodes = load_models(&perf, 4);
         let mut d = dispatcher(4, RoutePolicy::LeastLoaded, FeedbackMode::OpenLoop);
         let alive = [true, false, true, false];
         for job in stream.jobs() {
-            match d.route_job(job, &model, &plan, link, &nodes, &alive, None) {
+            match d.route_job(job, &plan, &service, link, &alive, None) {
                 Routing::Routed { node, .. } => assert!(alive[node], "routed to dead node {node}"),
                 Routing::Unhosted { expert } => {
                     panic!("replicated placement cannot orphan {expert}")
@@ -834,16 +852,15 @@ mod tests {
 
     #[test]
     fn orphaned_chains_are_unhosted() {
-        let (model, perf, stream, link) = setup();
+        let (model, perf, stream, link, service) = setup();
         let plan = plan_placement(&model, &perf, 2, PlacementStrategy::Sharded, 7);
-        let nodes = load_models(&perf, 2);
         let mut d = dispatcher(2, RoutePolicy::ResidencyFirst, FeedbackMode::OpenLoop);
         // Node 1 is dead: every expert sharded onto it is orphaned.
         let alive = [true, false];
         let mut rejected = 0usize;
         for job in stream.jobs() {
             if let Routing::Unhosted { expert } =
-                d.route_job(job, &model, &plan, link, &nodes, &alive, None)
+                d.route_job(job, &plan, &service, link, &alive, None)
             {
                 assert!(plan.is_placed(1, expert) && !plan.is_placed(0, expert));
                 rejected += 1;
@@ -857,14 +874,13 @@ mod tests {
 
     #[test]
     fn feedback_scales_predictions_and_scores_error() {
-        let (model, perf, stream, link) = setup();
+        let (model, perf, stream, link, service) = setup();
         let plan = plan_placement(&model, &perf, 2, PlacementStrategy::Replicated, 7);
-        let nodes = load_models(&perf, 2);
         let alive = [true, true];
         let mut d = dispatcher(2, RoutePolicy::LeastLoaded, FeedbackMode::Corrected);
         assert_eq!(d.estimate_error_ms(), None);
         for job in stream.jobs().iter().take(50) {
-            let _ = d.route_job(job, &model, &plan, link, &nodes, &alive, None);
+            let _ = d.route_job(job, &plan, &service, link, &alive, None);
         }
         // Pretend both nodes took 3× the predicted busy time and
         // finished late: the error ledger fills and, corrected, the
@@ -882,9 +898,8 @@ mod tests {
 
     #[test]
     fn pacing_budget_filters_and_sheds() {
-        let (model, perf, stream, link) = setup();
+        let (model, perf, stream, link, service) = setup();
         let plan = plan_placement(&model, &perf, 2, PlacementStrategy::Replicated, 7);
-        let nodes = load_models(&perf, 2);
         let alive = [true, true];
         let mut d =
             dispatcher(2, RoutePolicy::LeastLoaded, FeedbackMode::OpenLoop).with_pacing(true);
@@ -908,7 +923,7 @@ mod tests {
         let mut to = [0usize; 2];
         for job in stream.jobs().iter().take(20) {
             if let Routing::Routed { node, .. } =
-                d.route_job(job, &model, &plan, link, &nodes, &alive, None)
+                d.route_job(job, &plan, &service, link, &alive, None)
             {
                 to[node] += 1;
             }
@@ -924,7 +939,7 @@ mod tests {
         let mut shed = 0usize;
         for job in stream.jobs().iter().take(20) {
             if matches!(
-                d.route_job(job, &model, &plan, link, &nodes, &dead, None),
+                d.route_job(job, &plan, &service, link, &dead, None),
                 Routing::Paced
             ) {
                 shed += 1;
@@ -947,9 +962,8 @@ mod tests {
 
     #[test]
     fn pacing_off_routes_identically() {
-        let (model, perf, stream, link) = setup();
+        let (model, perf, stream, link, service) = setup();
         let plan = plan_placement(&model, &perf, 3, PlacementStrategy::UsageAware, 7);
-        let nodes = load_models(&perf, 3);
         let alive = [true, true, true];
         let mut plain = dispatcher(3, RoutePolicy::LeastLoaded, FeedbackMode::OpenLoop);
         // Paced but never observing drops: budgets never materialize,
@@ -957,8 +971,8 @@ mod tests {
         let mut paced = plain.clone().with_pacing(true);
         for job in stream.jobs() {
             paced.begin_tick();
-            let a = plain.route_job(job, &model, &plan, link, &nodes, &alive, None);
-            let b = paced.route_job(job, &model, &plan, link, &nodes, &alive, None);
+            let a = plain.route_job(job, &plan, &service, link, &alive, None);
+            let b = paced.route_job(job, &plan, &service, link, &alive, None);
             assert_eq!(a, b);
         }
     }
@@ -974,9 +988,8 @@ mod tests {
 
     #[test]
     fn corrected_feedback_steers_off_a_slow_node() {
-        let (model, perf, stream, link) = setup();
+        let (model, perf, stream, link, service) = setup();
         let plan = plan_placement(&model, &perf, 3, PlacementStrategy::Replicated, 7);
-        let nodes = load_models(&perf, 3);
         let alive = vec![true; 3];
         let mut d = dispatcher(3, RoutePolicy::LeastLoaded, FeedbackMode::Corrected);
         // One burst: every job arrives at once, so the work-left
@@ -994,7 +1007,7 @@ mod tests {
             .collect();
         let (warmup, measured) = jobs.split_at(60);
         for job in warmup {
-            d.route_job(job, &model, &plan, link, &nodes, &alive, None);
+            d.route_job(job, &plan, &service, link, &alive, None);
         }
         // Telemetry for the warmup tick: node 0 spent far more busy
         // time than predicted (a slow node), the others far less. The
@@ -1006,7 +1019,7 @@ mod tests {
         let mut counts = [0usize; 3];
         for job in measured {
             if let Routing::Routed { node, .. } =
-                d.route_job(job, &model, &plan, link, &nodes, &alive, None)
+                d.route_job(job, &plan, &service, link, &alive, None)
             {
                 counts[node] += 1;
             }
@@ -1019,22 +1032,20 @@ mod tests {
 
     #[test]
     fn disabled_fault_plan_routes_bit_identically() {
-        let (model, perf, stream, link) = setup();
+        let (model, perf, stream, link, service) = setup();
         let plan = plan_placement(&model, &perf, 4, PlacementStrategy::Sharded, 7);
-        let nodes = load_models(&perf, 4);
         let alive = vec![true; 4];
         let mut plain = dispatcher(4, RoutePolicy::ResidencyFirst, FeedbackMode::OpenLoop);
         let mut faulted = plain.clone();
         let disabled = coserve_faults::FaultPlan::disabled();
         let mut ledger = FaultLedger::default();
         for job in stream.jobs() {
-            let a = plain.route_job(job, &model, &plan, link, &nodes, &alive, None);
+            let a = plain.route_job(job, &plan, &service, link, &alive, None);
             let b = faulted.route_job(
                 job,
-                &model,
                 &plan,
+                &service,
                 link,
-                &nodes,
                 &alive,
                 Some(RouteFaults {
                     plan: &disabled,
@@ -1050,14 +1061,13 @@ mod tests {
 
     #[test]
     fn dilated_links_stretch_charged_hops() {
-        let (model, perf, stream, link) = setup();
+        let (model, perf, stream, link, service) = setup();
         let plan = plan_placement(&model, &perf, 4, PlacementStrategy::Sharded, 7);
-        let nodes = load_models(&perf, 4);
         let alive = vec![true; 4];
         let fresh = || dispatcher(4, RoutePolicy::RoundRobin, FeedbackMode::OpenLoop);
         let mut baseline = fresh();
         for job in stream.jobs() {
-            baseline.route_job(job, &model, &plan, link, &nodes, &alive, None);
+            baseline.route_job(job, &plan, &service, link, &alive, None);
         }
         let fault_plan = coserve_faults::FaultPlan::seeded(5).with_link(
             0.9,
@@ -1070,10 +1080,9 @@ mod tests {
         for job in stream.jobs() {
             slow.route_job(
                 job,
-                &model,
                 &plan,
+                &service,
                 link,
-                &nodes,
                 &alive,
                 Some(RouteFaults {
                     plan: &fault_plan,
@@ -1092,9 +1101,8 @@ mod tests {
 
     #[test]
     fn partitions_hedge_when_enabled_and_degrade_when_not() {
-        let (model, perf, stream, link) = setup();
+        let (model, perf, stream, link, service) = setup();
         let plan = plan_placement(&model, &perf, 4, PlacementStrategy::Sharded, 7);
-        let nodes = load_models(&perf, 4);
         let alive = vec![true; 4];
         // Node 0 is cut off from everyone: any job it would take with
         // off-node stages needs recovery.
@@ -1112,10 +1120,9 @@ mod tests {
             for job in stream.jobs() {
                 if let Routing::Routed { node, .. } = d.route_job(
                     job,
-                    &model,
                     &plan,
+                    &service,
                     link,
-                    &nodes,
                     &alive,
                     Some(RouteFaults {
                         plan: &fault_plan,
@@ -1141,5 +1148,430 @@ mod tests {
         );
         assert!(degraded.link_partitioned > 0);
         assert!(to_zero > 0, "degraded jobs stay on the cut node");
+    }
+
+    /// What the reference routing needs to know about one node to
+    /// estimate load.
+    #[derive(Debug, Clone, Copy)]
+    struct NodeLoadModel<'a> {
+        /// The node's offline measurements (prediction source, §4.2).
+        perf: &'a PerfMatrix,
+        /// Total executors on the node (work drains this much faster).
+        executors: usize,
+        /// Whether the node has GPU executors (predictions use the GPU
+        /// entry when available, the CPU entry otherwise).
+        has_gpu: bool,
+    }
+
+    /// The reference routing's context: what it priced every request
+    /// from, on every call.
+    struct Pricing<'a> {
+        model: &'a CoeModel,
+        nodes: Vec<NodeLoadModel<'a>>,
+    }
+
+    /// The reference routing's decision, carrying a clone of the job as
+    /// the node will see it.
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    enum ReferenceRouting {
+        Routed { node: usize, job: Job },
+        Unhosted { expert: ExpertId },
+        Paced,
+    }
+
+    impl Dispatcher {
+        /// The oracle for [`Dispatcher::route_job`]: the same routing
+        /// with residency probed in every node's placement set, service
+        /// priced per stage from the perf matrix, and a clone of the
+        /// routed job returned. Its body is `route_job`'s before the
+        /// holders index and the service table replaced those lookups.
+        fn reference_route(
+            &mut self,
+            job: &Job,
+            pricing: &Pricing<'_>,
+            plan: &PlacementPlan,
+            link: LinkProfile,
+            alive: &[bool],
+            mut faults: Option<RouteFaults<'_>>,
+        ) -> ReferenceRouting {
+            let (model, nodes) = (pricing.model, pricing.nodes.as_slice());
+            let n = self.num_nodes();
+            assert_eq!(plan.num_nodes(), n, "plan/node count mismatch");
+            assert_eq!(nodes.len(), n, "load model/node count mismatch");
+            assert_eq!(alive.len(), n, "alive mask/node count mismatch");
+            assert!(alive.iter().any(|&a| a), "routing needs a live node");
+            let seq = self.seq;
+            self.seq += 1;
+
+            for &expert in &job.stages {
+                if !plan.is_hosted(expert, alive) {
+                    return ReferenceRouting::Unhosted { expert };
+                }
+            }
+
+            for (node, &live) in alive.iter().enumerate() {
+                self.residency[node] = if live {
+                    job.stages
+                        .iter()
+                        .filter(|&&e| plan.is_placed(node, e))
+                        .count()
+                } else {
+                    0
+                };
+            }
+            // Candidates are scanned in an order rotated by the dispatch
+            // sequence number, so fully tied nodes (hot-only chains on
+            // replicated placement, idle fleets) round-robin instead of
+            // piling onto node 0. Under pacing, nodes whose per-tick send
+            // budget is spent drop out of the scan; when every live node is
+            // over budget the job is shed at the front-end rather than fed
+            // into an admission queue known to be overflowing.
+            let paced_ok = |node: usize| {
+                !self.pacing
+                    || self.tick_budget[node].is_none_or(|budget| self.tick_sent[node] < budget)
+            };
+            if self.pacing && !(0..n).any(|node| alive[node] && paced_ok(node)) {
+                return ReferenceRouting::Paced;
+            }
+            let start = seq % n;
+            let mut target = select_target(
+                self.route,
+                (0..n)
+                    .map(|k| (start + k) % n)
+                    .filter(|&node| alive[node] && paced_ok(node)),
+                &self.residency,
+                &self.busy_until,
+                job.arrival,
+            )
+            .expect("at least one live node");
+
+            // Partition recovery: when the picked target is cut off from
+            // every live holder of some chain stage, hedge the job to the
+            // best candidate (same policy, same scan order) that can reach
+            // all of its stages. A fleet-wide partition leaves no such
+            // candidate; the job stays put and degrades per stage below.
+            if let Some(f) = faults.as_mut() {
+                let fault_plan = f.plan;
+                let unreachable_stages = |t: usize| -> usize {
+                    job.stages
+                        .iter()
+                        .filter(|&&e| {
+                            if plan.is_placed(t, e) {
+                                return false;
+                            }
+                            let mut live = plan.holders(e).iter().filter(|&&h| alive[h]).peekable();
+                            live.peek().is_some()
+                                && live.all(|&h| fault_plan.partitioned(h, t, job.arrival))
+                        })
+                        .count()
+                };
+                if unreachable_stages(target) > 0 {
+                    f.ledger.note_fault(job.arrival);
+                    if f.hedge {
+                        let alt = select_target(
+                            self.route,
+                            (0..n).map(|k| (start + k) % n).filter(|&node| {
+                                alive[node] && paced_ok(node) && unreachable_stages(node) == 0
+                            }),
+                            &self.residency,
+                            &self.busy_until,
+                            job.arrival,
+                        );
+                        if let Some(alt) = alt {
+                            f.ledger.hedged_reroutes += 1;
+                            f.ledger.note_recovery(job.arrival);
+                            target = alt;
+                        }
+                    }
+                }
+            }
+            self.tick_sent[target] += 1;
+
+            // Fabric charge: every chain stage whose expert lives elsewhere
+            // ships its activations from the nearest live holder. Every
+            // healthy hop costs the same; faults dilate or cut single links.
+            let raw = link.transfer_duration(ACTIVATION_BYTES);
+            let mut delay = SimSpan::ZERO;
+            for &expert in &job.stages {
+                if plan.is_placed(target, expert) {
+                    continue;
+                }
+                let mut nearest: Option<(SimSpan, SimSpan)> = None; // (hop, fault extra)
+                let mut live_holders = 0u64;
+                let mut cut_links = 0u64;
+                for &h in plan.holders(expert) {
+                    if !alive[h] {
+                        continue;
+                    }
+                    live_holders += 1;
+                    let (hop, extra) =
+                        match faults.as_ref().map(|f| f.plan.link(h, target, job.arrival)) {
+                            None | Some(LinkOutcome::Healthy) => (raw, SimSpan::ZERO),
+                            Some(LinkOutcome::Dilated(factor)) => {
+                                let hop = raw.mul_f64(factor);
+                                (hop, hop.saturating_sub(raw))
+                            }
+                            Some(LinkOutcome::Partitioned) => {
+                                cut_links += 1;
+                                continue;
+                            }
+                        };
+                    if nearest.is_none_or(|(best, _)| hop < best) {
+                        nearest = Some((hop, extra));
+                    }
+                }
+                match nearest {
+                    Some((hop, extra)) => {
+                        self.cross_node_hops += 1;
+                        self.fabric_time_total += hop;
+                        delay += hop;
+                        if !extra.is_zero() {
+                            if let Some(f) = faults.as_mut() {
+                                f.ledger.link_dilated += 1;
+                                f.ledger.degraded_time += extra;
+                                f.ledger.note_fault(job.arrival);
+                                f.ledger.note_recovery(job.arrival + delay);
+                            }
+                        }
+                    }
+                    None if live_holders > 0 => {
+                        // Every live holder is partitioned away from the
+                        // target: graceful degradation — the stage is served
+                        // from the target's local SSD checkpoint, so no
+                        // fabric hop is charged; the cost is counted on the
+                        // ledger and lands in node service time.
+                        if let Some(f) = faults.as_mut() {
+                            f.ledger.link_partitioned += cut_links;
+                            f.ledger.degraded_local += 1;
+                            f.ledger.note_fault(job.arrival);
+                            f.ledger.note_recovery(job.arrival);
+                        }
+                    }
+                    None => {}
+                }
+            }
+
+            let arrival = job.arrival + delay;
+            let raw = predicted_service(model, &nodes[target], &job.stages);
+            // The correction ratio compares observation against the *raw*
+            // prediction — dividing by the already-scaled value would make
+            // the EWMA converge to the square root of the true slowdown.
+            self.predicted_since_observe[target] += raw;
+            let service = if self.feedback == FeedbackMode::Corrected {
+                SimSpan::from_millis_f64(raw.as_millis_f64() * self.service_scale[target])
+            } else {
+                raw
+            };
+            self.busy_until[target] = self.busy_until[target].max(arrival) + service;
+            ReferenceRouting::Routed {
+                node: target,
+                job: Job {
+                    id: job.id,
+                    class: job.class,
+                    arrival,
+                    stages: job.stages.clone(),
+                },
+            }
+        }
+    }
+
+    /// The reference routing's service prediction: the measured `K + B`
+    /// per stage, divided by the executors draining in parallel.
+    fn predicted_service(
+        model: &CoeModel,
+        node: &NodeLoadModel<'_>,
+        stages: &[ExpertId],
+    ) -> SimSpan {
+        let proc = if node.has_gpu {
+            ProcessorKind::Gpu
+        } else {
+            ProcessorKind::Cpu
+        };
+        let total: SimSpan = stages
+            .iter()
+            .map(|&e| {
+                let arch = model.expert(e).arch();
+                node.perf.expect_entry(arch, proc).predicted_latency(1)
+            })
+            .sum();
+        SimSpan::from_millis_f64(total.as_millis_f64() / node.executors.max(1) as f64)
+    }
+
+    mod proptests {
+        use super::*;
+        use coserve_faults::FaultWindow;
+        use coserve_sim::rng::SimRng;
+        use proptest::prelude::*;
+
+        /// A random alive mask over `n` nodes with at least one live
+        /// node.
+        fn random_mask(rng: &mut SimRng, n: usize) -> Vec<bool> {
+            let mut alive: Vec<bool> = (0..n).map(|_| rng.next_below(3) > 0).collect();
+            if !alive.contains(&true) {
+                alive[rng.next_below(n as u64) as usize] = true;
+            }
+            alive
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(96))]
+            /// The holders-index routing decides every job exactly as the
+            /// reference does: the same node and arrival, the same
+            /// unhosted expert, or the same pacing shed. Chunks of jobs
+            /// run between random live masks, telemetry, admission
+            /// feedback and tick boundaries; afterwards the work-left
+            /// estimates, hop and fabric counters, estimate error and
+            /// fault ledgers agree too.
+            #[test]
+            fn route_job_matches_the_reference(
+                seed in 0u64..1_000_000,
+                strategy in 0usize..4,
+                nodes in 1usize..=6,
+                route in 0usize..3,
+                corrected in any::<bool>(),
+                pacing in any::<bool>(),
+                faults in 0u8..3,
+                gpus in 0usize..=3,
+                cpus in 1usize..=2,
+            ) {
+                let (model, perf, stream, link, _) = setup();
+                let device = devices::numa_rtx3080ti();
+                let config = presets::coserve_with(&device, "prop", gpus, cpus, None);
+                let service = ServiceTable::new(&model, &perf, &config);
+                let pricing = Pricing {
+                    model: &model,
+                    nodes: vec![
+                        NodeLoadModel {
+                            perf: &perf,
+                            executors: config.executors.len(),
+                            has_gpu: config.gpu_executor_count() > 0,
+                        };
+                        nodes
+                    ],
+                };
+                let strategy = PlacementStrategy::ALL[strategy];
+                let plan = plan_placement(&model, &perf, nodes, strategy, seed);
+                let feedback = if corrected {
+                    FeedbackMode::Corrected
+                } else {
+                    FeedbackMode::OpenLoop
+                };
+                let mut rng = SimRng::seed_from(seed);
+                // Faults off, or link dilation plus a few cut pairs
+                // inside a window over part of the stream, hedged or not.
+                let horizon =
+                    stream.last_arrival().saturating_since(SimTime::ZERO).nanos();
+                let fault_plan = (faults > 0).then(|| {
+                    let cuts = if nodes > 1 {
+                        (0..1 + rng.next_below(3))
+                            .map(|_| {
+                                let a = rng.next_below(nodes as u64) as usize;
+                                let b = (a + 1 + rng.next_below(nodes as u64 - 1) as usize)
+                                    % nodes;
+                                (a, b)
+                            })
+                            .collect()
+                    } else {
+                        Vec::new()
+                    };
+                    let start = SimTime::ZERO + SimSpan::from_nanos(rng.next_below(horizon));
+                    let window =
+                        FaultWindow::new(start, SimSpan::from_nanos(1 + horizon / 2));
+                    FaultPlan::seeded(seed).with_link(
+                        rng.next_f64(),
+                        1.0 + 4.0 * rng.next_f64(),
+                        cuts,
+                        window,
+                    )
+                });
+                let hedge = faults == 1;
+
+                let mut new =
+                    Dispatcher::new(nodes, RoutePolicy::ALL[route], feedback).with_pacing(pacing);
+                let mut old = new.clone();
+                let mut new_ledger = FaultLedger::default();
+                let mut old_ledger = FaultLedger::default();
+                let mut alive = vec![true; nodes];
+                let mut jobs = stream.jobs();
+                while !jobs.is_empty() {
+                    // Between chunks: a new live mask, and random
+                    // telemetry, admission feedback and tick boundaries
+                    // fed to both dispatchers alike.
+                    if rng.next_below(4) == 0 {
+                        alive = random_mask(&mut rng, nodes);
+                    }
+                    for node in 0..nodes {
+                        if rng.next_below(3) == 0 {
+                            let finish = SimTime::ZERO
+                                + SimSpan::from_nanos(rng.next_below(2 * horizon + 1));
+                            let busy = SimSpan::from_nanos(rng.next_below(horizon + 1));
+                            new.observe(node, finish, busy);
+                            old.observe(node, finish, busy);
+                        }
+                        if rng.next_below(3) == 0 {
+                            let admitted = rng.next_below(12) as usize;
+                            let dropped =
+                                rng.next_below(4) as usize * rng.next_below(2) as usize;
+                            let tick = SimSpan::from_millis(1 + rng.next_below(100));
+                            let drain = SimSpan::from_millis(rng.next_below(300));
+                            new.observe_admission(node, admitted, dropped, drain, tick);
+                            old.observe_admission(node, admitted, dropped, drain, tick);
+                        }
+                    }
+                    if rng.next_below(2) == 0 {
+                        new.begin_tick();
+                        old.begin_tick();
+                    }
+                    let take = (1 + rng.next_below(40) as usize).min(jobs.len());
+                    let (chunk, rest) = jobs.split_at(take);
+                    jobs = rest;
+                    for job in chunk {
+                        let got = new.route_job(
+                            job,
+                            &plan,
+                            &service,
+                            link,
+                            &alive,
+                            fault_plan.as_ref().map(|plan| RouteFaults {
+                                plan,
+                                ledger: &mut new_ledger,
+                                hedge,
+                            }),
+                        );
+                        let want = match old.reference_route(
+                            job,
+                            &pricing,
+                            &plan,
+                            link,
+                            &alive,
+                            fault_plan.as_ref().map(|plan| RouteFaults {
+                                plan,
+                                ledger: &mut old_ledger,
+                                hedge,
+                            }),
+                        ) {
+                            ReferenceRouting::Routed { node, job: routed } => {
+                                prop_assert_eq!(&routed.stages, &job.stages);
+                                prop_assert_eq!(
+                                    (routed.id, routed.class),
+                                    (job.id, job.class)
+                                );
+                                Routing::Routed { node, arrival: routed.arrival }
+                            }
+                            ReferenceRouting::Unhosted { expert } => {
+                                Routing::Unhosted { expert }
+                            }
+                            ReferenceRouting::Paced => Routing::Paced,
+                        };
+                        prop_assert_eq!(got, want, "job {:?}", job.id);
+                    }
+                }
+                prop_assert_eq!(&new.busy_until, &old.busy_until);
+                prop_assert_eq!(new.cross_node_hops(), old.cross_node_hops());
+                prop_assert_eq!(new.fabric_time_total(), old.fabric_time_total());
+                prop_assert_eq!(new.estimate_error_ms(), old.estimate_error_ms());
+                prop_assert_eq!(new_ledger, old_ledger);
+            }
+        }
     }
 }

@@ -75,7 +75,7 @@ pub mod dispatch;
 pub mod placement;
 pub mod runtime;
 
-use dispatch::RoutePolicy;
+use dispatch::{RoutePolicy, ServiceTable};
 use placement::{plan_placement, PlacementPlan, PlacementStrategy};
 use runtime::RuntimeOptions;
 
@@ -147,13 +147,14 @@ impl fmt::Display for ClusterError {
 impl std::error::Error for ClusterError {}
 
 /// A ready-to-serve cluster: `n` identical nodes sharing one offline
-/// profile, the placement plan, and the link every pair of nodes
-/// shares.
+/// profile, the placement plan, the service table the dispatcher
+/// prices requests from, and the link every pair of nodes shares.
 #[derive(Debug, Clone)]
 pub struct ClusterSystem {
     nodes: Vec<ServingSystem>,
     link: LinkProfile,
     plan: PlacementPlan,
+    service: ServiceTable,
     options: ClusterOptions,
 }
 
@@ -162,7 +163,8 @@ impl ClusterSystem {
     /// — with every pair joined by `link`. The device is profiled
     /// offline once and every node shares the matrix; the placement
     /// plan overrides each node's preload order so nodes specialize in
-    /// their shard.
+    /// their shard, and each expert's single-request service is priced
+    /// once for the dispatcher.
     ///
     /// # Errors
     ///
@@ -187,6 +189,7 @@ impl ClusterSystem {
             .map_err(|source| ClusterError::Node { node: 0, source })?;
         let perf = profiler.profile(device, model, UsageSource::Declared);
         let plan = plan_placement(model, &perf, n, options.placement, PLACEMENT_SEED);
+        let service = ServiceTable::new(model, &perf, config);
         let nodes = (0..n)
             .map(|i| {
                 let mut config = config.clone();
@@ -199,6 +202,7 @@ impl ClusterSystem {
             nodes,
             link,
             plan,
+            service,
             options,
         })
     }
@@ -231,6 +235,12 @@ impl ClusterSystem {
     #[must_use]
     pub fn plan(&self) -> &PlacementPlan {
         &self.plan
+    }
+
+    /// What the dispatcher predicts each expert costs a node.
+    #[must_use]
+    pub fn service(&self) -> &ServiceTable {
+        &self.service
     }
 
     /// The cluster options.
@@ -275,7 +285,7 @@ impl ClusterSystem {
 /// Convenient re-exports of the most commonly used items.
 pub mod prelude {
     pub use crate::dispatch::{
-        Dispatcher, FeedbackMode, NodeLoadModel, RouteFaults, RoutePolicy, Routing,
+        Dispatcher, FeedbackMode, RouteFaults, RoutePolicy, Routing, ServiceTable,
     };
     pub use crate::placement::{
         migration_plan, plan_placement, ExpertMove, MigrationPlan, PlacementPlan, PlacementStrategy,

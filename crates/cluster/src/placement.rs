@@ -92,9 +92,9 @@ pub struct PlacementPlan {
     version: u64,
     placed: Vec<BTreeSet<ExpertId>>,
     /// Precomputed holders index (expert index → nodes, ascending):
-    /// `holders()` sits on the dispatcher's re-route hot path, so the
-    /// plan answers from this index instead of rescanning every node's
-    /// placement set per call.
+    /// `holders()` is how the dispatcher reads residency, hops and
+    /// partition reachability for every routed job, so the plan answers
+    /// from this index instead of probing every node's placement set.
     holders: Vec<Vec<usize>>,
     preload: Vec<Vec<ExpertId>>,
     placed_bytes: Vec<Bytes>,
@@ -139,7 +139,9 @@ impl PlacementPlan {
     }
 
     /// The nodes holding `expert`, ascending — answered from the index
-    /// precomputed at plan construction, never a fresh scan.
+    /// precomputed at plan construction, never a fresh scan. This is the
+    /// routing path: the dispatcher credits residency to, and charges
+    /// hops from, exactly these nodes.
     ///
     /// # Panics
     ///
@@ -147,19 +149,6 @@ impl PlacementPlan {
     #[must_use]
     pub fn holders(&self, expert: ExpertId) -> &[usize] {
         &self.holders[expert.index()]
-    }
-
-    /// Whether `expert` is placed on at least one node for which
-    /// `alive` is true — the front-end's servability check after
-    /// failures.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `expert` is outside the planned model or `alive` is
-    /// shorter than a holder index.
-    #[must_use]
-    pub fn is_hosted(&self, expert: ExpertId, alive: &[bool]) -> bool {
-        self.holders(expert).iter().any(|&n| alive[n])
     }
 
     /// The node's preload priority order (placed experts first, then
@@ -536,6 +525,12 @@ mod tests {
     use coserve_workload::board::BoardSpec;
 
     impl PlacementPlan {
+        /// Whether `expert` is placed on at least one node for which
+        /// `alive` is true (the reference routing's servability check).
+        pub(crate) fn is_hosted(&self, expert: ExpertId, alive: &[bool]) -> bool {
+            self.holders(expert).iter().any(|&n| alive[n])
+        }
+
         /// Mean number of copies per expert (1 = pure sharding, `n` =
         /// full replication). Zero for an expert-less model.
         fn replication_factor(&self) -> f64 {

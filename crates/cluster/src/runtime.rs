@@ -39,7 +39,7 @@ use coserve_faults::{FaultPlan, LinkOutcome};
 use coserve_metrics::cluster::{ClusterReport, FailureRecord, FleetDynamics, TickStat};
 use coserve_metrics::faults::FaultLedger;
 use coserve_metrics::report::RunReport;
-use coserve_metrics::stats::Summary;
+use coserve_metrics::stats::percentile_of_spans;
 use coserve_model::expert::ExpertId;
 use coserve_sim::events::Calendar;
 use coserve_sim::time::{SimSpan, SimTime};
@@ -47,7 +47,7 @@ use coserve_sim::transfer::TransferRoute;
 use coserve_trace::{NoopTracer, TraceEvent, TraceKind, Tracer};
 use coserve_workload::stream::{Job, RequestStream};
 
-use crate::dispatch::{Dispatcher, FeedbackMode, NodeLoadModel, RouteFaults, Routing};
+use crate::dispatch::{Dispatcher, FeedbackMode, RouteFaults, Routing};
 use crate::placement::{migration_plan, MigrationPlan, PlacementPlan};
 use crate::ClusterSystem;
 
@@ -398,7 +398,7 @@ impl<'a> NodeState<'a> {
     /// node's session at its first job; `false` when the engine rejects
     /// the stage chain as longer than it supports (the configuration
     /// itself was validated at cluster construction).
-    fn submit(&mut self, job: &'a Job, arrival: SimTime, stages: &[ExpertId]) -> bool {
+    fn submit(&mut self, job: &'a Job, arrival: SimTime) -> bool {
         if self.session.is_none() {
             let label = self.label.clone();
             self.session = self.system.session_configured(label, self.config).ok();
@@ -406,7 +406,7 @@ impl<'a> NodeState<'a> {
         let accepted = self
             .session
             .as_mut()
-            .is_some_and(|session| session.submit(arrival, stages).is_ok());
+            .is_some_and(|session| session.submit(arrival, &job.stages).is_ok());
         if accepted {
             self.routed.push(job);
         }
@@ -471,7 +471,6 @@ struct Runtime<'a> {
     sys: &'a ClusterSystem,
     options: &'a RuntimeOptions,
     stream: &'a RequestStream,
-    loads: Vec<NodeLoadModel<'a>>,
     dispatcher: Dispatcher,
     plan: PlacementPlan,
     alive: Vec<bool>,
@@ -503,15 +502,6 @@ impl<'a> Runtime<'a> {
         tracer: &'a mut (dyn Tracer + 'a),
     ) -> Self {
         let n = sys.num_nodes();
-        let loads: Vec<NodeLoadModel<'a>> = sys
-            .nodes()
-            .iter()
-            .map(|s| NodeLoadModel {
-                perf: s.perf(),
-                executors: s.config().executors.len(),
-                has_gpu: s.config().gpu_executor_count() > 0,
-            })
-            .collect();
         let dispatcher =
             Dispatcher::new(n, sys.options().route, options.feedback).with_pacing(options.pacing);
         let nodes = sys
@@ -533,7 +523,6 @@ impl<'a> Runtime<'a> {
             sys,
             options,
             stream,
-            loads,
             dispatcher,
             plan: sys.plan().clone(),
             alive: vec![true; n],
@@ -639,25 +628,24 @@ impl<'a> Runtime<'a> {
         });
         match self.dispatcher.route_job(
             job,
-            self.sys.model(),
             &self.plan,
+            self.sys.service(),
             self.sys.link(),
-            &self.loads,
             &self.alive,
             route_faults,
         ) {
-            Routing::Routed { node, job: routed } => {
+            Routing::Routed { node, arrival } => {
                 // A chain touching an in-flight migrated expert waits
                 // for its copy to land.
-                let arrival = routed
+                let arrival = stream_job
                     .stages
                     .iter()
                     .filter_map(|e| self.available_at.get(e))
-                    .fold(routed.arrival, |at, &ready| at.max(ready));
+                    .fold(arrival, |at, &ready| at.max(ready));
                 let accepted = self
                     .nodes
                     .get_mut(node)
-                    .is_some_and(|state| state.submit(stream_job, arrival, &routed.stages));
+                    .is_some_and(|state| state.submit(stream_job, arrival));
                 if !accepted {
                     // A chain no engine can run (too many stages) is
                     // rejected like an unhosted one.
@@ -964,7 +952,7 @@ impl<'a> Runtime<'a> {
                 end.saturating_since(start),
             );
         }
-        let tally = std::mem::take(&mut self.tally);
+        let mut tally = std::mem::take(&mut self.tally);
         if tally.routed > 0 || tally.completed > 0 || tally.dropped > 0 {
             self.dynamics.ticks.push(TickStat {
                 index,
@@ -974,7 +962,7 @@ impl<'a> Runtime<'a> {
                 completed: tally.completed,
                 dropped: tally.dropped,
                 slo_met: tally.slo_met,
-                p95_ms: Summary::of_spans(&tally.latencies).map(|s| s.p95),
+                p95_ms: percentile_of_spans(&mut tally.latencies, 95.0),
             });
         }
         // Migration clocks older than this tick can no longer delay

@@ -3,7 +3,9 @@
 //! The offline profiler fits the paper's `latency = K·n + B` model to
 //! measured batch latencies (§4.5) and the memory autotuner fits a
 //! linear trend to throughput samples (§4.4, Eq. 2–3). Both use
-//! [`linear_fit`]. [`Summary`] condenses latency samples for reports.
+//! [`linear_fit`]. [`Summary`] condenses latency samples for reports,
+//! and [`percentile_of_spans`] reads one of its percentiles without
+//! sorting.
 
 use coserve_sim::time::SimSpan;
 
@@ -137,19 +139,54 @@ impl Summary {
     }
 }
 
+/// The `p`-th percentile of `spans` in milliseconds, exactly as
+/// [`Summary::of_spans`] reports it, found by selection instead of a
+/// sort: the value at the percentile's lower rank, interpolated toward
+/// the smallest value above it. `None` for an empty sample. Leaves
+/// `spans` reordered.
+#[must_use]
+pub fn percentile_of_spans(spans: &mut [SimSpan], p: f64) -> Option<f64> {
+    if spans.is_empty() {
+        return None;
+    }
+    let (lo, hi, frac) = percentile_rank(spans.len(), p);
+    let (_, at_lo, above) = spans.select_nth_unstable(lo);
+    // `as_millis_f64` is monotone, so ranking spans ranks their
+    // millisecond values.
+    let lo_ms = at_lo.as_millis_f64();
+    let hi_ms = if hi > lo {
+        above.iter().min().map_or(lo_ms, |s| s.as_millis_f64())
+    } else {
+        lo_ms
+    };
+    Some(interpolate(lo_ms, hi_ms, frac))
+}
+
 /// The `p`-th percentile (nearest-rank with linear interpolation) of an
 /// already sorted, non-empty slice.
 fn percentile_sorted(sorted: &[f64], p: f64) -> f64 {
     debug_assert!(!sorted.is_empty());
-    let p = p.clamp(0.0, 100.0);
     if sorted.len() == 1 {
         return sorted[0];
     }
-    let rank = p / 100.0 * (sorted.len() - 1) as f64;
+    let (lo, hi, frac) = percentile_rank(sorted.len(), p);
+    interpolate(sorted[lo], sorted[hi], frac)
+}
+
+/// Where the `p`-th percentile of `len` sorted values falls: the ranks
+/// of the two values it interpolates between, and the weight of the
+/// upper one.
+fn percentile_rank(len: usize, p: f64) -> (usize, usize, f64) {
+    let p = p.clamp(0.0, 100.0);
+    let rank = p / 100.0 * (len - 1) as f64;
     let lo = rank.floor() as usize;
     let hi = rank.ceil() as usize;
-    let frac = rank - lo as f64;
-    sorted[lo] + (sorted[hi] - sorted[lo]) * frac
+    (lo, hi, rank - lo as f64)
+}
+
+/// Linear interpolation from `lo` toward `hi` by `frac`.
+fn interpolate(lo: f64, hi: f64, frac: f64) -> f64 {
+    lo + (hi - lo) * frac
 }
 
 #[cfg(test)]
@@ -241,6 +278,18 @@ mod tests {
     }
 
     #[test]
+    fn percentile_of_spans_reads_the_summary_percentile() {
+        assert_eq!(percentile_of_spans(&mut [], 95.0), None);
+        let mut spans: Vec<SimSpan> = [7, 3, 9, 1, 3, 12, 5]
+            .iter()
+            .map(|&ms| SimSpan::from_millis(ms))
+            .collect();
+        let summary = Summary::of_spans(&spans).unwrap();
+        assert_eq!(percentile_of_spans(&mut spans, 95.0), Some(summary.p95));
+        assert_eq!(percentile_of_spans(&mut spans, 50.0), Some(summary.p50));
+    }
+
+    #[test]
     fn percentile_interpolates() {
         let v = [10.0, 20.0, 30.0, 40.0];
         assert_eq!(percentile_sorted(&v, 0.0), 10.0);
@@ -268,6 +317,26 @@ mod proptests {
             let fit = linear_fit(&pts).unwrap();
             prop_assert!((fit.slope - slope).abs() < 1e-6 * (1.0 + slope.abs()));
             prop_assert!((fit.intercept - intercept).abs() < 1e-6 * (1.0 + intercept.abs()));
+        }
+
+        /// Selection reads the same percentile as sorting, bit for bit:
+        /// at the percentiles reports print and at a random one, over
+        /// samples dense with duplicates.
+        #[test]
+        fn percentile_of_spans_matches_the_sorted_percentile(
+            nanos in proptest::collection::vec(0u64..2_000, 1..501),
+            scale in 1u64..5_000_000,
+            p in 0.0f64..100.0,
+        ) {
+            let spans: Vec<SimSpan> =
+                nanos.iter().map(|&n| SimSpan::from_nanos(n * scale)).collect();
+            let mut sorted: Vec<f64> = spans.iter().map(|s| s.as_millis_f64()).collect();
+            sorted.sort_by(f64::total_cmp);
+            for p in [0.0, 50.0, 90.0, 95.0, 99.0, 100.0, p] {
+                let mut scratch = spans.clone();
+                let selected = percentile_of_spans(&mut scratch, p).map(f64::to_bits);
+                prop_assert_eq!(selected, Some(percentile_sorted(&sorted, p).to_bits()), "p{}", p);
+            }
         }
 
         /// Percentiles are bounded by the sample extremes and monotone
