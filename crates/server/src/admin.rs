@@ -90,7 +90,8 @@ fn read_request_path(stream: &mut TcpStream) -> Option<String> {
 }
 
 /// The `/stats` document: server-level counters (including the
-/// malformed-frame breakdown), per-connection pending completions,
+/// data sockets' read and write syscalls and the malformed-frame
+/// breakdown), per-connection pending completions,
 /// and a live engine snapshot, all one JSON object.
 fn stats_json(server: &Server, core: &ServiceCore<'_>) -> String {
     let counters = server.counters();
@@ -102,14 +103,16 @@ fn stats_json(server: &Server, core: &ServiceCore<'_>) -> String {
         .map(|&(id, n)| format!("{{\"conn\":{id},\"pending\":{n}}}"))
         .collect();
     format!(
-        "{{\"server\":{{\"accepted\":{},\"frames\":{},\"protocol_errors\":{},\
-         \"frame_errors\":{},\"decode_errors\":{},\
+        "{{\"server\":{{\"accepted\":{},\"frames\":{},\"reads\":{},\"writes\":{},\
+         \"protocol_errors\":{},\"frame_errors\":{},\"decode_errors\":{},\
          \"conns_opened\":{opened},\"conns_open\":{open},\"completions_delivered\":{delivered},\
          \"completions_pending\":{pending_total},\"busy_shed\":{},\"in_flight\":{},\
          \"draining\":{},\"conns\":[{}]}},\
          \"engine\":{}}}",
         counters.accepted.load(Ordering::Relaxed),
         counters.frames.load(Ordering::Relaxed),
+        counters.reads.load(Ordering::Relaxed),
+        counters.writes.load(Ordering::Relaxed),
         counters.protocol_errors.load(Ordering::Relaxed),
         counters.frame_errors.load(Ordering::Relaxed),
         counters.decode_errors.load(Ordering::Relaxed),
@@ -139,6 +142,8 @@ fn metrics_text(server: &Server, core: &ServiceCore<'_>) -> String {
     };
     line("server_accepted", counters.accepted.load(Ordering::Relaxed));
     line("server_frames", counters.frames.load(Ordering::Relaxed));
+    line("server_reads", counters.reads.load(Ordering::Relaxed));
+    line("server_writes", counters.writes.load(Ordering::Relaxed));
     line(
         "server_protocol_errors",
         counters.protocol_errors.load(Ordering::Relaxed),

@@ -2,9 +2,9 @@
 //!
 //! A network front-end for the CoServe engine, in the shape of
 //! Pelikan's `pingserver`: a small length-prefixed binary protocol, an
-//! acceptor feeding a fixed pool of worker threads, per-session frame
-//! buffers, and an admin port that reports live engine telemetry as
-//! JSON without pausing the run.
+//! acceptor feeding a fixed pool of worker threads, per-session read
+//! and write buffers, and an admin port that reports live engine
+//! telemetry as JSON without pausing the run.
 //!
 //! The crate is the network face of the re-entrant service core added
 //! to `coserve-core`: where `ServingSystem::serve` consumes a whole
@@ -17,13 +17,16 @@
 //! ```text
 //!                    ┌───────────────────────────────────────────┐
 //!   TCP data port ──▶│ acceptor ─▶ channel ─▶ worker 0..N        │
-//!                    │               each: FrameBuffer per conn  │
-//!                    │               decode ─▶ ServiceCore       │
-//!                    │                           │ Mutex         │
-//!                    │                           ▼               │
-//!                    │                     EngineSession         │
+//!                    │   each conn: FrameBuffer (bytes in)       │
+//!                    │              answer buffer (bytes out)    │
+//!                    │   read ─▶ decode ─▶ ServiceCore           │
+//!                    │                         │ Mutex           │
+//!                    │                         ▼                 │
+//!                    │                   EngineSession           │
+//!                    │   encode each answer into the buffer;     │
+//!                    │   one write per read, before reading on   │
 //!   TCP admin port ─▶│ admin: /healthz /stats /metrics           │
-//!                    │        /trace /shutdown                   │
+//!                    │        /trace /drain /shutdown            │
 //!                    └───────────────────────────────────────────┘
 //! ```
 //!

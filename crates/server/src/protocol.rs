@@ -470,7 +470,12 @@ pub fn decode_response(payload: &[u8]) -> Result<Response, ProtocolError> {
     Ok(resp)
 }
 
-/// Writes one frame (length prefix + payload) to `w`.
+/// Writes one frame (length prefix + payload) to `w` with a single
+/// `write_all`, so a frame written straight to a socket costs one
+/// syscall rather than one for the prefix and one for the payload.
+/// Writing into a `Vec<u8>` instead batches frames: the server frames
+/// every answer to one read into its connection's output buffer and
+/// sends them together.
 ///
 /// # Errors
 ///
@@ -479,8 +484,10 @@ pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> io::Result<()> {
     if payload.len() > MAX_FRAME {
         return Err(ProtocolError(format!("frame of {} bytes too large", payload.len())).into());
     }
-    w.write_all(&(payload.len() as u32).to_le_bytes())?;
-    w.write_all(payload)?;
+    let mut frame = Vec::with_capacity(4 + payload.len());
+    frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+    frame.extend_from_slice(payload);
+    w.write_all(&frame)?;
     w.flush()
 }
 
@@ -516,9 +523,15 @@ pub fn read_frame(r: &mut impl Read) -> io::Result<Option<Vec<u8>>> {
 /// worker loop — reads can stop at arbitrary byte boundaries (short
 /// reads, read timeouts used to poll the shutdown flag) without
 /// corrupting the framing.
+///
+/// Taking a frame only advances a read offset; the consumed bytes are
+/// dropped once per [`FrameBuffer::extend`], so splitting one read of
+/// `n` frames moves each byte at most once rather than `n` times.
 #[derive(Debug, Default)]
 pub struct FrameBuffer {
     buf: Vec<u8>,
+    /// Bytes at the front of `buf` already taken as frames.
+    taken: usize,
 }
 
 impl FrameBuffer {
@@ -530,6 +543,8 @@ impl FrameBuffer {
 
     /// Appends raw bytes from the socket.
     pub fn extend(&mut self, bytes: &[u8]) {
+        self.buf.drain(..self.taken);
+        self.taken = 0;
         self.buf.extend_from_slice(bytes);
     }
 
@@ -540,7 +555,8 @@ impl FrameBuffer {
     /// Returns [`ProtocolError`] when the buffered length prefix
     /// exceeds [`MAX_FRAME`] (the connection should be dropped).
     pub fn next_frame(&mut self) -> Result<Option<Vec<u8>>, ProtocolError> {
-        let Some(prefix) = self.buf.first_chunk::<4>() else {
+        let rest = self.buf.get(self.taken..).unwrap_or_default();
+        let Some(prefix) = rest.first_chunk::<4>() else {
             return Ok(None);
         };
         let len = u32::from_le_bytes(*prefix) as usize;
@@ -549,11 +565,11 @@ impl FrameBuffer {
                 "frame length {len} exceeds MAX_FRAME"
             )));
         }
-        let Some(payload) = self.buf.get(4..4 + len) else {
+        let Some(payload) = rest.get(4..4 + len) else {
             return Ok(None);
         };
         let payload = payload.to_vec();
-        self.buf.drain(..4 + len);
+        self.taken += 4 + len;
         Ok(Some(payload))
     }
 }
@@ -566,7 +582,7 @@ mod tests {
     impl FrameBuffer {
         /// Bytes buffered but not yet consumed.
         fn pending_bytes(&self) -> usize {
-            self.buf.len()
+            self.buf.len() - self.taken
         }
     }
 
@@ -646,6 +662,30 @@ mod tests {
             }
         }
         assert_eq!(frames, vec![a, b]);
+        assert_eq!(fb.pending_bytes(), 0);
+    }
+
+    #[test]
+    fn one_extend_of_many_frames_splits_in_order() {
+        let payloads: Vec<Vec<u8>> = (0..512u32)
+            .map(|i| {
+                encode_request(&Request::Submit {
+                    arrival: SimTime::from_nanos(u64::from(i)),
+                    stages: vec![ExpertId(i), ExpertId(i + 1)],
+                })
+            })
+            .collect();
+        let mut wire = Vec::new();
+        for payload in &payloads {
+            write_frame(&mut wire, payload).unwrap();
+        }
+        let mut fb = FrameBuffer::new();
+        fb.extend(&wire);
+        let mut frames = Vec::new();
+        while let Some(f) = fb.next_frame().unwrap() {
+            frames.push(f);
+        }
+        assert_eq!(frames, payloads);
         assert_eq!(fb.pending_bytes(), 0);
     }
 

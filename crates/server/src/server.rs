@@ -2,18 +2,23 @@
 //!
 //! A deliberately boring threaded TCP server in the shape of Pelikan's
 //! `pingserver`: one acceptor, a fixed pool of worker threads fed
-//! through a channel, one [`FrameBuffer`] per connection so reads can
-//! stop at arbitrary byte boundaries, and an admin listener on a
-//! second port (see [`crate::admin`]). Workers decode frames, hand
-//! them to the shared [`ServiceCore`], and write the response back —
-//! all engine logic lives behind the core's mutex, none in the
-//! network layer.
+//! through a channel, and an admin listener on a second port (see
+//! [`crate::admin`]). Each connection has Pelikan's read buffer and
+//! write buffer: a [`FrameBuffer`] so reads can stop at arbitrary byte
+//! boundaries, and an output buffer that collects the answers to every
+//! frame one read delivered, in request order. Workers decode frames,
+//! hand them to the shared [`ServiceCore`], and send each read's
+//! answers back with **one write per read** — a client that pipelines
+//! 32 requests into one write gets 32 answers in one write, not 64
+//! syscalls. A worker never blocks in `read` while it holds answers.
+//! All engine logic lives behind the core's mutex, none in the network
+//! layer.
 //!
 //! Everything polls a shared shutdown flag on short timeouts instead
 //! of blocking forever, so `GET /shutdown` on the admin port (or
 //! [`Server::shutdown`]) unwinds the whole scope cleanly.
 
-use std::io::{self, Read};
+use std::io::{self, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{mpsc, Mutex};
@@ -68,6 +73,11 @@ pub struct ServerCounters {
     pub frame_errors: AtomicU64,
     /// Well-framed payloads that failed to decode as a request.
     pub decode_errors: AtomicU64,
+    /// Data-socket reads that returned bytes.
+    pub reads: AtomicU64,
+    /// Answer buffers written to data sockets, the shutdown goodbye
+    /// included. Outside shutdown a read yields at most one write.
+    pub writes: AtomicU64,
 }
 
 /// A bound (but not yet running) server.
@@ -269,11 +279,19 @@ impl Server {
     /// Serves one data connection to EOF: Pelikan-style per-session
     /// receive buffer, short read timeouts so the shutdown flag is
     /// polled even while a frame is partially received.
+    ///
+    /// One write per read: the answer to every frame a read completed
+    /// is framed into `out`, in request order, and `out` goes to the
+    /// socket in one `write_all` before the worker blocks in `read`
+    /// again — never later, so no answer waits on bytes that may never
+    /// come (a half-sent frame behind it, say) — and before the
+    /// connection closes after a framing error or a draining `Finish`.
     fn serve_connection(&self, core: &ServiceCore<'_>, mut stream: TcpStream) {
         self.active_conns.fetch_add(1, Ordering::SeqCst);
         let _ = stream.set_read_timeout(Some(POLL_INTERVAL));
         let _ = stream.set_nodelay(true);
         let mut frames = FrameBuffer::new();
+        let mut out = Vec::new();
         let mut conn: Option<u32> = None;
         let mut read_buf = [0u8; 16 * 1024];
 
@@ -283,7 +301,7 @@ impl Server {
                     code: ErrorCode::Shutdown,
                     message: "server shutting down".into(),
                 };
-                let _ = write_frame(&mut stream, &encode_response(&bye));
+                let _ = write_frame(&mut out, &encode_response(&bye));
                 break;
             }
             let n = match stream.read(&mut read_buf) {
@@ -297,6 +315,7 @@ impl Server {
                 }
                 Err(_) => break,
             };
+            self.counters.reads.fetch_add(1, Ordering::Relaxed);
             let Some(chunk) = read_buf.get(..n) else {
                 break;
             };
@@ -343,7 +362,7 @@ impl Server {
                         }
                     }
                 };
-                if write_frame(&mut stream, &encode_response(&response)).is_err() {
+                if write_frame(&mut out, &encode_response(&response)).is_err() {
                     break 'conn;
                 }
                 // On a draining server a `Finish` is goodbye: close
@@ -353,13 +372,34 @@ impl Server {
                     break 'conn;
                 }
             }
+            if !self.send(&mut stream, &mut out) {
+                break;
+            }
         }
+        // Whatever made the loop end, answers already framed still go
+        // out before the close: the frames ahead of a bad length
+        // prefix, a draining `Finish`, the shutdown goodbye.
+        self.send(&mut stream, &mut out);
         // A connection that vanished without `Finish` still releases
         // its session state (and orphans its undelivered completions).
         if let Some(id) = conn {
             core.disconnect(id);
         }
         self.active_conns.fetch_sub(1, Ordering::SeqCst);
+    }
+
+    /// Writes the framed answers in `out` to `stream` in one
+    /// `write_all` and empties `out`; `false` when the socket failed.
+    fn send(&self, stream: &mut TcpStream, out: &mut Vec<u8>) -> bool {
+        if out.is_empty() {
+            return true;
+        }
+        let sent = stream.write_all(out).is_ok();
+        out.clear();
+        if sent {
+            self.counters.writes.fetch_add(1, Ordering::Relaxed);
+        }
+        sent
     }
 
     fn admin_loop(&self, core: &ServiceCore<'_>) {
@@ -376,10 +416,13 @@ impl Server {
 }
 
 /// Blocking wire client used by the load generator and the tests; one
-/// request frame out, one response frame back.
+/// request frame out, one response frame back. A call costs one write
+/// syscall and, through a buffered reader over a clone of the socket,
+/// usually one read.
 #[derive(Debug)]
 pub struct Client {
     stream: TcpStream,
+    reader: BufReader<TcpStream>,
 }
 
 impl Client {
@@ -391,7 +434,8 @@ impl Client {
     pub fn connect(addr: SocketAddr) -> io::Result<Client> {
         let stream = TcpStream::connect(addr)?;
         stream.set_nodelay(true)?;
-        Ok(Client { stream })
+        let reader = BufReader::new(stream.try_clone()?);
+        Ok(Client { stream, reader })
     }
 
     /// Sends one request and reads the matching response.
@@ -402,7 +446,7 @@ impl Client {
     /// [`io::ErrorKind::UnexpectedEof`].
     pub fn call(&mut self, request: &crate::protocol::Request) -> io::Result<Response> {
         write_frame(&mut self.stream, &crate::protocol::encode_request(request))?;
-        let payload = crate::protocol::read_frame(&mut self.stream)?.ok_or_else(|| {
+        let payload = crate::protocol::read_frame(&mut self.reader)?.ok_or_else(|| {
             io::Error::new(io::ErrorKind::UnexpectedEof, "server closed connection")
         })?;
         Ok(crate::protocol::decode_response(&payload)?)

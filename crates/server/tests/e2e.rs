@@ -1,8 +1,9 @@
 //! End-to-end tests: real TCP loopback sockets, the full worker pool,
 //! and the admin port — pinned against the batch facade.
 
-use std::io::{Read, Write};
+use std::io::{BufReader, Read, Write};
 use std::net::TcpStream;
+use std::panic::AssertUnwindSafe;
 use std::time::Duration;
 
 use coserve_core::prelude::*;
@@ -23,7 +24,9 @@ fn tiny_setup() -> (ServingSystem, coserve_workload::stream::RequestStream) {
 }
 
 /// Boots a server around `core`, runs `client_side` against the bound
-/// addresses, shuts down, and returns once the scope unwinds.
+/// addresses, shuts down, and returns once the scope unwinds. A panic
+/// in `client_side` shuts the server down too and then fails the test,
+/// instead of leaving the scope waiting on a server that still runs.
 fn with_server<'a>(
     core: &ServiceCore<'a>,
     workers: usize,
@@ -38,9 +41,12 @@ fn with_server<'a>(
     let admin = server.admin_addr().unwrap();
     std::thread::scope(|scope| {
         let handle = scope.spawn(|| server.run(core));
-        client_side(data, admin);
+        let client = std::panic::catch_unwind(AssertUnwindSafe(|| client_side(data, admin)));
         server.shutdown();
         handle.join().unwrap().unwrap();
+        if let Err(panic) = client {
+            std::panic::resume_unwind(panic);
+        }
     });
 }
 
@@ -398,6 +404,25 @@ fn malformed_frames_do_not_wedge_the_server() {
         let mut buf = [0u8; 1];
         assert_eq!(stream.read(&mut buf).unwrap_or(0), 0, "connection closed");
 
+        // A `Hello` and an oversized length prefix in one write: the
+        // answer to the frame ahead of the bad prefix still goes out,
+        // then the connection is dropped.
+        let mut stream = TcpStream::connect(data).unwrap();
+        stream
+            .set_read_timeout(Some(Duration::from_secs(5)))
+            .unwrap();
+        let mut wire = Vec::new();
+        write_frame(&mut wire, &encode_request(&Request::Hello)).unwrap();
+        wire.extend_from_slice(&u32::MAX.to_le_bytes());
+        stream.write_all(&wire).unwrap();
+        let payload = read_frame(&mut stream).unwrap().unwrap();
+        let resp = decode_response(&payload).unwrap();
+        assert!(matches!(resp, Response::Hello { .. }), "{resp:?}");
+        assert!(
+            read_frame(&mut stream).unwrap_or(None).is_none(),
+            "connection closed"
+        );
+
         // The server still serves well-formed clients afterwards.
         let mut client = Client::connect(data).unwrap();
         let hello = client.call(&Request::Hello).unwrap();
@@ -405,13 +430,78 @@ fn malformed_frames_do_not_wedge_the_server() {
         client.call(&Request::Finish).unwrap();
 
         // The two failure modes are counted separately and surfaced
-        // on the admin port: one decode error (garbage opcode), one
-        // frame error (oversized length prefix).
+        // on the admin port: one decode error (garbage opcode), two
+        // frame errors (oversized length prefixes).
         let stats = admin_get(admin, "/stats");
         let body = stats.split("\r\n\r\n").nth(1).unwrap();
-        assert!(body.contains("\"protocol_errors\":2"), "{body}");
-        assert!(body.contains("\"frame_errors\":1"), "{body}");
+        assert!(body.contains("\"protocol_errors\":3"), "{body}");
+        assert!(body.contains("\"frame_errors\":2"), "{body}");
         assert!(body.contains("\"decode_errors\":1"), "{body}");
+    });
+}
+
+/// Reads one integer field of a `/stats` body.
+fn stat(body: &str, key: &str) -> u64 {
+    let needle = format!("\"{key}\":");
+    let at = body.find(&needle).unwrap() + needle.len();
+    let digits: String = body[at..]
+        .chars()
+        .take_while(char::is_ascii_digit)
+        .collect();
+    digits.parse().unwrap()
+}
+
+/// Every read is answered before the server reads again: one write
+/// carrying `Hello`, 32 `Submit`s and the first half of a `Pump` frame
+/// gets all 33 answers, in order, while the `Pump` is still incomplete.
+/// A held-back answer fails the 5 s read timeout instead of hanging.
+#[test]
+fn answers_never_wait_for_the_next_read() {
+    let (system, stream) = tiny_setup();
+    let core = ServiceCore::new(system.session("CoServe"), system.model().num_experts());
+    with_server(&core, 2, |data, admin| {
+        let mut socket = TcpStream::connect(data).unwrap();
+        socket
+            .set_read_timeout(Some(Duration::from_secs(5)))
+            .unwrap();
+        socket.set_nodelay(true).unwrap();
+        let mut reader = BufReader::new(socket.try_clone().unwrap());
+        let mut answer = || decode_response(&read_frame(&mut reader).unwrap().unwrap()).unwrap();
+
+        let mut wire = Vec::new();
+        write_frame(&mut wire, &encode_request(&Request::Hello)).unwrap();
+        for job in stream.jobs().iter().take(32) {
+            let submit = Request::Submit {
+                arrival: job.arrival,
+                stages: job.stages.clone(),
+            };
+            write_frame(&mut wire, &encode_request(&submit)).unwrap();
+        }
+        let mut pump = Vec::new();
+        write_frame(&mut pump, &encode_request(&Request::Pump { limit: None })).unwrap();
+        let (head, tail) = pump.split_at(pump.len() / 2);
+        wire.extend_from_slice(head);
+        socket.write_all(&wire).unwrap();
+
+        let hello = answer();
+        assert!(
+            matches!(hello, Response::Hello { conn: 0, .. }),
+            "{hello:?}"
+        );
+        for job in 0..32 {
+            assert_eq!(answer(), Response::Submit { job });
+        }
+        socket.write_all(tail).unwrap();
+        let pumped = answer();
+        assert!(
+            matches!(pumped, Response::Pump { pending: 0, .. }),
+            "{pumped:?}"
+        );
+
+        let stats = admin_get(admin, "/stats");
+        let body = stats.split("\r\n\r\n").nth(1).unwrap();
+        let (reads, writes) = (stat(body, "reads"), stat(body, "writes"));
+        assert!(writes > 0 && writes <= reads, "{body}");
     });
 }
 
@@ -459,6 +549,8 @@ fn admin_trace_and_metrics_endpoints() {
         assert_eq!(value("engine_submitted "), stream.len() as u64);
         assert_eq!(value("engine_completed "), stream.len() as u64);
         assert_eq!(value("server_frame_errors "), 0);
+        assert!(value("server_writes ") > 0);
+        assert!(value("server_writes ") <= value("server_reads "));
         assert!(value("trace_events_recorded ") > 0);
         assert_eq!(
             value("trace_events_buffered "),
