@@ -20,7 +20,7 @@ use coserve_workload::board::BoardSpec;
 fn setup(n: u32) -> (CoeModel, PerfMatrix, ModelPool) {
     let board = BoardSpec::board_a();
     let model = board.build_model().expect("board A validates");
-    let perf = PerfMatrix::from_model_with("bench", &model, |_, _| None);
+    let perf = PerfMatrix::from_model_with(&model, |_, _| None);
     let mut pool = ModelPool::new(Bytes::gib(64));
     for i in 0..n {
         let e = ExpertId(i);
@@ -66,7 +66,7 @@ fn bench_orphan_heavy_pool(c: &mut Criterion) {
     // preliminaries: stage 1 does all the work.
     let board = BoardSpec::board_a();
     let model = board.build_model().expect("board A validates");
-    let perf = PerfMatrix::from_model_with("bench", &model, |_, _| None);
+    let perf = PerfMatrix::from_model_with(&model, |_, _| None);
     let mut pool = ModelPool::new(Bytes::gib(16));
     for g in 0..board.num_detectors() as u32 {
         let e = board.detector_of(g);
@@ -98,7 +98,7 @@ fn bench_orphan_heavy_pool(c: &mut Criterion) {
 fn bench_full_pool_scratch_reuse(c: &mut Criterion) {
     let board = BoardSpec::board_a();
     let model = board.build_model().expect("board A validates");
-    let perf = PerfMatrix::from_model_with("bench", &model, |_, _| None);
+    let perf = PerfMatrix::from_model_with(&model, |_, _| None);
     let mut pool = ModelPool::new(Bytes::gib(128));
     for i in 0..model.num_experts() as u32 {
         let e = ExpertId(i);

@@ -19,7 +19,7 @@ use std::time::Instant;
 
 use coserve_cluster::dispatch::{FeedbackMode, RoutePolicy};
 use coserve_cluster::placement::PlacementStrategy;
-use coserve_cluster::runtime::{FailureSchedule, ReplacementPolicy, RuntimeOptions};
+use coserve_cluster::runtime::{FailureSchedule, ReplacementPolicy, RuntimeOptions, SLO};
 use coserve_cluster::{ClusterOptions, ClusterSystem};
 use coserve_core::autotune::{window_search, UsageCdf};
 use coserve_core::config::AdmissionControl;
@@ -916,7 +916,6 @@ pub fn fig22_failure_recovery() -> (Table, Vec<(String, String)>) {
         });
     }
 
-    let slo = SimSpan::from_millis(250);
     let reports = crate::sweep::run_ordered(cells.clone(), |cell| {
         // Least-loaded routing: the work-left estimate *is* the routing
         // signal, so estimate quality (open-loop vs corrected) shows up
@@ -939,7 +938,6 @@ pub fn fig22_failure_recovery() -> (Table, Vec<(String, String)>) {
             .failures(failures)
             .replacement(cell.replacement)
             .feedback(cell.feedback)
-            .slo(slo)
             .online(admission, presets::ONLINE_MAX_OVERTAKE);
         cluster.serve_runtime(&stream, &options)
     });
@@ -970,7 +968,7 @@ pub fn fig22_failure_recovery() -> (Table, Vec<(String, String)>) {
             .estimate_error_ms
             .map_or_else(|| "-".into(), |e| fmt_f64(e, 1));
         let attain = r
-            .slo_attainment(slo)
+            .slo_attainment(SLO)
             .map_or_else(|| "-".into(), |a| fmt_f64(100.0 * a, 1));
         let orphan_pct = if r.submitted > 0 {
             100.0 * r.dynamics.routing_dropped as f64 / r.submitted as f64

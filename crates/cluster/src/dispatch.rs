@@ -180,11 +180,6 @@ pub enum Routing {
         /// The first unhosted expert in the chain.
         expert: ExpertId,
     },
-    /// Every live node has exhausted its per-tick pacing budget: the
-    /// front-end sheds the job instead of routing it into an admission
-    /// queue that is already observed to be overflowing (only possible
-    /// with [`Dispatcher::with_pacing`] enabled).
-    Paced,
 }
 
 /// The stateful cluster front-end: routes jobs one at a time against a
@@ -209,18 +204,6 @@ pub struct Dispatcher {
     err_samples: u64,
     err_sum_ms: f64,
     residency: Vec<usize>,
-    /// Queue-depth-aware pacing (off by default): when a node reports
-    /// admission drops at a control tick, the dispatcher caps how many
-    /// jobs it sends that node next tick to just above what the node
-    /// actually absorbed, growing the cap back multiplicatively over
-    /// clean ticks (AIMD in spirit). Service-scale feedback alone
-    /// cannot fix a drifted node whose admission queue overflows —
-    /// scaling service time steers *later* jobs away but the burst
-    /// already sent is dropped at the node; the budget bounds the
-    /// burst itself.
-    pacing: bool,
-    tick_sent: Vec<u64>,
-    tick_budget: Vec<Option<u64>>,
 }
 
 impl Dispatcher {
@@ -244,81 +227,6 @@ impl Dispatcher {
             err_samples: 0,
             err_sum_ms: 0.0,
             residency: vec![0; nodes],
-            pacing: false,
-            tick_sent: vec![0; nodes],
-            tick_budget: vec![None; nodes],
-        }
-    }
-
-    /// Enables (or disables) queue-depth-aware pacing: per-node,
-    /// per-tick send budgets derived from the admitted/dropped
-    /// telemetry fed through [`Dispatcher::observe_admission`]. With
-    /// pacing off (the default) routing is bit-identical to the
-    /// un-paced dispatcher.
-    #[must_use]
-    pub fn with_pacing(mut self, pacing: bool) -> Self {
-        self.pacing = pacing;
-        self
-    }
-
-    /// Opens a new control tick: resets the per-node sent counters the
-    /// pacing budgets are charged against.
-    pub fn begin_tick(&mut self) {
-        self.tick_sent.fill(0);
-    }
-
-    /// Feeds one node's admission telemetry back: `admitted`/`dropped`
-    /// are the node's tick counters, `drain` the span from the tick's
-    /// start to the node's finish (see [`Dispatcher::observe`]), `tick`
-    /// the control-tick length. Two
-    /// congestion signals set next tick's send budget:
-    ///
-    /// * **drops** — the admission queue overflowed; clamp to just
-    ///   above what the node absorbed;
-    /// * **overrun** — the node admitted everything but took well over
-    ///   a tick to drain it (the queue grows silently rather than
-    ///   overflowing); clamp to the per-tick count it actually
-    ///   sustained, `admitted · tick / drain`.
-    ///
-    /// On a clean tick an existing budget grows by half (and is lifted
-    /// entirely once it stops binding). A no-op when pacing is off.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `node` is out of range.
-    pub fn observe_admission(
-        &mut self,
-        node: usize,
-        admitted: usize,
-        dropped: usize,
-        drain: SimSpan,
-        tick: SimSpan,
-    ) {
-        if !self.pacing {
-            let _ = self.tick_budget[node]; // still bounds-check
-            return;
-        }
-        let admitted = admitted as u64;
-        // Sustained per-tick drain rate, only meaningful when the node
-        // overran its tick by a margin (a job admitted near the tick
-        // edge always finishes a little past it).
-        let overrun = admitted > 0
-            && tick > SimSpan::ZERO
-            && drain.as_millis_f64() > 1.25 * tick.as_millis_f64();
-        let sustained = overrun.then(|| {
-            let rate = tick.as_millis_f64() / drain.as_millis_f64();
-            ((admitted as f64 * rate).floor() as u64).max(1)
-        });
-        if dropped > 0 {
-            let cap = (admitted + admitted / 4 + 1).max(1);
-            self.tick_budget[node] = Some(sustained.map_or(cap, |s| s.min(cap)));
-        } else if let Some(s) = sustained {
-            self.tick_budget[node] = Some(self.tick_budget[node].map_or(s, |b| b.min(s)));
-        } else if let Some(b) = self.tick_budget[node] {
-            // Multiplicative recovery; once the budget exceeds what the
-            // node was actually sent it no longer binds, so lift it.
-            let grown = b + (b / 2).max(1);
-            self.tick_budget[node] = (grown <= 2 * self.tick_sent[node].max(1)).then_some(grown);
         }
     }
 
@@ -405,23 +313,11 @@ impl Dispatcher {
         // Candidates are scanned in an order rotated by the dispatch
         // sequence number, so fully tied nodes (hot-only chains on
         // replicated placement, idle fleets) round-robin instead of
-        // piling onto node 0. Under pacing, nodes whose per-tick send
-        // budget is spent drop out of the scan; when every live node is
-        // over budget the job is shed at the front-end rather than fed
-        // into an admission queue known to be overflowing.
-        let paced_ok = |node: usize| {
-            !self.pacing
-                || self.tick_budget[node].is_none_or(|budget| self.tick_sent[node] < budget)
-        };
-        if self.pacing && !(0..n).any(|node| alive[node] && paced_ok(node)) {
-            return Routing::Paced;
-        }
+        // piling onto node 0.
         let start = seq % n;
         let mut target = select_target(
             self.route,
-            (0..n)
-                .map(|k| (start + k) % n)
-                .filter(|&node| alive[node] && paced_ok(node)),
+            (0..n).map(|k| (start + k) % n).filter(|&node| alive[node]),
             &self.residency,
             &self.busy_until,
             job.arrival,
@@ -453,9 +349,9 @@ impl Dispatcher {
                 if f.hedge {
                     let alt = select_target(
                         self.route,
-                        (0..n).map(|k| (start + k) % n).filter(|&node| {
-                            alive[node] && paced_ok(node) && unreachable_stages(node) == 0
-                        }),
+                        (0..n)
+                            .map(|k| (start + k) % n)
+                            .filter(|&node| alive[node] && unreachable_stages(node) == 0),
                         &self.residency,
                         &self.busy_until,
                         job.arrival,
@@ -468,7 +364,6 @@ impl Dispatcher {
                 }
             }
         }
-        self.tick_sent[target] += 1;
 
         // Fabric charge: every chain stage whose expert lives elsewhere
         // ships its activations from the nearest live holder. Every
@@ -589,24 +484,6 @@ impl Dispatcher {
         self.predicted_since_observe[node] = SimSpan::ZERO;
     }
 
-    /// Forgets everything learned about `node`: the work it was
-    /// predicted to do died with it (re-routed jobs are re-charged to
-    /// their new targets), and a node revived later starts with fresh
-    /// hardware, an empty queue and no service history. Without this, a
-    /// killed node keeps phantom predicted work that biases its first
-    /// post-revival observation.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `node` is out of range.
-    pub fn forget_node(&mut self, node: usize) {
-        self.busy_until[node] = SimTime::ZERO;
-        self.predicted_since_observe[node] = SimSpan::ZERO;
-        self.service_scale[node] = 1.0;
-        self.tick_sent[node] = 0;
-        self.tick_budget[node] = None;
-    }
-
     /// Charges out-of-band work (an expert migration landing on `node`)
     /// against the node's work-left estimate, so re-placement traffic
     /// steers subsequent routing away from busy receivers.
@@ -721,7 +598,7 @@ mod tests {
                     arrival,
                     ..job.clone()
                 }),
-                other => panic!("every node is live and pacing is off: {other:?}"),
+                other => panic!("every node is live: {other:?}"),
             }
         }
         (per_node, d)
@@ -844,7 +721,6 @@ mod tests {
                 Routing::Unhosted { expert } => {
                     panic!("replicated placement cannot orphan {expert}")
                 }
-                Routing::Paced => panic!("pacing is off"),
             }
         }
         assert_eq!(d.cross_node_hops(), 0);
@@ -894,87 +770,6 @@ mod tests {
         // A second observation round with no new work is a no-op.
         d.observe(0, SimTime::ZERO, SimSpan::ZERO);
         assert_eq!(d.estimate_error_ms(), Some(err));
-    }
-
-    #[test]
-    fn pacing_budget_filters_and_sheds() {
-        let (model, perf, stream, link, service) = setup();
-        let plan = plan_placement(&model, &perf, 2, PlacementStrategy::Replicated, 7);
-        let alive = [true, true];
-        let mut d =
-            dispatcher(2, RoutePolicy::LeastLoaded, FeedbackMode::OpenLoop).with_pacing(true);
-        // Node 0 overflowed last tick after absorbing 2 jobs; node 1
-        // absorbed 4 cleanly (no budget).
-        d.observe_admission(
-            0,
-            2,
-            10,
-            SimSpan::from_millis(100),
-            SimSpan::from_millis(100),
-        );
-        d.observe_admission(
-            1,
-            4,
-            0,
-            SimSpan::from_millis(100),
-            SimSpan::from_millis(100),
-        );
-        d.begin_tick();
-        let mut to = [0usize; 2];
-        for job in stream.jobs().iter().take(20) {
-            if let Routing::Routed { node, .. } =
-                d.route_job(job, &plan, &service, link, &alive, None)
-            {
-                to[node] += 1;
-            }
-        }
-        // Budget = 2 + 2/4 + 1 = 3: node 0 takes at most 3 of the 20,
-        // the unbudgeted node takes the spill.
-        assert!(to[0] <= 3, "budget must cap node 0: {to:?}");
-        assert_eq!(to[0] + to[1], 20, "spill is routed, not shed: {to:?}");
-        // With node 1 dead, the same budget exhausts the whole fleet
-        // and further jobs are shed at the front-end.
-        d.begin_tick();
-        let dead = [true, false];
-        let mut shed = 0usize;
-        for job in stream.jobs().iter().take(20) {
-            if matches!(
-                d.route_job(job, &plan, &service, link, &dead, None),
-                Routing::Paced
-            ) {
-                shed += 1;
-            }
-        }
-        assert_eq!(shed, 20 - 3, "everything past the budget is shed");
-        // Clean ticks grow the budget back until it stops binding.
-        d.observe_admission(
-            0,
-            3,
-            0,
-            SimSpan::from_millis(100),
-            SimSpan::from_millis(100),
-        );
-        assert!(d.tick_budget[0].unwrap() > 3);
-        // A forgotten (killed/revived) node starts unpaced.
-        d.forget_node(0);
-        assert_eq!(d.tick_budget[0], None);
-    }
-
-    #[test]
-    fn pacing_off_routes_identically() {
-        let (model, perf, stream, link, service) = setup();
-        let plan = plan_placement(&model, &perf, 3, PlacementStrategy::UsageAware, 7);
-        let alive = [true, true, true];
-        let mut plain = dispatcher(3, RoutePolicy::LeastLoaded, FeedbackMode::OpenLoop);
-        // Paced but never observing drops: budgets never materialize,
-        // so routing is bit-identical to the un-paced dispatcher.
-        let mut paced = plain.clone().with_pacing(true);
-        for job in stream.jobs() {
-            paced.begin_tick();
-            let a = plain.route_job(job, &plan, &service, link, &alive, None);
-            let b = paced.route_job(job, &plan, &service, link, &alive, None);
-            assert_eq!(a, b);
-        }
     }
 
     #[test]
@@ -1176,7 +971,6 @@ mod tests {
     enum ReferenceRouting {
         Routed { node: usize, job: Job },
         Unhosted { expert: ExpertId },
-        Paced,
     }
 
     impl Dispatcher {
@@ -1222,23 +1016,11 @@ mod tests {
             // Candidates are scanned in an order rotated by the dispatch
             // sequence number, so fully tied nodes (hot-only chains on
             // replicated placement, idle fleets) round-robin instead of
-            // piling onto node 0. Under pacing, nodes whose per-tick send
-            // budget is spent drop out of the scan; when every live node is
-            // over budget the job is shed at the front-end rather than fed
-            // into an admission queue known to be overflowing.
-            let paced_ok = |node: usize| {
-                !self.pacing
-                    || self.tick_budget[node].is_none_or(|budget| self.tick_sent[node] < budget)
-            };
-            if self.pacing && !(0..n).any(|node| alive[node] && paced_ok(node)) {
-                return ReferenceRouting::Paced;
-            }
+            // piling onto node 0.
             let start = seq % n;
             let mut target = select_target(
                 self.route,
-                (0..n)
-                    .map(|k| (start + k) % n)
-                    .filter(|&node| alive[node] && paced_ok(node)),
+                (0..n).map(|k| (start + k) % n).filter(|&node| alive[node]),
                 &self.residency,
                 &self.busy_until,
                 job.arrival,
@@ -1270,9 +1052,9 @@ mod tests {
                     if f.hedge {
                         let alt = select_target(
                             self.route,
-                            (0..n).map(|k| (start + k) % n).filter(|&node| {
-                                alive[node] && paced_ok(node) && unreachable_stages(node) == 0
-                            }),
+                            (0..n)
+                                .map(|k| (start + k) % n)
+                                .filter(|&node| alive[node] && unreachable_stages(node) == 0),
                             &self.residency,
                             &self.busy_until,
                             job.arrival,
@@ -1285,7 +1067,6 @@ mod tests {
                     }
                 }
             }
-            self.tick_sent[target] += 1;
 
             // Fabric charge: every chain stage whose expert lives elsewhere
             // ships its activations from the nearest live holder. Every
@@ -1416,12 +1197,11 @@ mod tests {
         proptest! {
             #![proptest_config(ProptestConfig::with_cases(96))]
             /// The holders-index routing decides every job exactly as the
-            /// reference does: the same node and arrival, the same
-            /// unhosted expert, or the same pacing shed. Chunks of jobs
-            /// run between random live masks, telemetry, admission
-            /// feedback and tick boundaries; afterwards the work-left
-            /// estimates, hop and fabric counters, estimate error and
-            /// fault ledgers agree too.
+            /// reference does: the same node and arrival, or the same
+            /// unhosted expert. Chunks of jobs run between random live
+            /// masks and telemetry; afterwards the work-left estimates,
+            /// hop and fabric counters, estimate error and fault ledgers
+            /// agree too.
             #[test]
             fn route_job_matches_the_reference(
                 seed in 0u64..1_000_000,
@@ -1429,7 +1209,6 @@ mod tests {
                 nodes in 1usize..=6,
                 route in 0usize..3,
                 corrected in any::<bool>(),
-                pacing in any::<bool>(),
                 faults in 0u8..3,
                 gpus in 0usize..=3,
                 cpus in 1usize..=2,
@@ -1486,8 +1265,7 @@ mod tests {
                 });
                 let hedge = faults == 1;
 
-                let mut new =
-                    Dispatcher::new(nodes, RoutePolicy::ALL[route], feedback).with_pacing(pacing);
+                let mut new = Dispatcher::new(nodes, RoutePolicy::ALL[route], feedback);
                 let mut old = new.clone();
                 let mut new_ledger = FaultLedger::default();
                 let mut old_ledger = FaultLedger::default();
@@ -1495,8 +1273,7 @@ mod tests {
                 let mut jobs = stream.jobs();
                 while !jobs.is_empty() {
                     // Between chunks: a new live mask, and random
-                    // telemetry, admission feedback and tick boundaries
-                    // fed to both dispatchers alike.
+                    // telemetry fed to both dispatchers alike.
                     if rng.next_below(4) == 0 {
                         alive = random_mask(&mut rng, nodes);
                     }
@@ -1508,19 +1285,6 @@ mod tests {
                             new.observe(node, finish, busy);
                             old.observe(node, finish, busy);
                         }
-                        if rng.next_below(3) == 0 {
-                            let admitted = rng.next_below(12) as usize;
-                            let dropped =
-                                rng.next_below(4) as usize * rng.next_below(2) as usize;
-                            let tick = SimSpan::from_millis(1 + rng.next_below(100));
-                            let drain = SimSpan::from_millis(rng.next_below(300));
-                            new.observe_admission(node, admitted, dropped, drain, tick);
-                            old.observe_admission(node, admitted, dropped, drain, tick);
-                        }
-                    }
-                    if rng.next_below(2) == 0 {
-                        new.begin_tick();
-                        old.begin_tick();
                     }
                     let take = (1 + rng.next_below(40) as usize).min(jobs.len());
                     let (chunk, rest) = jobs.split_at(take);
@@ -1561,7 +1325,6 @@ mod tests {
                             ReferenceRouting::Unhosted { expert } => {
                                 Routing::Unhosted { expert }
                             }
-                            ReferenceRouting::Paced => Routing::Paced,
                         };
                         prop_assert_eq!(got, want, "job {:?}", job.id);
                     }

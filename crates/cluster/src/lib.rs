@@ -25,10 +25,11 @@
 //!
 //! The [`runtime`] module drives the fleet as an event-driven
 //! **control loop**: tick-driven dispatch with per-node telemetry
-//! feedback and mid-run node failures (re-routing + shard
-//! re-replication over the link) — see
-//! [`ClusterSystem::serve_runtime`]. The one-shot serve is its
-//! single-tick case.
+//! feedback and mid-run node kills. A killed node stays dead: its
+//! unfinished requests re-route to survivors, which re-replicate its
+//! orphaned shard by reloading each copy from their own checkpoint
+//! stores — see [`ClusterSystem::serve_runtime`]. The one-shot serve
+//! is its single-tick case.
 //!
 //! ```
 //! use coserve_cluster::prelude::*;
@@ -290,9 +291,7 @@ pub mod prelude {
     pub use crate::placement::{
         migration_plan, plan_placement, ExpertMove, MigrationPlan, PlacementPlan, PlacementStrategy,
     };
-    pub use crate::runtime::{
-        FailureEvent, FailureKind, FailureSchedule, ReplacementPolicy, RuntimeOptions,
-    };
+    pub use crate::runtime::{FailureEvent, FailureSchedule, ReplacementPolicy, RuntimeOptions};
     pub use crate::{ClusterError, ClusterOptions, ClusterSystem};
 }
 

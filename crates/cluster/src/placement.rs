@@ -18,11 +18,11 @@
 //! minimal effective pool capacity), pure sharding (maximal capacity,
 //! maximal hops) and seeded random assignment.
 //!
-//! Plans are **versioned**: the cluster runtime reacts to node failures
-//! and revivals by deriving a successor plan ([`PlacementPlan::rehosted`]
-//! re-replicates a dead node's orphaned shard, [`PlacementPlan::replanned`]
-//! rebuilds the layout over the live fleet) and shipping the
-//! [`migration_plan`] delta over the fabric.
+//! Plans are **versioned**: the cluster runtime reacts to a node failure
+//! by deriving a successor plan ([`PlacementPlan::rehosted`]
+//! re-replicates the dead node's orphaned shard onto survivors), and
+//! each receiving node reloads its share of the [`migration_plan`]
+//! delta from its own checkpoint store.
 
 use std::collections::BTreeSet;
 use std::fmt;
@@ -82,13 +82,12 @@ impl fmt::Display for PlacementStrategy {
 /// artificial capacity cap.
 ///
 /// A plan carries a monotonically increasing [`PlacementPlan::version`]:
-/// derived plans ([`PlacementPlan::rehosted`], [`PlacementPlan::replanned`])
-/// bump it, and [`migration_plan`] diffs two versions into the expert
-/// moves the fabric must carry.
+/// a derived plan ([`PlacementPlan::rehosted`]) bumps it, and
+/// [`migration_plan`] diffs two versions into the expert copies the
+/// live nodes gain.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PlacementPlan {
     strategy: PlacementStrategy,
-    seed: u64,
     version: u64,
     placed: Vec<BTreeSet<ExpertId>>,
     /// Precomputed holders index (expert index → nodes, ascending):
@@ -97,11 +96,9 @@ pub struct PlacementPlan {
     /// from this index instead of probing every node's placement set.
     holders: Vec<Vec<usize>>,
     preload: Vec<Vec<ExpertId>>,
-    placed_bytes: Vec<Bytes>,
     /// The usage basis the plan was computed from: expert ids by
-    /// descending usage, and the per-expert probabilities.
+    /// descending usage.
     by_usage: Vec<ExpertId>,
-    usage: Vec<f64>,
 }
 
 impl PlacementPlan {
@@ -162,16 +159,6 @@ impl PlacementPlan {
         &self.preload[node]
     }
 
-    /// Total checkpoint bytes placed on `node`.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `node` is out of range.
-    #[must_use]
-    pub fn placed_bytes(&self, node: usize) -> Bytes {
-        self.placed_bytes[node]
-    }
-
     /// The strategy that produced the plan (its `Display` is the label
     /// the reports and figure tables print).
     #[must_use]
@@ -223,85 +210,41 @@ impl PlacementPlan {
         self.successor(model, placed)
     }
 
-    /// A successor plan rebuilt from scratch over the nodes marked
-    /// alive, with the plan's own strategy, seed and usage basis; the
-    /// version is bumped.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `alive` disagrees with the node count or marks no
-    /// node alive.
-    #[must_use]
-    pub fn replanned(&self, model: &CoeModel, alive: &[bool]) -> PlacementPlan {
-        assert_eq!(alive.len(), self.num_nodes(), "alive mask/node mismatch");
-        let placed = place(
-            model,
-            self.strategy,
-            self.seed,
-            self.num_nodes(),
-            alive,
-            &self.by_usage,
-            &self.usage,
-        );
-        self.successor(model, placed)
-    }
-
     /// Assembles a successor (version + 1) around new placement sets,
     /// keeping the current usage basis.
     fn successor(&self, model: &CoeModel, placed: Vec<BTreeSet<ExpertId>>) -> PlacementPlan {
         assemble(
             self.strategy,
-            self.seed,
             self.version + 1,
             placed,
             self.by_usage.clone(),
-            self.usage.clone(),
             model,
         )
     }
 }
 
-/// One expert copy the fabric must ship to realize a new plan.
+/// One expert copy a node gains under a new plan.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ExpertMove {
     /// The expert being copied.
     pub expert: ExpertId,
     /// The node gaining the copy.
     pub to: usize,
-    /// The live node donating the copy (lowest-indexed live holder
-    /// under the old plan), or `None` when no live replica survives —
-    /// the copy must be reloaded from the node's own checkpoint store.
-    pub from: Option<usize>,
 }
 
 /// The delta between two plan versions: every expert copy some node
 /// gains, with total checkpoint traffic.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct MigrationPlan {
-    /// The copies to ship, in (node, expert) order.
+    /// The copies to make, in (node, expert) order.
     pub moves: Vec<ExpertMove>,
     /// Total checkpoint bytes across all moves.
     pub bytes: Bytes,
 }
 
-impl MigrationPlan {
-    /// Number of expert copies to ship.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.moves.len()
-    }
-
-    /// Whether the two plans agree on every live node.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.moves.is_empty()
-    }
-}
-
 /// Diffs two plan versions into the expert copies each live node gains
 /// under `new` (placements lost by dead nodes cost nothing — the data
-/// is gone, not moved). Each move's source is the lowest-indexed live
-/// holder under `old`, or `None` when the old replicas all died.
+/// is gone, not moved).
 ///
 /// # Panics
 ///
@@ -317,20 +260,15 @@ pub fn migration_plan(
     assert_eq!(alive.len(), new.num_nodes(), "alive mask/plan mismatch");
     let mut moves = Vec::new();
     let mut bytes = Bytes::ZERO;
-    for node in 0..new.num_nodes() {
-        if !alive[node] {
+    for (node, &live) in alive.iter().enumerate() {
+        if !live {
             continue;
         }
         for &expert in new.placed_on(node) {
             if old.is_placed(node, expert) {
                 continue;
             }
-            let from = old.holders(expert).iter().copied().find(|&h| alive[h]);
-            moves.push(ExpertMove {
-                expert,
-                to: node,
-                from,
-            });
+            moves.push(ExpertMove { expert, to: node });
             bytes += model.weight_bytes(expert);
         }
     }
@@ -364,52 +302,41 @@ pub fn plan_placement(
     let usage: Vec<f64> = (0..model.num_experts() as u32)
         .map(|i| perf.usage_prob(ExpertId(i)))
         .collect();
-    // Only Random consumes the seed; normalize it away otherwise so
-    // plans that cannot depend on it also compare equal across seeds.
-    let seed = if strategy == PlacementStrategy::Random {
-        seed
-    } else {
-        0
-    };
-    let alive = vec![true; nodes];
-    let placed = place(model, strategy, seed, nodes, &alive, &by_usage, &usage);
-    assemble(strategy, seed, 0, placed, by_usage, usage, model)
+    let placed = place(model, strategy, seed, nodes, &by_usage, &usage);
+    assemble(strategy, 0, placed, by_usage, model)
 }
 
-/// Runs one strategy over the live subset of a fleet.
+/// Runs one strategy over a fleet of `nodes` nodes.
 fn place(
     model: &CoeModel,
     strategy: PlacementStrategy,
     seed: u64,
     nodes: usize,
-    alive: &[bool],
     by_usage: &[ExpertId],
     usage: &[f64],
 ) -> Vec<BTreeSet<ExpertId>> {
-    let live: Vec<usize> = (0..nodes).filter(|&n| alive[n]).collect();
-    assert!(!live.is_empty(), "placement needs at least one live node");
     let mut placed: Vec<BTreeSet<ExpertId>> = vec![BTreeSet::new(); nodes];
 
     match strategy {
         PlacementStrategy::Replicated => {
-            for &node in &live {
-                placed[node].extend(by_usage.iter().copied());
+            for mine in &mut placed {
+                mine.extend(by_usage.iter().copied());
             }
         }
         PlacementStrategy::Sharded => {
             for (i, &e) in by_usage.iter().enumerate() {
-                placed[live[i % live.len()]].insert(e);
+                placed[i % nodes].insert(e);
             }
         }
         PlacementStrategy::Random => {
             let mut rng = SimRng::seed_from(seed);
             for &e in by_usage {
-                placed[live[rng.next_below(live.len() as u64) as usize]].insert(e);
+                placed[rng.next_below(nodes as u64) as usize].insert(e);
             }
         }
         PlacementStrategy::UsageAware => {
             // Hot head: the smallest usage prefix covering HOT_COVERAGE
-            // of the traffic, replicated on every live node. Coverage is
+            // of the traffic, replicated on every node. Coverage is
             // accumulated along the descending-usage order, normalized
             // by the total mass (exactly the usage-CDF curve).
             let total: f64 = by_usage.iter().map(|e| usage[e.index()]).sum();
@@ -424,12 +351,12 @@ fn place(
                 }
             }
             let (hot, cold) = by_usage.split_at(hot_count);
-            for &node in &live {
-                placed[node].extend(hot.iter().copied());
+            for mine in &mut placed {
+                mine.extend(hot.iter().copied());
             }
             // Cold tail: walk in descending usage, placing each expert
-            // on the best live host under the shared locality
-            // heuristic.
+            // on the best host under the shared locality heuristic.
+            let live: Vec<usize> = (0..nodes).collect();
             let mut cold_bytes = vec![Bytes::ZERO; nodes];
             for &e in cold {
                 let best = best_host(model, &placed, &cold_bytes, &live, e);
@@ -471,15 +398,13 @@ fn best_host(
         .2
 }
 
-/// Derives the preload orders, byte totals and holders index from
-/// placement sets and packages the plan.
+/// Derives the preload orders and holders index from placement sets
+/// and packages the plan.
 fn assemble(
     strategy: PlacementStrategy,
-    seed: u64,
     version: u64,
     placed: Vec<BTreeSet<ExpertId>>,
     by_usage: Vec<ExpertId>,
-    usage: Vec<f64>,
     model: &CoeModel,
 ) -> PlacementPlan {
     let preload: Vec<Vec<ExpertId>> = placed
@@ -494,11 +419,7 @@ fn assemble(
             order
         })
         .collect();
-    let placed_bytes = placed
-        .iter()
-        .map(|mine| mine.iter().map(|&e| model.weight_bytes(e)).sum())
-        .collect();
-    let mut holders: Vec<Vec<usize>> = vec![Vec::new(); usage.len()];
+    let mut holders: Vec<Vec<usize>> = vec![Vec::new(); model.num_experts()];
     for (node, mine) in placed.iter().enumerate() {
         for e in mine {
             holders[e.index()].push(node);
@@ -506,14 +427,11 @@ fn assemble(
     }
     PlacementPlan {
         strategy,
-        seed,
         version,
         placed,
         holders,
         preload,
-        placed_bytes,
         by_usage,
-        usage,
     }
 }
 
@@ -672,7 +590,6 @@ mod tests {
             let plan = plan_placement(&model, &perf, 1, strategy, 7);
             assert_eq!(plan.placed_on(0).len(), model.num_experts());
             assert!((plan.replication_factor() - 1.0).abs() < 1e-12);
-            assert!(plan.placed_bytes(0) > Bytes::ZERO);
         }
     }
 
@@ -699,45 +616,12 @@ mod tests {
             .map(ExpertId)
             .filter(|&e| !plan.is_hosted(e, &alive))
             .collect();
-        assert_eq!(mig.len(), orphans.len());
-        assert!(!mig.is_empty(), "node 2 held exclusive cold experts");
+        assert_eq!(mig.moves.len(), orphans.len());
+        assert!(!mig.moves.is_empty(), "node 2 held exclusive cold experts");
         assert!(mig.bytes > Bytes::ZERO);
         for mv in &mig.moves {
             assert!(orphans.contains(&mv.expert));
             assert!(alive[mv.to]);
-            // Orphans by definition have no surviving donor.
-            assert_eq!(mv.from, None);
-        }
-    }
-
-    #[test]
-    fn replanned_covers_survivors_and_migration_names_live_sources() {
-        let (model, perf) = setup();
-        let plan = plan_placement(&model, &perf, 4, PlacementStrategy::UsageAware, 7);
-        let mut alive = [true; 4];
-        alive[0] = false;
-        let killed = plan.rehosted(&model, &alive);
-        // Revive node 0 and rebalance back onto the full fleet.
-        let alive = [true; 4];
-        let revived = killed.replanned(&model, &alive);
-        assert_eq!(revived.version(), 2);
-        for i in 0..model.num_experts() as u32 {
-            assert!(revived.is_hosted(ExpertId(i), &alive));
-        }
-        // The revived node starts empty under `killed`, so every expert
-        // it gains must be migrated — from a live donor, since every
-        // expert kept a live replica.
-        let mig = migration_plan(&killed, &revived, &model, &alive);
-        let gains = revived
-            .placed_on(0)
-            .iter()
-            .filter(|e| !killed.is_placed(0, **e))
-            .count();
-        assert!(gains > 0);
-        assert!(mig.len() >= gains);
-        for mv in &mig.moves {
-            assert!(mv.from.is_some(), "live replicas must donate");
-            assert_ne!(mv.from, Some(mv.to));
         }
     }
 
@@ -775,8 +659,8 @@ mod proptests {
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(12))]
-        /// Any kill/re-replicate/revive sequence conserves experts: as
-        /// long as one node survives, every expert keeps a live holder.
+        /// Any kill/re-replicate sequence conserves experts: as long as
+        /// one node survives, every expert keeps a live holder.
         #[test]
         fn migration_conserves_experts(
             seed in 0u64..1_000,
@@ -793,24 +677,21 @@ mod proptests {
             let mut plan = plan_placement(&model, &perf, nodes, strategy, seed);
             let mut alive = vec![true; nodes];
             let mut rng = coserve_sim::rng::SimRng::seed_from(seed ^ 0xfee1);
+            let mut kills = 0u64;
             for step in 0..steps {
                 let node = rng.next_below(nodes as u64) as usize;
-                if alive[node] {
-                    // Never kill the last live node.
-                    if alive.iter().filter(|&&a| a).count() == 1 {
-                        continue;
-                    }
-                    alive[node] = false;
-                    let next = plan.rehosted(&model, &alive);
-                    let mig = migration_plan(&plan, &next, &model, &alive);
-                    // Moves land on live nodes only.
-                    prop_assert!(mig.moves.iter().all(|m| alive[m.to]));
-                    plan = next;
-                } else {
-                    alive[node] = true;
-                    plan = plan.replanned(&model, &alive);
+                // A dead node stays dead; never kill the last live one.
+                if !alive[node] || alive.iter().filter(|&&a| a).count() == 1 {
+                    continue;
                 }
-                prop_assert_eq!(plan.version(), step as u64 + 1);
+                alive[node] = false;
+                let next = plan.rehosted(&model, &alive);
+                let mig = migration_plan(&plan, &next, &model, &alive);
+                // Moves land on live nodes only.
+                prop_assert!(mig.moves.iter().all(|m| alive[m.to]));
+                plan = next;
+                kills += 1;
+                prop_assert_eq!(plan.version(), kills);
                 for i in 0..model.num_experts() as u32 {
                     prop_assert!(
                         plan.is_hosted(ExpertId(i), &alive),

@@ -4,18 +4,20 @@
 //! dispatch with periodic control actions:
 //!
 //! * **telemetry feedback** — at every tick boundary each node reports
-//!   what its engine did during the tick (expected finish, busy time,
-//!   admitted/dropped counts); under
-//!   [`FeedbackMode::Corrected`](crate::dispatch::FeedbackMode) the
-//!   [`Dispatcher`] folds those observations back into its work-left
-//!   estimates instead of letting open-loop prediction error accumulate;
-//! * **failure injection** — a [`FailureSchedule`] kills and revives
-//!   nodes mid-run. On a kill, the dying node's unfinished requests
-//!   are pulled back and re-routed to survivors, and (unless the
-//!   re-placement policy is [`ReplacementPolicy::Static`]) the planner
-//!   derives a successor [`PlacementPlan`] that re-replicates the dead
-//!   node's orphaned shard, shipping the [`migration_plan`] delta over
-//!   the *same link requests use*.
+//!   what its engine did during the tick (expected finish, busy time);
+//!   under [`FeedbackMode::Corrected`](crate::dispatch::FeedbackMode)
+//!   the [`Dispatcher`] folds those observations back into its
+//!   work-left estimates instead of letting open-loop prediction error
+//!   accumulate;
+//! * **failure injection** — a [`FailureSchedule`] kills nodes mid-run,
+//!   and a killed node stays dead. On a kill, the dying node's
+//!   unfinished requests are pulled back and re-routed to survivors,
+//!   and (unless the re-placement policy is
+//!   [`ReplacementPolicy::Static`]) the planner derives a successor
+//!   [`PlacementPlan`] that re-replicates the dead node's orphaned
+//!   shard. An orphan has no live replica to copy from, so each copy in
+//!   the [`migration_plan`] delta is reloaded from the receiving node's
+//!   own checkpoint store.
 //!
 //! Each node serves through one [`EngineSession`] for the whole run:
 //! routing submits a job straight into its node's session, and a tick
@@ -24,7 +26,7 @@
 //! alone changes nothing but the telemetry timeline. A kill serves the
 //! dying node up to the failure instant, closes its session and
 //! re-routes the jobs still open there with arrivals floored at that
-//! instant; a revived node opens a fresh session at its next job.
+//! instant.
 //!
 //! Everything stays deterministic bit for bit: the failure schedule,
 //! migrations and feedback are all pure functions of the inputs.
@@ -35,7 +37,7 @@ use std::fmt;
 use coserve_core::config::{AdmissionControl, SystemConfig};
 use coserve_core::engine::{Completion, CompletionStatus, EngineSession, SessionCounters};
 use coserve_core::system::ServingSystem;
-use coserve_faults::{FaultPlan, LinkOutcome};
+use coserve_faults::FaultPlan;
 use coserve_metrics::cluster::{ClusterReport, FailureRecord, FleetDynamics, TickStat};
 use coserve_metrics::faults::FaultLedger;
 use coserve_metrics::report::RunReport;
@@ -51,31 +53,17 @@ use crate::dispatch::{Dispatcher, FeedbackMode, RouteFaults, Routing};
 use crate::placement::{migration_plan, MigrationPlan, PlacementPlan};
 use crate::ClusterSystem;
 
-/// Whether a scheduled failure event kills or revives its node.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-pub enum FailureKind {
-    /// The node dies: its unfinished work re-routes, its shard orphans.
-    Kill,
-    /// The node comes back empty: its next job opens a fresh engine
-    /// session (empty queue, re-preloaded pools), and re-placement
-    /// ships its share of the shard back.
-    Revive,
-}
-
-/// One scheduled kill or revive.
+/// One scheduled kill.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FailureEvent {
-    /// When the event fires.
+    /// When the node dies.
     pub at: SimTime,
-    /// The node it targets.
+    /// The node it kills.
     pub node: usize,
-    /// Kill or revive.
-    pub kind: FailureKind,
 }
 
-/// A deterministic mid-run failure script: kills and revives applied at
-/// fixed simulation times, in time order (ties: node, then kill before
-/// revive).
+/// A deterministic mid-run failure script: kills applied at fixed
+/// simulation times, in time order (ties: node).
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct FailureSchedule {
     events: Vec<FailureEvent>,
@@ -88,50 +76,19 @@ impl FailureSchedule {
         FailureSchedule::default()
     }
 
-    /// Schedules `node` to die at `at`.
+    /// Schedules `node` to die at `at`; a kill of a node already dead
+    /// does nothing.
     #[must_use]
     pub fn kill(mut self, node: usize, at: SimTime) -> Self {
-        self.events.push(FailureEvent {
-            at,
-            node,
-            kind: FailureKind::Kill,
-        });
-        self.sort();
+        self.events.push(FailureEvent { at, node });
+        self.events.sort_by_key(|e| (e.at, e.node));
         self
-    }
-
-    /// Schedules `node` to come back at `at`.
-    #[must_use]
-    pub fn revive(mut self, node: usize, at: SimTime) -> Self {
-        self.events.push(FailureEvent {
-            at,
-            node,
-            kind: FailureKind::Revive,
-        });
-        self.sort();
-        self
-    }
-
-    fn sort(&mut self) {
-        self.events.sort_by_key(|e| (e.at, e.node, e.kind));
     }
 
     /// The events in firing order.
     #[must_use]
     pub fn events(&self) -> &[FailureEvent] {
         &self.events
-    }
-
-    /// Whether the schedule is empty.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.events.is_empty()
-    }
-
-    /// Number of scheduled events.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.events.len()
     }
 
     /// The largest node index any event names.
@@ -141,15 +98,15 @@ impl FailureSchedule {
     }
 }
 
-/// How the runtime re-plans placement while the fleet changes.
+/// How the runtime re-plans placement when a node dies.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ReplacementPolicy {
     /// Never touch the offline plan: a dead node's shard stays orphaned
     /// and requests needing it are rejected (the paper's static
     /// baseline under failures).
     Static,
-    /// Re-replicate a dead node's orphans onto survivors and rebalance
-    /// onto revived nodes.
+    /// Re-replicate a dead node's orphans onto survivors, each copy
+    /// reloaded from the receiving node's checkpoint store.
     OnFailure,
 }
 
@@ -162,6 +119,9 @@ impl fmt::Display for ReplacementPolicy {
     }
 }
 
+/// The latency SLO the per-tick attainment accounting scores against.
+pub const SLO: SimSpan = SimSpan::from_millis(250);
+
 /// Options for one [`ClusterSystem::serve_runtime`] run.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RuntimeOptions {
@@ -169,32 +129,22 @@ pub struct RuntimeOptions {
     /// whole stream (the one-shot behaviour of
     /// [`ClusterSystem::serve`], with no feedback opportunities).
     pub tick: Option<SimSpan>,
-    /// Mid-run kills and revives.
+    /// Mid-run kills.
     pub failures: FailureSchedule,
     /// How placement reacts to failures.
     pub replacement: ReplacementPolicy,
     /// Whether dispatch estimates stay open-loop or are corrected from
     /// node telemetry at every tick.
     pub feedback: FeedbackMode,
-    /// The latency SLO the per-tick attainment accounting scores
-    /// against.
-    pub slo: SimSpan,
     /// Per-node online overrides (admission bound, grouping starvation
     /// bound), as in [`ClusterSystem::serve_with_online`].
     pub online: Option<(AdmissionControl, u32)>,
-    /// Queue-depth-aware dispatcher pacing: per-node per-tick send
-    /// budgets derived from the admitted/dropped telemetry, so a node
-    /// whose admission queue overflowed last tick is not fed another
-    /// oversized burst this tick (see
-    /// [`Dispatcher::observe_admission`]). Off by default — pacing off
-    /// is bit-identical to the un-paced runtime.
-    pub pacing: bool,
     /// Deterministic fault schedule for the fabric (link dilation and
-    /// partitions, sampled per routed job and per migration move) and
-    /// the fleet (slow-node service dilation, sampled per tick and
-    /// applied to the compute each node's engine starts). A disabled
-    /// plan (the default) is never consulted, keeping the run
-    /// bit-identical to a fault-free one.
+    /// partitions, sampled per routed job) and the fleet (slow-node
+    /// service dilation, sampled per tick and applied to the compute
+    /// each node's engine starts). A disabled plan (the default) is
+    /// never consulted, keeping the run bit-identical to a fault-free
+    /// one.
     pub faults: FaultPlan,
     /// Partition recovery at the front-end: when the chosen route
     /// target is cut off from every live holder of a chain stage, hedge
@@ -207,16 +157,14 @@ pub struct RuntimeOptions {
 impl Default for RuntimeOptions {
     /// One-shot: a single tick, no failures, failure-reactive
     /// re-placement armed (it never fires without failures), open-loop
-    /// estimates, a 250 ms SLO and no online overrides.
+    /// estimates and no online overrides.
     fn default() -> Self {
         RuntimeOptions {
             tick: None,
             failures: FailureSchedule::new(),
             replacement: ReplacementPolicy::OnFailure,
             feedback: FeedbackMode::OpenLoop,
-            slo: SimSpan::from_millis(250),
             online: None,
-            pacing: false,
             faults: FaultPlan::disabled(),
             hedge: true,
         }
@@ -252,24 +200,10 @@ impl RuntimeOptions {
         self
     }
 
-    /// Replaces the SLO.
-    #[must_use]
-    pub fn slo(mut self, slo: SimSpan) -> Self {
-        self.slo = slo;
-        self
-    }
-
     /// Replaces the online overrides.
     #[must_use]
     pub fn online(mut self, admission: AdmissionControl, max_overtake: u32) -> Self {
         self.online = Some((admission, max_overtake));
-        self
-    }
-
-    /// Enables (or disables) queue-depth-aware dispatcher pacing.
-    #[must_use]
-    pub fn pacing(mut self, pacing: bool) -> Self {
-        self.pacing = pacing;
         self
     }
 
@@ -307,8 +241,8 @@ impl ClusterSystem {
     }
 
     /// [`ClusterSystem::serve_runtime`] with a structured-event
-    /// collector: fleet control actions — kills, revivals, migration
-    /// start/land, re-plans, front-end sheds — are recorded into
+    /// collector: fleet control actions — kills, migration start/land,
+    /// re-plans, front-end sheds — are recorded into
     /// `tracer`, stamped with their node and simulation time. With a
     /// disabled tracer this is exactly `serve_runtime` (every emission
     /// site is guarded by `enabled()`).
@@ -369,7 +303,7 @@ const CTRL_LANES: usize = 2;
 enum CtrlEv<'a> {
     /// A stream job reaches the front-end.
     Arrive(&'a Job),
-    /// A scheduled kill or revive fires.
+    /// A scheduled kill fires.
     Failure(FailureEvent),
 }
 
@@ -379,18 +313,21 @@ struct NodeState<'a> {
     system: &'a ServingSystem,
     /// The node's configuration plus the run's online overrides.
     config: &'a SystemConfig,
-    /// The label of the node's sessions and report.
+    /// The label of the node's session and report.
     label: String,
     /// The node's engine session — its queue and resident experts —
-    /// opened at the node's first job and closed by a kill.
+    /// opened at the node's first job.
     session: Option<EngineSession<'a>>,
     /// The stream job behind every job submitted to `session`, by
     /// session job id, so a kill can re-route the ones still open.
     routed: Vec<&'a Job>,
     /// The session's counters at the last tick boundary.
     last: SessionCounters,
-    /// The node's closed lives, folded into one report.
-    closed: Option<RunReport>,
+    /// The session's report once a kill or the single-tick flush closed
+    /// it. A killed node is never routed to again, and the single-tick
+    /// flush follows the last arrival, so a node has at most one
+    /// session.
+    report: Option<RunReport>,
 }
 
 impl<'a> NodeState<'a> {
@@ -413,27 +350,16 @@ impl<'a> NodeState<'a> {
         accepted
     }
 
-    /// Folds the report of a closed session into the node's report.
-    fn close(&mut self, report: RunReport) {
-        self.routed.clear();
-        self.last = SessionCounters::default();
-        match &mut self.closed {
-            Some(closed) => closed.absorb(report),
-            None => self.closed = Some(report),
-        }
-    }
-
-    /// The node's report over all its lives; a zero report when it
-    /// never served (possible under residency-first routing of a tiny
-    /// stream, or for a node dead from the start).
-    fn into_report(mut self) -> RunReport {
-        if let Some(session) = self.session.take() {
-            self.close(session.into_report());
-        }
+    /// The node's report; a zero report when it never served (possible
+    /// under residency-first routing of a tiny stream, or for a node
+    /// dead from the start).
+    fn into_report(self) -> RunReport {
         let (system, label) = (self.system, self.label);
-        self.closed.unwrap_or_else(|| {
-            RunReport::empty(system.config().name.clone(), system.device().name(), label)
-        })
+        self.report
+            .or_else(|| self.session.map(EngineSession::into_report))
+            .unwrap_or_else(|| {
+                RunReport::empty(system.config().name.clone(), system.device().name(), label)
+            })
     }
 }
 
@@ -450,13 +376,13 @@ struct TickTally {
 }
 
 impl TickTally {
-    /// Counts a node's terminal job records against `slo`.
-    fn record(&mut self, ended: Vec<Completion>, slo: SimSpan) {
+    /// Counts a node's terminal job records against [`SLO`].
+    fn record(&mut self, ended: Vec<Completion>) {
         for job in ended {
             match job.status {
                 CompletionStatus::Completed => {
                     self.completed += 1;
-                    self.slo_met += usize::from(job.latency <= slo);
+                    self.slo_met += usize::from(job.latency <= SLO);
                     self.latencies.push(job.latency);
                 }
                 CompletionStatus::Dropped => self.dropped += 1,
@@ -502,8 +428,7 @@ impl<'a> Runtime<'a> {
         tracer: &'a mut (dyn Tracer + 'a),
     ) -> Self {
         let n = sys.num_nodes();
-        let dispatcher =
-            Dispatcher::new(n, sys.options().route, options.feedback).with_pacing(options.pacing);
+        let dispatcher = Dispatcher::new(n, sys.options().route, options.feedback);
         let nodes = sys
             .nodes()
             .iter()
@@ -516,7 +441,7 @@ impl<'a> Runtime<'a> {
                 session: None,
                 routed: Vec::new(),
                 last: SessionCounters::default(),
-                closed: None,
+                report: None,
             })
             .collect();
         Runtime {
@@ -559,7 +484,6 @@ impl<'a> Runtime<'a> {
 
         loop {
             let tick_end = self.options.tick.map(|t| self.tick_start + t);
-            self.dispatcher.begin_tick();
 
             loop {
                 let popped = match tick_end {
@@ -573,7 +497,7 @@ impl<'a> Runtime<'a> {
                         self.tally.routed += 1;
                         self.route(job, None);
                     }
-                    CtrlEv::Failure(event) => self.apply_event(event),
+                    CtrlEv::Failure(event) => self.kill(event.node, event.at),
                 }
             }
 
@@ -594,7 +518,7 @@ impl<'a> Runtime<'a> {
                     // and the failure ledger.
                     while let Some(scheduled) = calendar.pop() {
                         match scheduled.payload {
-                            CtrlEv::Failure(event) => self.apply_event(event),
+                            CtrlEv::Failure(event) => self.kill(event.node, event.at),
                             CtrlEv::Arrive(_) => unreachable!("no arrivals left to pop"),
                         }
                     }
@@ -616,8 +540,7 @@ impl<'a> Runtime<'a> {
         });
         let job = floored.as_ref().unwrap_or(stream_job);
         if !self.alive.iter().any(|&a| a) {
-            self.dynamics.routing_dropped += 1;
-            self.shed(job, false);
+            self.shed(job);
             return;
         }
         let hedge = self.options.hedge;
@@ -649,40 +572,19 @@ impl<'a> Runtime<'a> {
                 if !accepted {
                     // A chain no engine can run (too many stages) is
                     // rejected like an unhosted one.
-                    self.dynamics.routing_dropped += 1;
-                    self.shed(job, false);
+                    self.shed(job);
                 }
             }
-            Routing::Unhosted { .. } => {
-                self.dynamics.routing_dropped += 1;
-                self.shed(job, false);
-            }
-            Routing::Paced => {
-                self.dynamics.paced_shed += 1;
-                self.shed(job, true);
-            }
+            Routing::Unhosted { .. } => self.shed(job),
         }
     }
 
-    /// Counts a front-end rejection in the tick and traces it.
-    fn shed(&mut self, job: &Job, paced: bool) {
+    /// Counts a front-end rejection and traces it.
+    fn shed(&mut self, job: &Job) {
+        self.dynamics.routing_dropped += 1;
         self.tally.dropped += 1;
         if self.tracer.enabled() {
-            self.emit(
-                job.arrival,
-                0,
-                TraceKind::Shed {
-                    job: job.id.0,
-                    paced,
-                },
-            );
-        }
-    }
-
-    fn apply_event(&mut self, event: FailureEvent) {
-        match event.kind {
-            FailureKind::Kill => self.kill(event.node, event.at),
-            FailureKind::Revive => self.revive(event.node, event.at),
+            self.emit(job.arrival, 0, TraceKind::Shed { job: job.id.0 });
         }
     }
 
@@ -691,14 +593,12 @@ impl<'a> Runtime<'a> {
             return;
         };
         *alive = false;
-        // The dispatcher's estimate state for the node dies with it:
-        // its predicted backlog is re-charged to the re-route targets,
-        // and a later revival starts from a clean slate.
-        self.dispatcher.forget_node(node);
         // The dying node serves up to the failure instant; the jobs it
         // has not finished by then are pulled back and re-routed, with
         // arrivals floored at the failure instant (the re-route cannot
-        // happen before the failure is observed).
+        // happen before the failure is observed). The dispatcher keeps
+        // its estimates for the node: a dead node is never routed to,
+        // observed or charged again.
         let slowdown = self
             .faults
             .map_or(1.0, |p| p.node_dilation(node, self.tick_start));
@@ -707,14 +607,13 @@ impl<'a> Runtime<'a> {
             if let Some(mut session) = state.session.take() {
                 session.set_service_factor(slowdown);
                 session.pump_until(at);
-                self.tally
-                    .record(session.drain_completions(), self.options.slo);
+                self.tally.record(session.drain_completions());
                 let (report, open) = session.evacuate();
                 evacuated = open
                     .iter()
                     .filter_map(|&id| state.routed.get(id as usize).copied())
                     .collect();
-                state.close(report);
+                state.report = Some(report);
             }
         }
         if self.tracer.enabled() {
@@ -741,7 +640,6 @@ impl<'a> Runtime<'a> {
             node,
             failed_at: at,
             recovered_at,
-            revived_at: None,
         });
         self.dynamics.rerouted += evacuated.len() as u64;
         for job in evacuated {
@@ -749,40 +647,14 @@ impl<'a> Runtime<'a> {
         }
     }
 
-    fn revive(&mut self, node: usize, at: SimTime) {
-        let Some(alive) = self.alive.get_mut(node).filter(|alive| !**alive) else {
-            return;
-        };
-        *alive = true;
-        if self.tracer.enabled() {
-            self.emit(at, node as u32, TraceKind::NodeRevived);
-        }
-        if self.replaces() {
-            // The node comes back empty: rebalance the layout onto the
-            // restored fleet and ship it its share.
-            let next = self.plan.replanned(self.sys.model(), &self.alive);
-            let migration = migration_plan(&self.plan, &next, self.sys.model(), &self.alive);
-            let _ = self.migrate(&migration, next.version(), at);
-            self.plan = next;
-        }
-        if let Some(record) = self
-            .dynamics
-            .failures
-            .iter_mut()
-            .rev()
-            .find(|r| r.node == node && r.revived_at.is_none())
-        {
-            record.revived_at = Some(at);
-        }
-    }
-
     fn replaces(&self) -> bool {
         self.options.replacement != ReplacementPolicy::Static
     }
 
-    /// Charges a migration's expert copies — fabric transfers from live
-    /// donors, local checkpoint reloads when none survives — and
-    /// returns when the last copy lands.
+    /// Charges a migration's expert copies and returns when the last
+    /// one lands. A kill re-replicates only orphans, which have no live
+    /// replica to copy from, so each copy is reloaded from its
+    /// receiver's checkpoint store.
     fn migrate(&mut self, migration: &MigrationPlan, new_version: u64, at: SimTime) -> SimTime {
         if self.tracer.enabled() {
             self.emit(
@@ -796,73 +668,13 @@ impl<'a> Runtime<'a> {
         }
         let mut done_latest = at;
         for mv in &migration.moves {
-            let bytes = self.sys.model().weight_bytes(mv.expert);
-            // A partitioned donor link degrades the move to a local
-            // checkpoint reload on the receiver; a dilated one stretches
-            // the copy. Healthy links (and no plan) charge the profiled
-            // fabric transfer exactly as before.
-            let link = match mv.from {
-                Some(from) => self
-                    .faults
-                    .map_or(LinkOutcome::Healthy, |p| p.link(from, mv.to, at)),
-                None => LinkOutcome::Healthy,
-            };
             let Some(receiver) = self.sys.nodes().get(mv.to) else {
                 continue;
             };
-            let local_reload = receiver
+            let bytes = self.sys.model().weight_bytes(mv.expert);
+            let duration = receiver
                 .device()
                 .transfer_duration(bytes, TransferRoute::SsdToCpu);
-            let duration = match (mv.from, link) {
-                (None, _) => local_reload,
-                (Some(from), LinkOutcome::Partitioned) => {
-                    self.ledger.link_partitioned += 1;
-                    self.ledger.degraded_local += 1;
-                    self.ledger.note_fault(at);
-                    self.ledger.note_recovery(at);
-                    if self.tracer.enabled() {
-                        self.emit(
-                            at,
-                            mv.to as u32,
-                            TraceKind::LinkFault {
-                                from: from as u32,
-                                to: mv.to as u32,
-                                partitioned: true,
-                                extra: SimSpan::ZERO,
-                            },
-                        );
-                    }
-                    local_reload
-                }
-                (Some(from), healthy_or_dilated) => {
-                    self.dynamics.migration_hops += 1;
-                    let raw = self.sys.link().transfer_duration(bytes);
-                    match healthy_or_dilated {
-                        LinkOutcome::Dilated(factor) => {
-                            let slowed = raw.mul_f64(factor);
-                            let extra = slowed.saturating_sub(raw);
-                            self.ledger.link_dilated += 1;
-                            self.ledger.degraded_time += extra;
-                            self.ledger.note_fault(at);
-                            self.ledger.note_recovery(at + slowed);
-                            if self.tracer.enabled() {
-                                self.emit(
-                                    at,
-                                    mv.to as u32,
-                                    TraceKind::LinkFault {
-                                        from: from as u32,
-                                        to: mv.to as u32,
-                                        partitioned: false,
-                                        extra,
-                                    },
-                                );
-                            }
-                            slowed
-                        }
-                        _ => raw,
-                    }
-                }
-            };
             let done = at + duration;
             done_latest = done_latest.max(done);
             self.dynamics.migrations += 1;
@@ -879,7 +691,6 @@ impl<'a> Runtime<'a> {
                     mv.to as u32,
                     TraceKind::MigrationStarted {
                         expert: mv.expert,
-                        donor: mv.from.map(|f| f as u32),
                         span: duration,
                     },
                 );
@@ -907,8 +718,7 @@ impl<'a> Runtime<'a> {
             let slowdown = self.faults.map_or(1.0, |p| p.node_dilation(node, start));
             session.set_service_factor(slowdown);
             session.pump_until(limit);
-            self.tally
-                .record(session.drain_completions(), self.options.slo);
+            self.tally.record(session.drain_completions());
             let now = session.counters();
             let finish = if session.is_idle() {
                 now.last_done
@@ -916,16 +726,12 @@ impl<'a> Runtime<'a> {
                 limit + session.predicted_backlog(limit)
             };
             let busy = now.busy - state.last.busy;
-            let admitted = now.admitted - state.last.admitted;
-            let dropped = now.dropped - state.last.dropped;
             state.last = now;
             if self.options.tick.is_none() {
                 // The single-tick flush served everything: close the
                 // session now instead of holding every node's engine
                 // state until the end of the run.
-                if let Some(session) = state.session.take() {
-                    state.close(session.into_report());
-                }
+                state.report = state.session.take().map(EngineSession::into_report);
             }
             if slowdown > 1.0 {
                 // The engine already stretched the tick's compute; the
@@ -944,13 +750,6 @@ impl<'a> Runtime<'a> {
                 }
             }
             self.dispatcher.observe(node, finish, busy);
-            self.dispatcher.observe_admission(
-                node,
-                admitted,
-                dropped,
-                finish.saturating_since(start),
-                end.saturating_since(start),
-            );
         }
         let mut tally = std::mem::take(&mut self.tally);
         if tally.routed > 0 || tally.completed > 0 || tally.dropped > 0 {
@@ -995,13 +794,10 @@ impl<'a> Runtime<'a> {
             self.dispatcher.cross_node_hops(),
             self.dispatcher.fabric_time_total(),
         );
-        // Front-end rejections (unhosted chains and paced sheds) never
-        // reached a node: account for them at the fleet level so
-        // conservation still holds.
-        let front_end = self.dynamics.routing_dropped
-            + usize::try_from(self.dynamics.paced_shed).unwrap_or(usize::MAX);
-        report.submitted += front_end;
-        report.dropped += front_end;
+        // Front-end rejections never reached a node: account for them
+        // at the fleet level so conservation still holds.
+        report.submitted += self.dynamics.routing_dropped;
+        report.dropped += self.dynamics.routing_dropped;
         self.dynamics.estimate_error_ms = self.dispatcher.estimate_error_ms();
         self.dynamics.faults = self.ledger;
         report.dynamics = self.dynamics;
@@ -1167,47 +963,14 @@ mod tests {
         assert_conserves(&report);
     }
 
-    #[test]
-    fn kill_and_revival_round_trip_is_deterministic() {
-        let (cluster, stream) = fleet(4);
-        let at = mid(&stream);
-        let back = at + SimSpan::from_millis(40);
-        let options = RuntimeOptions::default()
-            .tick(SimSpan::from_millis(50))
-            .failures(FailureSchedule::new().kill(2, at).revive(2, back))
-            .feedback(FeedbackMode::Corrected);
-        let a = cluster.serve_runtime(&stream, &options);
-        let b = cluster.serve_runtime(&stream, &options);
-        assert_eq!(a, b);
-        let failure = a.dynamics.failures[0];
-        assert_eq!(failure.revived_at, Some(back));
-        assert!(failure.recovered_at.is_some());
-        // The revived node is rebalanced back into service.
-        assert!(a.dynamics.plan_versions >= 2);
-    }
-
-    #[test]
-    fn pacing_is_inert_before_any_telemetry() {
-        // Budgets are reactive: they only exist after a node has
-        // reported a tick. A one-shot run (single tick) therefore
-        // routes bit-identically with pacing on or off — and the
-        // figures, which never enable pacing, are untouched either way.
-        let (cluster, stream) = fleet(3);
-        let plain = cluster.serve_runtime(&stream, &RuntimeOptions::default());
-        let paced = cluster.serve_runtime(&stream, &RuntimeOptions::default().pacing(true));
-        assert_eq!(plain, paced);
-        assert_eq!(paced.dynamics.paced_shed, 0);
-    }
-
     /// A drifted Poisson stream above capacity on a 4-node least-loaded
     /// fleet with a bounded admission queue. Service-scale feedback
-    /// alone cannot stop the per-tick bursts that overflow a node's
-    /// admission queue — the burst is already sent when the drop
-    /// telemetry arrives. Pacing bounds next tick's burst from that
-    /// telemetry, trading a few front-end sheds for queue-overflow drops
-    /// and a better tail.
+    /// cannot stop the per-tick bursts that overflow a node's admission
+    /// queue — the burst is already sent when the drop telemetry
+    /// arrives — so corrected dispatch trails the open-loop estimates on
+    /// the drifted tail.
     #[test]
-    fn pacing_recovers_drift_only_feedback_cell() {
+    fn corrected_feedback_trails_open_loop_on_a_drifted_tail() {
         let task = TaskSpec::a1();
         let model = task.build_model().unwrap();
         let device = devices::numa_rtx3080ti();
@@ -1239,36 +1002,16 @@ mod tests {
             .feedback(FeedbackMode::Corrected)
             .online(admission, presets::ONLINE_MAX_OVERTAKE);
         let corrected = cluster.serve_runtime(&stream, &options);
-        let paced = cluster.serve_runtime(&stream, &options.clone().pacing(true));
         let open =
             cluster.serve_runtime(&stream, &options.clone().feedback(FeedbackMode::OpenLoop));
 
-        // Conservation holds with front-end sheds in the ledger.
-        assert_conserves(&paced);
-        assert!(paced.dynamics.paced_shed > 0, "budgets must engage");
+        assert_conserves(&corrected);
         let p95 = |r: &ClusterReport| r.latency_summary().expect("requests completed").p95;
-        let p50 = |r: &ClusterReport| r.latency_summary().expect("requests completed").p50;
-        // The lost cell, as shipped: scale-only correction trails the
-        // open-loop estimates on the drifted tail.
         assert!(
             p95(&corrected) > p95(&open),
-            "cell no longer lost without pacing: corrected {:.1} ms vs open-loop {:.1} ms",
+            "corrected {:.1} ms no longer trails open-loop {:.1} ms",
             p95(&corrected),
             p95(&open)
-        );
-        // The recovery: bounding per-tick sends from the admission
-        // telemetry takes corrected dispatch past both unpaced modes.
-        assert!(
-            p95(&paced) < p95(&open),
-            "paced corrected p95 {:.1} ms must recover past open-loop {:.1} ms",
-            p95(&paced),
-            p95(&open)
-        );
-        assert!(
-            p50(&paced) < p50(&corrected),
-            "paced corrected p50 {:.1} ms must beat unpaced {:.1} ms",
-            p50(&paced),
-            p50(&corrected)
         );
     }
 
@@ -1277,10 +1020,9 @@ mod tests {
         use coserve_trace::RingTracer;
         let (cluster, stream) = fleet(4);
         let at = mid(&stream);
-        let back = at + SimSpan::from_millis(40);
         let options = RuntimeOptions::default()
             .tick(SimSpan::from_millis(50))
-            .failures(FailureSchedule::new().kill(2, at).revive(2, back));
+            .failures(FailureSchedule::new().kill(2, at));
         let untraced = cluster.serve_runtime(&stream, &options);
 
         let mut tracer = RingTracer::new();
@@ -1290,13 +1032,24 @@ mod tests {
 
         let count = |name: &str| events.iter().filter(|e| e.kind.name() == name).count();
         assert_eq!(count("node-killed"), 1);
-        assert_eq!(count("node-revived"), 1);
-        assert!(count("replanned") >= 2, "kill + revival both re-plan");
+        assert_eq!(count("replanned"), 1, "the kill re-plans once");
         assert_eq!(count("migration-start"), count("migration-land"));
         assert_eq!(count("migration-start") as u64, traced.dynamics.migrations);
+        assert!(traced.dynamics.migrations > 0);
         assert!(events
             .iter()
             .any(|e| matches!(e.kind, TraceKind::NodeKilled { .. }) && e.node == 2 && e.at == at));
+        // Every copy is its receiver's checkpoint reload of the expert.
+        for e in &events {
+            if let TraceKind::MigrationStarted { expert, span } = e.kind {
+                let bytes = cluster.model().weight_bytes(expert);
+                let receiver = &cluster.nodes()[e.node as usize];
+                let reload = receiver
+                    .device()
+                    .transfer_duration(bytes, TransferRoute::SsdToCpu);
+                assert_eq!(span, reload, "{expert} on node {}", e.node);
+            }
+        }
 
         // Determinism: a second traced run records identical events.
         let mut tracer2 = RingTracer::new();
@@ -1317,7 +1070,7 @@ mod tests {
         let report = cluster.serve_runtime_traced(&stream, &options, &mut tracer);
         let sheds = tracer
             .events()
-            .filter(|e| matches!(e.kind, TraceKind::Shed { paced: false, .. }))
+            .filter(|e| matches!(e.kind, TraceKind::Shed { .. }))
             .count();
         assert_eq!(sheds, report.dynamics.routing_dropped);
         assert!(sheds > 0, "orphaned shard must shed chains");
@@ -1325,14 +1078,20 @@ mod tests {
 
     #[test]
     fn failure_schedule_validates_and_orders() {
-        let schedule = FailureSchedule::new()
-            .revive(1, SimTime::ZERO + SimSpan::from_millis(90))
-            .kill(1, SimTime::ZERO + SimSpan::from_millis(10));
-        assert_eq!(schedule.len(), 2);
-        assert!(!schedule.is_empty());
+        let (early, late) = (
+            SimTime::ZERO + SimSpan::from_millis(10),
+            SimTime::ZERO + SimSpan::from_millis(90),
+        );
+        let schedule = FailureSchedule::new().kill(1, late).kill(0, early);
         assert_eq!(schedule.max_node(), Some(1));
-        assert_eq!(schedule.events()[0].kind, FailureKind::Kill);
-        assert_eq!(schedule.events()[1].kind, FailureKind::Revive);
+        assert_eq!(
+            schedule.events(),
+            [
+                FailureEvent { at: early, node: 0 },
+                FailureEvent { at: late, node: 1 },
+            ]
+        );
+        assert_eq!(FailureSchedule::new().max_node(), None);
         assert_eq!(ReplacementPolicy::Static.to_string(), "static");
         assert_eq!(ReplacementPolicy::OnFailure.to_string(), "re-replicate");
     }
@@ -1424,8 +1183,8 @@ mod tests {
 
         proptest! {
             #![proptest_config(ProptestConfig::with_cases(64))]
-            /// Without feedback, pacing, failures or faults the tick
-            /// length only slices the telemetry timeline: each node's
+            /// Without feedback, failures or faults the tick length
+            /// only slices the telemetry timeline: each node's
             /// session receives the same jobs in the same order and is
             /// merely pumped in more pieces, so the report equals the
             /// single-tick run's.
@@ -1460,12 +1219,15 @@ mod tests {
                 prop_assert_eq!(ticked, one_shot);
             }
 
-            /// Random ticks, kill/revive schedules, feedback, pacing,
-            /// hedging, online admission, re-placement policies and,
-            /// half the time, a seeded fault plan: every job ends
-            /// exactly once, a second run is identical, every degraded
-            /// local reload stands for at least one partitioned
-            /// transfer, and a run with no plan armed records no faults.
+            /// Random ticks, kill schedules (repeated kills of one node
+            /// and kills of every node included), feedback, hedging,
+            /// online admission, re-placement policies and, half the
+            /// time, a seeded fault plan: every job ends exactly once, a
+            /// second run is identical, each distinct killed node has
+            /// one failure record, a failure recovers exactly when
+            /// re-replication had a survivor to land on, every degraded
+            /// local read stands for at least one partitioned link, and
+            /// a run with no plan armed records no faults.
             #[test]
             fn runtime_conserves_jobs_under_random_options(
                 seed in 0u64..1_000,
@@ -1476,26 +1238,29 @@ mod tests {
                 let (cluster, stream) = fleet(nodes);
                 let horizon = stream.last_arrival().saturating_since(SimTime::ZERO).nanos();
                 let mut rng = SimRng::seed_from(seed ^ 0x0ca1_e4da);
+                // Random targets, which may repeat a node; a quarter of
+                // the runs also kill every node.
+                let mut targets: Vec<usize> =
+                    (0..failures).map(|_| rng.next_below(nodes as u64) as usize).collect();
+                if rng.next_below(4) == 0 {
+                    targets.extend(0..nodes);
+                }
                 let mut schedule = FailureSchedule::new();
-                for _ in 0..failures {
-                    let node = rng.next_below(nodes as u64) as usize;
+                for node in targets {
                     // Up to 1.5x the stream horizon, so some events
                     // land in the drain after the last arrival.
                     let at = SimTime::ZERO
                         + SimSpan::from_nanos(rng.next_below(horizon + horizon / 2));
-                    schedule = match rng.next_below(2) {
-                        0 => schedule.kill(node, at),
-                        _ => schedule.revive(node, at),
-                    };
+                    schedule = schedule.kill(node, at);
                 }
                 let feedback = [FeedbackMode::OpenLoop, FeedbackMode::Corrected];
                 let replacement = [ReplacementPolicy::Static, ReplacementPolicy::OnFailure];
+                let replacement = replacement[rng.next_below(2) as usize];
                 let mut options = RuntimeOptions::default()
                     .tick(SimSpan::from_millis(tick_ms))
-                    .failures(schedule)
+                    .failures(schedule.clone())
                     .feedback(feedback[rng.next_below(2) as usize])
-                    .replacement(replacement[rng.next_below(2) as usize])
-                    .pacing(rng.next_below(2) == 1)
+                    .replacement(replacement)
                     .hedge(rng.next_below(2) == 1);
                 if rng.next_below(2) == 1 {
                     let capacity = 4 + rng.next_below(13) as usize;
@@ -1522,6 +1287,26 @@ mod tests {
                 let report = cluster.serve_runtime(&stream, &options);
                 prop_assert_eq!(report.submitted, stream.len());
                 assert_conserves(&report);
+                prop_assert_eq!(report.dynamics.paced_shed, 0);
+                // Replay the schedule: the first kill of each node fails
+                // it, later ones are no-ops, and re-replication recovers
+                // the failure exactly when some node is still alive.
+                let mut alive = vec![true; nodes];
+                let mut expected = Vec::new();
+                for event in schedule.events() {
+                    if std::mem::replace(&mut alive[event.node], false) {
+                        let survivor = alive.contains(&true);
+                        let recovers = replacement == ReplacementPolicy::OnFailure && survivor;
+                        expected.push((event.node, event.at, recovers));
+                    }
+                }
+                let failures: Vec<(usize, SimTime, bool)> = report
+                    .dynamics
+                    .failures
+                    .iter()
+                    .map(|f| (f.node, f.failed_at, f.recovered_at.is_some()))
+                    .collect();
+                prop_assert_eq!(failures, expected);
                 let faults = report.dynamics.faults;
                 prop_assert!(faults.degraded_local <= faults.link_partitioned);
                 if !armed {
@@ -1530,34 +1315,5 @@ mod tests {
                 prop_assert_eq!(&report, &cluster.serve_runtime(&stream, &options));
             }
         }
-    }
-
-    #[test]
-    fn partitioned_migration_degrades_to_local_reload() {
-        let (cluster, stream) = fleet(3);
-        let at = mid(&stream);
-        let back = at + SimSpan::from_millis(40);
-        // Node 1 dies and later revives. The rebalance onto the revived
-        // node ships its share from live donors — but with both donor
-        // links cut, every copy degrades to a local checkpoint reload.
-        let plan = coserve_faults::FaultPlan::seeded(11).with_link(
-            0.0,
-            1.0,
-            vec![(0, 1), (1, 2)],
-            coserve_faults::FaultWindow::ALWAYS,
-        );
-        let options = RuntimeOptions::default()
-            .tick(SimSpan::from_millis(30))
-            .failures(FailureSchedule::new().kill(1, at).revive(1, back))
-            .faults(plan);
-        let report = cluster.serve_runtime(&stream, &options);
-        let faults = report.dynamics.faults;
-        assert!(
-            faults.degraded_local > 0,
-            "cut donor links must force local reloads"
-        );
-        assert!(faults.link_partitioned > 0);
-        assert!(faults.recovery_span().is_some());
-        assert_conserves(&report); // degradation must not lose jobs
     }
 }

@@ -76,16 +76,6 @@ impl UsageCdf {
     pub fn is_empty(&self) -> bool {
         self.cumulative.is_empty()
     }
-
-    /// `(k, coverage)` points for plotting Figure 11.
-    #[must_use]
-    pub fn points(&self) -> Vec<(f64, f64)> {
-        self.cumulative
-            .iter()
-            .enumerate()
-            .map(|(i, &c)| ((i + 1) as f64, c))
-            .collect()
-    }
 }
 
 /// Initial window size of the decay-window search, as in the paper's
@@ -386,9 +376,8 @@ mod tests {
         let cdf = UsageCdf::from_perf(&perf);
         assert_eq!(cdf.len(), perf.num_experts());
         assert!(!cdf.is_empty());
-        let pts = cdf.points();
-        for w in pts.windows(2) {
-            assert!(w[1].1 >= w[0].1 - 1e-12);
+        for k in 1..cdf.len() {
+            assert!(cdf.coverage(k + 1) >= cdf.coverage(k) - 1e-12);
         }
         assert!((cdf.coverage(cdf.len()) - 1.0).abs() < 1e-9);
         assert_eq!(cdf.coverage(0), 0.0);

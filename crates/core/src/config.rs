@@ -214,40 +214,10 @@ impl SystemConfigBuilder {
         self
     }
 
-    /// Overrides the preload priority order (cluster placement plans).
-    #[must_use]
-    pub fn preload_order(mut self, order: Vec<ExpertId>) -> Self {
-        self.config.preload_order = Some(order);
-        self
-    }
-
     /// Sets the per-request scheduling latency.
     #[must_use]
     pub fn scheduling_cost(mut self, cost: SimSpan) -> Self {
         self.config.scheduling_cost = cost;
-        self
-    }
-
-    /// Enables open-loop admission control with bounded executor
-    /// queues.
-    #[must_use]
-    pub fn admission(mut self, control: AdmissionControl) -> Self {
-        self.config.admission = Some(control);
-        self
-    }
-
-    /// Sets the grouped-arranging starvation bound (maximum overtakes
-    /// per queued request).
-    #[must_use]
-    pub fn max_overtake(mut self, bound: u32) -> Self {
-        self.config.max_overtake = Some(bound);
-        self
-    }
-
-    /// Sets the window-search result: total GPU-resident experts.
-    #[must_use]
-    pub fn gpu_resident_experts(mut self, n: usize) -> Self {
-        self.config.gpu_resident_experts = Some(n);
         self
     }
 
@@ -300,11 +270,14 @@ mod tests {
 
     #[test]
     fn resident_expert_override() {
-        let c = SystemConfig::builder("best")
-            .gpu_executors(3)
-            .gpu_resident_experts(35)
-            .build();
-        assert_eq!(c.gpu_resident_experts, Some(35));
+        let c = SystemConfig::builder("best").gpu_executors(3).build();
+        assert_eq!(c.gpu_resident_experts, None, "window search decides");
+        // The config's copies keep a window-search result.
+        let c = SystemConfig {
+            gpu_resident_experts: Some(35),
+            ..c
+        };
+        assert_eq!(c.pre_scheduled().gpu_resident_experts, Some(35));
     }
 
     #[test]
@@ -316,13 +289,7 @@ mod tests {
 
     #[test]
     fn online_knobs_round_trip() {
-        let c = SystemConfig::builder("online")
-            .gpu_executors(1)
-            .admission(AdmissionControl::with_queue_capacity(32))
-            .max_overtake(8)
-            .build();
-        assert_eq!(c.admission.unwrap().queue_capacity, 32);
-        assert_eq!(c.max_overtake, Some(8));
+        assert_eq!(AdmissionControl::with_queue_capacity(32).queue_capacity, 32);
         assert_eq!(AdmissionControl::default().queue_capacity, 64);
     }
 
@@ -330,12 +297,14 @@ mod tests {
     fn preload_order_round_trips() {
         let c = SystemConfig::builder("placed").gpu_executors(1).build();
         assert_eq!(c.preload_order, None, "default keeps §4.1 usage order");
+        // Copies keep an explicit order (cluster nodes carry their
+        // placement plan's).
         let order = vec![ExpertId(3), ExpertId(0), ExpertId(1)];
-        let c = SystemConfig::builder("placed")
-            .gpu_executors(1)
-            .preload_order(order.clone())
-            .build();
-        assert_eq!(c.preload_order, Some(order));
+        let c = SystemConfig {
+            preload_order: Some(order.clone()),
+            ..c
+        };
+        assert_eq!(c.renamed("node-1").preload_order, Some(order));
     }
 
     #[test]

@@ -877,12 +877,6 @@ impl<'a> EngineSession<'a> {
         self.events.len()
     }
 
-    /// Number of jobs submitted so far.
-    #[must_use]
-    pub fn submitted(&self) -> usize {
-        self.submitted_jobs.len()
-    }
-
     /// Whether every submitted job has reached a terminal state.
     #[must_use]
     pub fn is_idle(&self) -> bool {
@@ -2109,23 +2103,23 @@ mod proptests {
             if cpus > 0 {
                 builder = builder.cpu_executors(cpus);
             }
-            let mut builder = builder
+            let mut config = builder
                 .assign(if assign_da { AssignPolicy::DependencyAware } else { AssignPolicy::RoundRobin })
                 .arrange(if arrange_grouped { ArrangePolicy::Grouped } else { ArrangePolicy::Fcfs })
                 .eviction(match evict_sel {
                     0 => EvictionPolicy::DependencyAware,
                     1 => EvictionPolicy::Lru,
                     _ => EvictionPolicy::Fifo,
-                });
+                })
+                .build();
             if admit {
-                builder = builder.admission(crate::config::AdmissionControl::with_queue_capacity(4));
+                config.admission = Some(crate::config::AdmissionControl::with_queue_capacity(4));
             }
-            match overtake_sel {
-                0 => {}
-                1 => builder = builder.max_overtake(0),
-                _ => builder = builder.max_overtake(4),
-            }
-            let config = builder.build();
+            config.max_overtake = match overtake_sel {
+                0 => None,
+                1 => Some(0),
+                _ => Some(4),
+            };
             let engine = Engine::new(&device, &model, &perf, &config).expect("valid");
             let report = engine.run(&stream);
             prop_assert_eq!(
@@ -2411,10 +2405,10 @@ mod tests {
     #[test]
     fn trace_covers_drops_under_admission_control() {
         let (device, model, perf, stream) = setup(30, 300);
-        let config = SystemConfig::builder("CoServe")
-            .gpu_executors(1)
-            .admission(crate::config::AdmissionControl::with_queue_capacity(2))
-            .build();
+        let config = SystemConfig {
+            admission: Some(crate::config::AdmissionControl::with_queue_capacity(2)),
+            ..SystemConfig::builder("CoServe").gpu_executors(1).build()
+        };
         let engine = Engine::new(&device, &model, &perf, &config).unwrap();
         let mut session = engine.session(stream.name());
         session.set_tracer(Box::new(coserve_trace::RingTracer::new()));
@@ -2528,7 +2522,7 @@ mod tests {
             session.submit(SimTime::ZERO, &long),
             Err(SubmitError::TooManyStages(300))
         );
-        assert_eq!(session.submitted(), 0);
+        assert_eq!(session.snapshot().submitted, 0);
         assert!(session.is_idle());
         // A valid submission still works afterwards.
         let id = session.submit(SimTime::ZERO, &[ExpertId(0)]).unwrap();
@@ -2604,10 +2598,10 @@ mod tests {
     fn oversized_expert_fails_gracefully() {
         let (device, model, perf, stream) = setup(10, 20);
         // One GPU executor with a zero-expert pool target: no ResNet fits.
-        let config = SystemConfig::builder("tiny")
-            .gpu_executors(1)
-            .gpu_resident_experts(0)
-            .build();
+        let config = SystemConfig {
+            gpu_resident_experts: Some(0),
+            ..SystemConfig::builder("tiny").gpu_executors(1).build()
+        };
         let engine = Engine::new(&device, &model, &perf, &config).unwrap();
         let report = engine.run(&stream);
         // Nothing fits in a zero-expert pool: every job fails, none hang.
@@ -2641,12 +2635,7 @@ mod tests {
     #[test]
     fn perf_mismatch_is_a_construction_error() {
         let (device, model, _, _) = setup(10, 10);
-        let wrong = PerfMatrix::new(
-            "dev",
-            std::collections::BTreeMap::new(),
-            vec![0.1],
-            vec![1.0],
-        );
+        let wrong = PerfMatrix::new(std::collections::BTreeMap::new(), vec![0.1], vec![1.0]);
         let config = coserve_config();
         let err = Engine::new(&device, &model, &wrong, &config).unwrap_err();
         assert!(matches!(err, EngineError::PerfModelMismatch { .. }));
@@ -2780,10 +2769,10 @@ mod tests {
         // Preload the usage order *reversed*: cold experts first.
         let reversed: Vec<ExpertId> = usage.iter().rev().copied().collect();
         let default_cfg = SystemConfig::builder("same").gpu_executors(2).build();
-        let reversed_cfg = SystemConfig::builder("same")
-            .gpu_executors(2)
-            .preload_order(reversed)
-            .build();
+        let reversed_cfg = SystemConfig {
+            preload_order: Some(reversed),
+            ..default_cfg.clone()
+        };
         let d = Engine::new(&device, &model, &perf, &default_cfg)
             .unwrap()
             .run(&stream);
@@ -2797,10 +2786,10 @@ mod tests {
             d.expert_switches()
         );
         // An explicit usage order reproduces the default bit for bit.
-        let explicit_cfg = SystemConfig::builder("same")
-            .gpu_executors(2)
-            .preload_order(usage)
-            .build();
+        let explicit_cfg = SystemConfig {
+            preload_order: Some(usage),
+            ..default_cfg.clone()
+        };
         let e = Engine::new(&device, &model, &perf, &explicit_cfg)
             .unwrap()
             .run(&stream);
@@ -2810,10 +2799,10 @@ mod tests {
     #[test]
     fn preload_order_outside_model_is_a_construction_error() {
         let (device, model, perf, _) = setup(10, 10);
-        let config = SystemConfig::builder("bad")
-            .gpu_executors(1)
-            .preload_order(vec![ExpertId(10_000)])
-            .build();
+        let config = SystemConfig {
+            preload_order: Some(vec![ExpertId(10_000)]),
+            ..SystemConfig::builder("bad").gpu_executors(1).build()
+        };
         let err = Engine::new(&device, &model, &perf, &config).unwrap_err();
         assert!(matches!(err, EngineError::UnknownExpert(_)));
         assert!(err.to_string().contains("preload order"));
@@ -2822,11 +2811,11 @@ mod tests {
     #[test]
     fn admission_drops_at_overload_and_conserves_jobs() {
         let (device, model, perf, stream) = setup(30, 300);
-        let config = SystemConfig::builder("online")
-            .gpu_executors(1)
-            .admission(crate::config::AdmissionControl::with_queue_capacity(2))
-            .max_overtake(8)
-            .build();
+        let config = SystemConfig {
+            admission: Some(crate::config::AdmissionControl::with_queue_capacity(2)),
+            max_overtake: Some(8),
+            ..SystemConfig::builder("online").gpu_executors(1).build()
+        };
         let engine = Engine::new(&device, &model, &perf, &config).unwrap();
         let report = engine.run(&stream);
         assert!(report.dropped > 0, "capacity-2 queue must shed load");
@@ -2846,11 +2835,11 @@ mod tests {
         // Cut a loaded session mid-stream: some jobs have ended, some
         // are admitted and queued, the rest never reached the scheduler.
         let (device, model, perf, stream) = setup(30, 300);
-        let config = SystemConfig::builder("online")
-            .gpu_executors(1)
-            .admission(crate::config::AdmissionControl::with_queue_capacity(8))
-            .max_overtake(8)
-            .build();
+        let config = SystemConfig {
+            admission: Some(crate::config::AdmissionControl::with_queue_capacity(8)),
+            max_overtake: Some(8),
+            ..SystemConfig::builder("online").gpu_executors(1).build()
+        };
         let engine = Engine::new(&device, &model, &perf, &config).unwrap();
         let mut session = engine.session("evacuated");
         for job in stream.jobs() {
@@ -2907,10 +2896,10 @@ mod tests {
     fn admission_with_headroom_matches_closed_loop() {
         let (device, model, perf, stream) = setup(20, 100);
         let closed = SystemConfig::builder("same").gpu_executors(2).build();
-        let open = SystemConfig::builder("same")
-            .gpu_executors(2)
-            .admission(crate::config::AdmissionControl::with_queue_capacity(4096))
-            .build();
+        let open = SystemConfig {
+            admission: Some(crate::config::AdmissionControl::with_queue_capacity(4096)),
+            ..closed.clone()
+        };
         let closed_r = Engine::new(&device, &model, &perf, &closed)
             .unwrap()
             .run(&stream);
@@ -2944,10 +2933,10 @@ mod tests {
     #[test]
     fn zero_overtake_bound_degrades_grouping_to_fcfs() {
         let (device, model, perf, stream) = setup(25, 150);
-        let grouped0 = SystemConfig::builder("same")
-            .gpu_executors(2)
-            .max_overtake(0)
-            .build();
+        let grouped0 = SystemConfig {
+            max_overtake: Some(0),
+            ..SystemConfig::builder("same").gpu_executors(2).build()
+        };
         let fcfs = SystemConfig::builder("same")
             .gpu_executors(2)
             .arrange(ArrangePolicy::Fcfs)
@@ -2960,10 +2949,10 @@ mod tests {
             .run(&stream);
         assert_eq!(a, b, "bound 0 must order queues exactly like FCFS");
         // A generous bound still reduces switches vs FCFS.
-        let bounded = SystemConfig::builder("same")
-            .gpu_executors(2)
-            .max_overtake(32)
-            .build();
+        let bounded = SystemConfig {
+            max_overtake: Some(32),
+            ..grouped0.clone()
+        };
         let c = Engine::new(&device, &model, &perf, &bounded)
             .unwrap()
             .run(&stream);

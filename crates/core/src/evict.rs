@@ -294,7 +294,7 @@ mod tests {
     }
 
     fn matrix_for(model: &CoeModel) -> PerfMatrix {
-        PerfMatrix::from_model_with("dev", model, |_, _| None)
+        PerfMatrix::from_model_with(model, |_, _| None)
     }
 
     fn t(ms: u64) -> SimTime {
@@ -757,7 +757,7 @@ mod proptests {
             policy_sel in 0u8..3,
         ) {
             let model = sparse_model();
-            let perf = PerfMatrix::from_model_with("dev", &model, |_, _| None);
+            let perf = PerfMatrix::from_model_with(&model, |_, _| None);
             let mut pool = ModelPool::new(Bytes::gib(16));
             for i in 0..SPARSE_EXPERTS {
                 if (mask_a & mask_b) & (1 << i) != 0 {
@@ -805,7 +805,7 @@ mod proptests {
             need_mib in 1u64..400,
         ) {
             let model = chain_model(5);
-            let perf = PerfMatrix::from_model_with("dev", &model, |_, _| None);
+            let perf = PerfMatrix::from_model_with(&model, |_, _| None);
             let det = ExpertId(5);
             let mut pool = ModelPool::new(Bytes::gib(4));
             for i in 0..6u32 {

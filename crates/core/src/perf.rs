@@ -70,7 +70,6 @@ impl PerfEntry {
 /// The complete offline measurement set for one device and model.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PerfMatrix {
-    device_name: String,
     entries: BTreeMap<(ArchId, ProcessorKind), PerfEntry>,
     usage_probs: Vec<f64>,
     memory_scores: Vec<f64>,
@@ -91,7 +90,6 @@ impl PerfMatrix {
     /// Panics if `usage_probs` and `memory_scores` lengths differ.
     #[must_use]
     pub fn new(
-        device_name: impl Into<String>,
         entries: BTreeMap<(ArchId, ProcessorKind), PerfEntry>,
         usage_probs: Vec<f64>,
         memory_scores: Vec<f64>,
@@ -123,19 +121,12 @@ impl PerfMatrix {
             }
         }
         PerfMatrix {
-            device_name: device_name.into(),
             entries,
             usage_probs,
             memory_scores,
             by_usage_desc,
             usage_rank,
         }
-    }
-
-    /// The device the matrix was profiled on.
-    #[must_use]
-    pub fn device_name(&self) -> &str {
-        &self.device_name
     }
 
     /// The entry for `(arch, proc)`, if profiled.
@@ -215,7 +206,6 @@ impl PerfMatrix {
     /// that skip profiling.
     #[must_use]
     pub fn from_model_with(
-        device_name: impl Into<String>,
         model: &CoeModel,
         mut make_entry: impl FnMut(ArchId, ProcessorKind) -> Option<PerfEntry>,
     ) -> Self {
@@ -231,7 +221,7 @@ impl PerfMatrix {
         let scores = (0..model.num_experts() as u32)
             .map(|i| model.memory_score(ExpertId(i)))
             .collect();
-        PerfMatrix::new(device_name, entries, usage, scores)
+        PerfMatrix::new(entries, usage, scores)
     }
 }
 
@@ -278,8 +268,7 @@ mod tests {
     fn matrix_lookup_and_ordering() {
         let mut entries = BTreeMap::new();
         entries.insert((ArchId(0), ProcessorKind::Gpu), entry());
-        let m = PerfMatrix::new("dev", entries, vec![0.2, 0.5, 0.3], vec![1.0, 1.0, 2.0]);
-        assert_eq!(m.device_name(), "dev");
+        let m = PerfMatrix::new(entries, vec![0.2, 0.5, 0.3], vec![1.0, 1.0, 2.0]);
         assert!(m.entry(ArchId(0), ProcessorKind::Gpu).is_some());
         assert!(m.entry(ArchId(0), ProcessorKind::Cpu).is_none());
         assert_eq!(m.num_experts(), 3);
@@ -295,13 +284,13 @@ mod tests {
     #[test]
     #[should_panic(expected = "no perf entry")]
     fn expect_entry_panics_on_missing() {
-        let m = PerfMatrix::new("dev", BTreeMap::new(), vec![], vec![]);
+        let m = PerfMatrix::new(BTreeMap::new(), vec![], vec![]);
         let _ = m.expect_entry(ArchId(3), ProcessorKind::Cpu);
     }
 
     #[test]
     fn usage_ties_break_by_id() {
-        let m = PerfMatrix::new("dev", BTreeMap::new(), vec![0.5, 0.5], vec![1.0, 1.0]);
+        let m = PerfMatrix::new(BTreeMap::new(), vec![0.5, 0.5], vec![1.0, 1.0]);
         assert_eq!(m.experts_by_usage(), vec![ExpertId(0), ExpertId(1)]);
         assert_eq!(m.usage_rank(ExpertId(0)), 0);
         assert_eq!(m.usage_rank(ExpertId(1)), 1);
@@ -310,7 +299,7 @@ mod tests {
     #[test]
     fn usage_rank_orders_ascending_usage() {
         let probs = vec![0.2, 0.5, 0.1, 0.5, 0.3];
-        let m = PerfMatrix::new("dev", BTreeMap::new(), probs, vec![1.0; 5]);
+        let m = PerfMatrix::new(BTreeMap::new(), probs, vec![1.0; 5]);
         let ranks: Vec<u32> = (0..5).map(|i| m.usage_rank(ExpertId(i))).collect();
         // Ascending usage: e2 (0.1), e0 (0.2), e4 (0.3), e1 (0.5), e3
         // (0.5, the tie goes to the lower id first).

@@ -237,7 +237,7 @@ impl Profiler {
         let memory_scores = (0..model.num_experts() as u32)
             .map(|i| model.memory_score(ExpertId(i)))
             .collect();
-        PerfMatrix::new(device.name(), entries, usage_probs, memory_scores)
+        PerfMatrix::new(entries, usage_probs, memory_scores)
     }
 }
 

@@ -363,26 +363,11 @@ impl ExecutorQueue {
         self.runs.iter().map(|r| (r.expert, r.items.len() as u32))
     }
 
-    /// The maintained runs as a fresh vector (convenience for tests and
-    /// diagnostics; hot paths use [`ExecutorQueue::runs_iter`]).
-    #[must_use]
-    pub fn runs(&self) -> Vec<(ExpertId, u32)> {
-        self.runs_iter().collect()
-    }
-
     /// Whether any queued request uses `expert` — an O(1) slot read,
     /// never a queue scan.
     #[must_use]
     pub fn contains_expert(&self, expert: ExpertId) -> bool {
         self.index.get(expert.index()).is_some_and(Option::is_some)
-    }
-
-    /// Length of the *last* run of `expert` (0 when absent) — what the
-    /// scheduler's delta prediction needs to decide whether a new
-    /// request joins an open batch.
-    #[must_use]
-    pub fn last_run_len(&self, expert: ExpertId) -> u32 {
-        self.queued_last_run_len(expert).unwrap_or(0)
     }
 
     /// Length of the *last* run of `expert`, or `None` when the expert
@@ -418,6 +403,11 @@ mod tests {
     use std::collections::BTreeMap;
 
     impl ExecutorQueue {
+        /// The maintained runs as a fresh vector.
+        pub(super) fn runs(&self) -> Vec<(ExpertId, u32)> {
+            self.runs_iter().collect()
+        }
+
         /// Panics unless the incremental index exactly matches a from-
         /// scratch recomputation.
         pub(super) fn assert_index_consistent(&self) {
@@ -513,7 +503,7 @@ mod tests {
         let jobs: Vec<u32> = q.iter().map(|r| r.job.0).collect();
         // Joins the LAST run of expert 5.
         assert_eq!(jobs, vec![0, 1, 2, 3]);
-        assert_eq!(q.last_run_len(ExpertId(5)), 2);
+        assert_eq!(q.queued_last_run_len(ExpertId(5)), Some(2));
         q.assert_index_consistent();
     }
 
@@ -657,9 +647,9 @@ mod tests {
         assert_eq!(q.runs(), q.recompute_runs());
         assert!(q.contains_expert(ExpertId(7)));
         assert!(!q.contains_expert(ExpertId(9)));
-        assert_eq!(q.last_run_len(ExpertId(5)), 1);
-        assert_eq!(q.last_run_len(ExpertId(7)), 1);
-        assert_eq!(q.last_run_len(ExpertId(9)), 0);
+        assert_eq!(q.queued_last_run_len(ExpertId(5)), Some(1));
+        assert_eq!(q.queued_last_run_len(ExpertId(7)), Some(1));
+        assert_eq!(q.queued_last_run_len(ExpertId(9)), None);
     }
 
     #[test]

@@ -229,7 +229,7 @@ mod tests {
         let config = presets::coserve(&bare);
         // Profiling itself needs kernels; with_matrix path reports the
         // engine error instead of panicking.
-        let perf = PerfMatrix::from_model_with("bare", &model, |_, _| None);
+        let perf = PerfMatrix::from_model_with(&model, |_, _| None);
         assert!(ServingSystem::with_matrix(bare, model, perf, config).is_err());
     }
 

@@ -57,13 +57,6 @@ impl OpenLoopOptions {
         self
     }
 
-    /// Replaces the seed.
-    #[must_use]
-    pub fn seed(mut self, seed: u64) -> Self {
-        self.seed = seed;
-        self
-    }
-
     /// Replaces the admission bound.
     #[must_use]
     pub fn admission(mut self, control: AdmissionControl) -> Self {
@@ -214,9 +207,10 @@ mod tests {
     #[test]
     fn stream_is_shared_across_systems() {
         let (system, board) = small_setup();
-        let options = OpenLoopOptions::new(ArrivalProcess::bursty(50.0, 2_000.0, 100.0, 20.0))
-            .requests(200)
-            .seed(13);
+        let options = OpenLoopOptions {
+            seed: 13,
+            ..OpenLoopOptions::new(ArrivalProcess::bursty(50.0, 2_000.0, 100.0, 20.0)).requests(200)
+        };
         // The stream depends only on (board, model, options), never on
         // a serving configuration — the fairness property of sweeps.
         let stream = open_loop_stream(system.model(), &board, &options);

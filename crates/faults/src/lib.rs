@@ -2,8 +2,8 @@
 //!
 //! Deterministic fault injection for the CoServe reproduction.
 //!
-//! A production CoE fleet sees far richer failure modes than the binary
-//! node kill/revive the cluster runtime already models: expert loads
+//! A production CoE fleet sees far richer failure modes than the node
+//! kills the cluster runtime already models: expert loads
 //! fail or crawl when an SSD misbehaves, fabric links degrade or
 //! partition, whole nodes slow down without dying, and client
 //! connections drop mid-frame. A [`FaultPlan`] injects all of those —
@@ -22,7 +22,7 @@
 //!   runs dilated; consumed by the engine's switch path;
 //! * **link faults** ([`FaultPlan::link`]) — a fabric link's bandwidth
 //!   dilates or the pair partitions entirely; consumed by the
-//!   dispatcher's hop charging and the runtime's migrations;
+//!   dispatcher's hop charging;
 //! * **slow nodes** ([`FaultPlan::node_dilation`]) — a node's service
 //!   rate dilates across a window; consumed by the cluster runtime's
 //!   per-tick accounting (and recovered from by dispatcher feedback);

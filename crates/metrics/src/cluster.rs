@@ -24,10 +24,9 @@ pub struct FailureRecord {
     pub failed_at: SimTime,
     /// When the re-replication of the node's orphaned shard finished
     /// landing on the survivors — `None` under a static placement that
-    /// never re-replicates (the shard stays lost).
+    /// never re-replicates, or when no node survived to take the shard
+    /// (the shard stays lost).
     pub recovered_at: Option<SimTime>,
-    /// When the node came back, if the failure schedule revived it.
-    pub revived_at: Option<SimTime>,
 }
 
 impl FailureRecord {
@@ -79,7 +78,7 @@ impl TickStat {
 }
 
 /// What the *dynamic* cluster runtime did beyond serving: front-end
-/// rejections, re-routes, expert migrations (and the fabric traffic
+/// rejections, re-routes, expert migrations (and the checkpoint reloads
 /// they cost), plan re-versioning, failures with recovery milestones,
 /// dispatcher estimate quality, and the per-tick timeline.
 ///
@@ -89,21 +88,19 @@ pub struct FleetDynamics {
     /// Requests rejected at the front-end because a chain expert had no
     /// live holder (static placement after a failure).
     pub routing_dropped: usize,
-    /// Requests shed by queue-depth-aware dispatcher pacing (every
-    /// node's per-tick send budget was exhausted); zero unless pacing
-    /// is enabled.
+    /// Requests shed by dispatcher pacing. The runtime has no pacing,
+    /// so this is always zero; the field and its JSON key stay for
+    /// readers that sum every front-end rejection.
     pub paced_shed: u64,
     /// In-flight requests pulled back from a dying node and re-routed.
     pub rerouted: u64,
-    /// Expert copies shipped by re-placements.
+    /// Expert copies re-replicated after failures, each reloaded from
+    /// the receiving node's checkpoint store.
     pub migrations: u64,
-    /// Migration copies that crossed the fabric (the rest were local
-    /// checkpoint reloads on the receiving node).
-    pub migration_hops: u64,
-    /// Total checkpoint bytes shipped by re-placements.
+    /// Total checkpoint bytes those reloads read.
     pub migration_bytes: Bytes,
-    /// Total transfer time charged for migrations (on the same fabric
-    /// links requests use).
+    /// Total reload time charged for migrations (each copy's
+    /// SSD-to-CPU transfer on its receiving node).
     pub migration_time_total: SimSpan,
     /// The placement-plan version at the end of the run (0 = the
     /// offline plan was never touched).
@@ -402,11 +399,10 @@ impl ClusterReport {
             .map(|f| {
                 format!(
                     "{{\"node\":{},\"failed_at_ms\":{},\"recovered_at_ms\":{},\
-                     \"revived_at_ms\":{},\"recovery_ms\":{}}}",
+                     \"recovery_ms\":{}}}",
                     f.node,
                     json_f64(f.failed_at.saturating_since(SimTime::ZERO).as_millis_f64()),
                     opt_ms(f.recovered_at),
-                    opt_ms(f.revived_at),
                     f.recovery_time()
                         .map_or_else(|| "null".to_string(), |s| json_f64(s.as_millis_f64())),
                 )
@@ -432,14 +428,13 @@ impl ClusterReport {
             .collect();
         format!(
             "{{\"routing_dropped\":{},\"paced_shed\":{},\"rerouted\":{},\"migrations\":{},\
-             \"migration_hops\":{},\"migration_bytes\":{},\"migration_time_ms\":{},\
+             \"migration_bytes\":{},\"migration_time_ms\":{},\
              \"plan_versions\":{},\"estimate_error_ms\":{},\"recovery_ms\":{},\
              \"unrecovered_failure\":{},\"failures\":[{}],\"ticks\":[{}]{}}}",
             d.routing_dropped,
             d.paced_shed,
             d.rerouted,
             d.migrations,
-            d.migration_hops,
             d.migration_bytes.get(),
             json_f64(d.migration_time_total.as_millis_f64()),
             d.plan_versions,
@@ -601,7 +596,6 @@ mod tests {
         c.dropped += 5;
         c.dynamics.rerouted = 3;
         c.dynamics.migrations = 4;
-        c.dynamics.migration_hops = 3;
         c.dynamics.migration_bytes = Bytes::mib(700);
         c.dynamics.migration_time_total = SimSpan::from_millis(90);
         c.dynamics.plan_versions = 2;
@@ -609,7 +603,6 @@ mod tests {
             node: 1,
             failed_at: SimTime::ZERO + SimSpan::from_secs(2),
             recovered_at: Some(SimTime::ZERO + SimSpan::from_secs(3)),
-            revived_at: None,
         });
         c.dynamics.ticks.push(TickStat {
             index: 0,

@@ -33,12 +33,13 @@ pub struct FaultLedger {
     pub slow_loads: u64,
     /// Individual retry attempts spent across all load faults.
     pub retries: u64,
-    /// Fabric transfers that ran dilated.
+    /// Fabric hops that ran dilated.
     pub link_dilated: u64,
-    /// Fabric transfers that hit a partitioned pair.
+    /// Fabric hops that met a partitioned pair.
     pub link_partitioned: u64,
-    /// Partitioned transfers degraded to a local fallback (SSD
-    /// checkpoint reload instead of the fabric copy).
+    /// Chain stages cut off from every live holder, degraded to a local
+    /// fallback (the routed node's SSD checkpoint instead of the
+    /// fabric hop).
     pub degraded_local: u64,
     /// Jobs re-routed to a replica because their first-choice node was
     /// unreachable for some chain stage.

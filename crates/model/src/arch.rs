@@ -18,13 +18,11 @@ pub const YOLOV5M: ArchId = ArchId(1);
 /// The [`ArchId`] of the YOLOv5l object-detection architecture.
 pub const YOLOV5L: ArchId = ArchId(2);
 
-/// A named expert architecture with its parameter count and checkpoint
-/// size.
+/// A named expert architecture with its checkpoint size.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ArchSpec {
     id: ArchId,
     name: String,
-    parameters: u64,
     weights: Bytes,
 }
 
@@ -37,12 +35,11 @@ impl ArchSpec {
     /// loaded or evicted, and every algorithm in the paper is about
     /// moving weights.
     #[must_use]
-    pub fn new(id: ArchId, name: impl Into<String>, parameters: u64, weights: Bytes) -> Self {
+    pub fn new(id: ArchId, name: impl Into<String>, weights: Bytes) -> Self {
         assert!(!weights.is_zero(), "architecture weights must be non-zero");
         ArchSpec {
             id,
             name: name.into(),
-            parameters,
             weights,
         }
     }
@@ -50,19 +47,19 @@ impl ArchSpec {
     /// ResNet101: 44.5 M parameters, ~178 MB fp32 checkpoint.
     #[must_use]
     pub fn resnet101() -> Self {
-        ArchSpec::new(RESNET101, "ResNet101", 44_549_160, Bytes::new(178_000_000))
+        ArchSpec::new(RESNET101, "ResNet101", Bytes::new(178_000_000))
     }
 
     /// YOLOv5m: 21.2 M parameters, ~85 MB fp32 checkpoint.
     #[must_use]
     pub fn yolov5m() -> Self {
-        ArchSpec::new(YOLOV5M, "YOLOv5m", 21_172_173, Bytes::new(85_000_000))
+        ArchSpec::new(YOLOV5M, "YOLOv5m", Bytes::new(85_000_000))
     }
 
     /// YOLOv5l: 46.5 M parameters, ~186 MB fp32 checkpoint.
     #[must_use]
     pub fn yolov5l() -> Self {
-        ArchSpec::new(YOLOV5L, "YOLOv5l", 46_533_693, Bytes::new(186_000_000))
+        ArchSpec::new(YOLOV5L, "YOLOv5l", Bytes::new(186_000_000))
     }
 
     /// The three architectures used throughout the paper's evaluation.
@@ -85,12 +82,6 @@ impl ArchSpec {
     #[must_use]
     pub fn name(&self) -> &str {
         &self.name
-    }
-
-    /// Parameter count.
-    #[must_use]
-    pub fn parameters(&self) -> u64 {
-        self.parameters
     }
 
     /// Checkpoint size — the bytes that move when the expert switches.
@@ -117,8 +108,9 @@ mod tests {
     #[test]
     fn resnet_checkpoint_is_fp32_sized() {
         let r = ArchSpec::resnet101();
-        // fp32 = 4 bytes per parameter, within slack for buffers/headers.
-        let fp32 = r.parameters() * 4;
+        // fp32 = 4 bytes for each of ResNet101's 44 549 160 parameters,
+        // within slack for buffers/headers.
+        let fp32 = 44_549_160u64 * 4;
         let ratio = r.weights().get() as f64 / fp32 as f64;
         assert!((0.9..1.1).contains(&ratio), "ratio {ratio}");
         assert_eq!(r.name(), "ResNet101");
@@ -131,21 +123,18 @@ mod tests {
         let r = ArchSpec::resnet101();
         let total = r.weights() * 352;
         assert!(total > Bytes::gib(55), "total {total}");
-        let params = r.parameters() * 352;
-        assert!(params > 13_000_000_000);
     }
 
     #[test]
     #[should_panic(expected = "non-zero")]
     fn zero_weights_panics() {
-        let _ = ArchSpec::new(ArchId(9), "ghost", 1, Bytes::ZERO);
+        let _ = ArchSpec::new(ArchId(9), "ghost", Bytes::ZERO);
     }
 
     #[test]
     fn custom_arch() {
-        let a = ArchSpec::new(ArchId(7), "TinyNet", 1_000_000, Bytes::mib(4));
+        let a = ArchSpec::new(ArchId(7), "TinyNet", Bytes::mib(4));
         assert_eq!(a.id(), ArchId(7));
-        assert_eq!(a.parameters(), 1_000_000);
         assert_eq!(a.weights(), Bytes::mib(4));
     }
 }

@@ -238,20 +238,6 @@ impl DeviceProfile {
         self.kernels.get(&(arch, proc))
     }
 
-    /// All installed kernel entries in a stable order.
-    pub fn kernels(&self) -> impl Iterator<Item = (ArchId, ProcessorKind, &KernelProfile)> {
-        self.kernels.iter().map(|(&(a, p), k)| (a, p, k))
-    }
-
-    /// Architectures with at least one installed kernel, deduplicated,
-    /// in a stable order.
-    #[must_use]
-    pub fn arch_ids(&self) -> Vec<ArchId> {
-        let mut ids: Vec<ArchId> = self.kernels.keys().map(|&(a, _)| a).collect();
-        ids.dedup();
-        ids
-    }
-
     /// Stage durations for moving `bytes` along `route` on this device.
     #[must_use]
     pub fn transfer_stages(&self, bytes: Bytes, route: TransferRoute) -> TransferStages {
@@ -472,17 +458,9 @@ mod tests {
         d.set_kernel(arch, ProcessorKind::Gpu, sample_kernel());
         let k = d.kernel(arch, ProcessorKind::Gpu).unwrap();
         assert!((k.latency.latency_ms(1) - 9.1).abs() < 1e-9);
-        assert_eq!(d.arch_ids(), vec![arch]);
-        assert_eq!(d.kernels().count(), 1);
-    }
-
-    #[test]
-    fn arch_ids_deduplicates_processors() {
-        let mut d = DeviceProfile::numa_rtx3080ti();
-        d.set_kernel(ArchId(3), ProcessorKind::Gpu, sample_kernel());
-        d.set_kernel(ArchId(3), ProcessorKind::Cpu, sample_kernel());
-        d.set_kernel(ArchId(7), ProcessorKind::Gpu, sample_kernel());
-        assert_eq!(d.arch_ids(), vec![ArchId(3), ArchId(7)]);
+        // Kernels are installed per (architecture, processor).
+        assert!(d.kernel(arch, ProcessorKind::Cpu).is_none());
+        assert!(d.kernel(ArchId(2), ProcessorKind::Gpu).is_none());
     }
 
     #[test]

@@ -144,6 +144,9 @@ impl<E> Calendar<E> {
     /// must be indistinguishable from. Test/verification aid: runs
     /// driven through a reference calendar must be bit-identical to the
     /// laned ones.
+    // tidy:allow(test-only-api) the oracle of the engine's calendar
+    // proptests, which live in another crate and cannot reach this
+    // crate's test module.
     #[must_use]
     pub fn reference(lanes: usize) -> Self {
         let mut cal = Calendar::new(lanes);

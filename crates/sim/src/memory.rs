@@ -25,12 +25,6 @@ impl Bytes {
         Bytes(bytes)
     }
 
-    /// Whole kibibytes.
-    #[must_use]
-    pub const fn kib(kib: u64) -> Self {
-        Bytes(kib * 1024)
-    }
-
     /// Whole mebibytes.
     #[must_use]
     pub const fn mib(mib: u64) -> Self {
@@ -283,7 +277,6 @@ mod tests {
 
     #[test]
     fn byte_constructors() {
-        assert_eq!(Bytes::kib(2).get(), 2048);
         assert_eq!(Bytes::mib(1).get(), 1 << 20);
         assert_eq!(Bytes::gib(1).get(), 1 << 30);
     }

@@ -72,12 +72,6 @@ impl FifoResource {
         Reservation { start, end }
     }
 
-    /// When the resource becomes idle given current commitments.
-    #[must_use]
-    pub fn next_free(&self) -> SimTime {
-        self.next_free
-    }
-
     /// Total committed busy time across all reservations.
     #[must_use]
     pub fn busy_total(&self) -> SimSpan {
@@ -88,15 +82,6 @@ impl FifoResource {
     #[must_use]
     pub fn reservation_count(&self) -> u64 {
         self.reservations
-    }
-
-    /// Utilization in `[0, 1]` over the window `[SimTime::ZERO, horizon]`.
-    #[must_use]
-    pub fn utilization(&self, horizon: SimTime) -> f64 {
-        if horizon == SimTime::ZERO {
-            return 0.0;
-        }
-        (self.busy_total.as_secs_f64() / horizon.as_secs_f64()).min(1.0)
     }
 }
 
@@ -235,7 +220,8 @@ mod tests {
         r.reserve(at(0), ms(2));
         let res = r.reserve(at(10), ms(1));
         assert_eq!(res.start, at(10));
-        assert_eq!(r.next_free(), at(11));
+        // The resource is free again from 11 ms on.
+        assert_eq!(r.reserve(at(0), SimSpan::ZERO).start, at(11));
     }
 
     #[test]
@@ -254,17 +240,8 @@ mod tests {
         r.reserve(at(0), ms(6));
         assert_eq!(r.busy_total(), ms(10));
         assert_eq!(r.reservation_count(), 2);
-        assert!((r.utilization(at(20)) - 0.5).abs() < 1e-9);
-        assert_eq!(r.utilization(SimTime::ZERO), 0.0);
-        assert_eq!(r.next_free(), at(10));
         assert!(r.to_string().contains("x: busy until"));
-    }
-
-    #[test]
-    fn utilization_caps_at_one() {
-        let mut r = FifoResource::new("x");
-        r.reserve(at(0), ms(100));
-        assert_eq!(r.utilization(at(10)), 1.0);
+        assert_eq!(r.reserve(at(0), SimSpan::ZERO).start, at(10));
     }
 }
 

@@ -12,12 +12,16 @@ use crate::scan::{FileKind, Line, ScannedFile};
 /// `// tidy:allow(test-only-api)`.
 ///
 /// Non-test code is library code outside its trailing test modules,
-/// binaries (`src/main.rs`, `src/bin/`), `examples/` and
-/// `crates/*/benches/`. A name counts as called when it appears there
-/// as a token anywhere but in a `fn` definition or a `pub use`
-/// re-export. Tests (`tests/`, `crates/*/tests/`, trailing test
-/// modules) are not callers. The allow comment goes on the `pub fn`
-/// line or above the item's attributes.
+/// binaries (`src/main.rs`, `src/bin/`), `examples/`,
+/// `crates/*/benches/` and the benchmark's `perfbench/src` outside its
+/// test modules. A name counts as called when it appears there in call
+/// position (`name(`, `name::<`) or as a path segment (`::name`), but
+/// not in a `fn` definition or a `pub use` re-export; a field, a local
+/// or a struct-literal key of the same name is no caller. Tests (`tests/`,
+/// `crates/*/tests/`, trailing test modules) are not callers. The check
+/// matches names, not types: a call to another type's method of the
+/// same name still counts. The allow comment goes on the `pub fn` line
+/// or above the item's attributes.
 #[derive(Debug)]
 pub struct TestOnlyApi;
 
@@ -30,7 +34,7 @@ impl Check for TestOnlyApi {
         let mut called: BTreeSet<&str> = BTreeSet::new();
         for file in files {
             let caller_file = is_example_or_bench(&file.path);
-            if !caller_file && file.kind != FileKind::Src {
+            if !caller_file && !matches!(file.kind, FileKind::Src | FileKind::Benchmark) {
                 continue;
             }
             let mut in_pub_use = false;
@@ -41,7 +45,7 @@ impl Check for TestOnlyApi {
                 let code = line.code.trim();
                 in_pub_use |= is_pub_use(code);
                 if !in_pub_use {
-                    called.extend(referenced_names(code));
+                    called.extend(called_names(code));
                 }
                 in_pub_use &= !code.contains(';');
             }
@@ -113,16 +117,23 @@ fn pub_fn_name(line: &Line) -> Option<&str> {
     rest.get(..end).filter(|name| !name.is_empty())
 }
 
-/// Identifier tokens on a code line, skipping the name each `fn`
-/// keyword defines.
-fn referenced_names(code: &str) -> impl Iterator<Item = &str> {
+/// Identifier tokens on a code line in call position (`name(`,
+/// `name::<`) or after a path separator (`::name`), skipping the name
+/// each `fn` keyword defines.
+fn called_names(code: &str) -> impl Iterator<Item = &str> {
     let mut after_fn = false;
     code.split(|c: char| !is_ident_char(c))
         .filter(|token| !token.is_empty())
         .filter(move |&token| {
-            let definition = after_fn;
-            after_fn = token == "fn";
-            !definition
+            let definition = std::mem::replace(&mut after_fn, token == "fn");
+            // `split` yields subslices of `code`: a token's offset is
+            // its distance from the start of the line.
+            let start = token.as_ptr() as usize - code.as_ptr() as usize;
+            let before = code.get(..start).unwrap_or_default();
+            let after = code.get(start + token.len()..).unwrap_or_default();
+            let called =
+                before.ends_with("::") || after.starts_with('(') || after.starts_with("::<");
+            called && !definition
         })
 }
 
@@ -184,6 +195,61 @@ mod tests {
             bench,
         ];
         assert!(findings(&files).is_empty());
+    }
+
+    #[test]
+    fn only_calls_and_paths_count() {
+        // A field, a struct-literal key and a local are no callers.
+        let files = [
+            lib("pub fn seed() -> u64 { 7 }\n"),
+            ScannedFile::parse(
+                "crates/workload/src/lib.rs",
+                "workload",
+                FileKind::Src,
+                "struct O { seed: u64 }\nfn f(o: &O) -> u64 { let seed = o.seed; \
+                 O { seed }.seed + seed }\n",
+            ),
+        ];
+        let out = findings(&files);
+        assert_eq!(out.len(), 1, "{out:?}");
+        assert!(out[0].message.contains("`pub fn seed`"));
+        // A method call, a turbofish call and a path each clear one.
+        let files = [
+            lib("pub fn a() {}\npub fn b<T>() {}\npub fn c() {}\n"),
+            ScannedFile::parse(
+                "crates/bench/src/lib.rs",
+                "bench",
+                FileKind::Src,
+                "fn f(x: X) { x.a(); b::<u8>(); run(Lib::c); }\n",
+            ),
+        ];
+        assert!(findings(&files).is_empty());
+    }
+
+    #[test]
+    fn a_caller_in_the_benchmark_clears_it() {
+        let benchmark = |content| {
+            ScannedFile::parse(
+                "perfbench/src/offline.rs",
+                "perfbench",
+                FileKind::Benchmark,
+                content,
+            )
+        };
+        let files = [
+            lib("pub fn interval() -> u32 { 1 }\n"),
+            benchmark("fn run(task: &Task) -> u32 { task.interval() }\n"),
+        ];
+        assert!(findings(&files).is_empty());
+        // The benchmark's own test module is no caller, and its
+        // `pub fn`s are not library API.
+        let files = [
+            lib("pub fn interval() -> u32 { 1 }\n"),
+            benchmark("pub fn unused() {}\n#[cfg(test)]\nmod tests { fn t() { interval(); } }\n"),
+        ];
+        let out = findings(&files);
+        assert_eq!(out.len(), 1, "{out:?}");
+        assert!(out[0].message.contains("interval"));
     }
 
     #[test]

@@ -34,7 +34,7 @@ impl Check for ForbidUnsafe {
             .map(|f| f.crate_name.as_str())
             .collect();
         for file in files {
-            if !is_crate_root(&file.path) {
+            if !is_crate_root(&file.path) || file.kind == FileKind::Benchmark {
                 continue;
             }
             if file.path.ends_with("src/main.rs") && has_lib.contains(file.crate_name.as_str()) {
@@ -68,7 +68,7 @@ impl Check for NoDebugMacros {
 
     fn run(&self, files: &[ScannedFile], out: &mut Vec<Diagnostic>) {
         for file in files {
-            if file.kind == FileKind::Vendor {
+            if matches!(file.kind, FileKind::Vendor | FileKind::Benchmark) {
                 continue;
             }
             for (lineno, line) in file.numbered() {
@@ -151,7 +151,7 @@ impl Check for OutDir {
 
     fn run(&self, files: &[ScannedFile], out: &mut Vec<Diagnostic>) {
         for file in files {
-            if file.kind == FileKind::Vendor {
+            if matches!(file.kind, FileKind::Vendor | FileKind::Benchmark) {
                 continue;
             }
             for (lineno, line) in file.numbered() {

@@ -27,7 +27,7 @@
 //!   `coserve_metrics::output` ([`checks::hygiene`]).
 //! * **Test-only API** — a library `pub fn` that only tests call is
 //!   kept alive for nothing; [`checks::api`] flags every one that no
-//!   non-test code names.
+//!   non-test code, the repository benchmark included, calls.
 //!
 //! What makes this better than grep is the [`scan`] module: a
 //! token-level scanner that strips comments and blanks string/char

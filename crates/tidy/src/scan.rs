@@ -38,6 +38,12 @@ pub enum FileKind {
     /// A vendored stand-in crate: only the `forbid-unsafe` hygiene
     /// check applies.
     Vendor,
+    /// A `src/` file of the repository benchmark (`perfbench/`), a
+    /// workspace of its own that tidy does not police: only
+    /// `test-only-api` reads it, to count its calls into the libraries.
+    /// Its test tail is marked as in a `Src` file, without layout
+    /// errors.
+    Benchmark,
 }
 
 /// One scanned source line.
@@ -312,9 +318,9 @@ const CFG_TEST: &str = "#[cfg(test)]";
 /// `tests/` or `benches/` are test code in full.
 ///
 /// Returns the `(1-based line, message)` of each layout error in any
-/// other file: a `#[cfg(test)]` item that is not a `mod`, and the first
-/// line of code that follows the closed test tail without opening
-/// another `#[cfg(test)]` module.
+/// other file but a benchmark one: a `#[cfg(test)]` item that is not a
+/// `mod`, and the first line of code that follows the closed test tail
+/// without opening another `#[cfg(test)]` module.
 fn mark_test_tail(lines: &mut [Line], kind: FileKind) -> Vec<(usize, &'static str)> {
     if kind == FileKind::TestDir {
         for line in lines.iter_mut() {
@@ -363,6 +369,9 @@ fn mark_test_tail(lines: &mut [Line], kind: FileKind) -> Vec<(usize, &'static st
         let opens = compact.matches('{').count();
         let closes = compact.matches('}').count();
         depth = (depth + opens).saturating_sub(closes);
+    }
+    if kind == FileKind::Benchmark {
+        errors.clear();
     }
     errors
 }

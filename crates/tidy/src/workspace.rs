@@ -23,7 +23,8 @@ pub fn workspace_root() -> PathBuf {
 /// benches trees) plus the vendored stand-ins under `vendor/`
 /// (crate roots only — see [`FileKind::Vendor`]). Also scans the
 /// repository-level `tests/` and `examples/` trees, which belong to
-/// the `coserve` facade crate.
+/// the `coserve` facade crate, and the benchmark's `perfbench/src`
+/// (see [`FileKind::Benchmark`]).
 ///
 /// # Errors
 ///
@@ -57,6 +58,16 @@ pub fn scan_workspace(root: &Path) -> io::Result<Vec<ScannedFile>> {
         if tree.is_dir() {
             scan_tree(root, &tree, "coserve", FileKind::TestDir, &mut files)?;
         }
+    }
+    let benchmark = root.join("perfbench").join("src");
+    if benchmark.is_dir() {
+        scan_tree(
+            root,
+            &benchmark,
+            "perfbench",
+            FileKind::Benchmark,
+            &mut files,
+        )?;
     }
     Ok(files)
 }

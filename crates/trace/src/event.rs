@@ -170,16 +170,12 @@ pub enum TraceKind {
         /// Requests pulled back and re-routed.
         rerouted: u32,
     },
-    /// A node came back (empty).
-    NodeRevived,
-    /// One expert copy started migrating to this event's node
-    /// (`at` = migration start).
+    /// One expert copy started reloading from this event's node's
+    /// checkpoint store (`at` = migration start).
     MigrationStarted {
         /// The migrating expert.
         expert: ExpertId,
-        /// The donor node (`None` = local SSD checkpoint reload).
-        donor: Option<u32>,
-        /// Transfer duration; the copy lands at `at + span`.
+        /// Reload duration; the copy lands at `at + span`.
         span: SimSpan,
     },
     /// A migrated expert copy became usable on this event's node.
@@ -194,12 +190,11 @@ pub enum TraceKind {
         /// Expert copies the migration ships.
         moves: u32,
     },
-    /// The front-end rejected a request before any node saw it.
+    /// The front-end rejected a request before any node saw it: its
+    /// chain is unhosted, no node is alive, or no engine can run it.
     Shed {
         /// Workload job id (front-end numbering, not an engine id).
         job: u32,
-        /// `true` for a pacing shed, `false` for an unhosted chain.
-        paced: bool,
     },
 
     // ── faults & recovery ────────────────────────────────────────────
@@ -224,18 +219,6 @@ pub enum TraceKind {
         /// The expert being loaded.
         expert: ExpertId,
         /// Time added over the healthy transfer.
-        extra: SimSpan,
-    },
-    /// A fabric transfer hit a faulted link.
-    LinkFault {
-        /// Transfer source node.
-        from: u32,
-        /// Transfer destination node.
-        to: u32,
-        /// `true` when the pair was partitioned (the transfer was
-        /// degraded or abandoned), `false` for a dilated link.
-        partitioned: bool,
-        /// Time added over the healthy transfer (zero for partitions).
         extra: SimSpan,
     },
     /// One control tick of this event's node served under slow-node
@@ -283,14 +266,12 @@ impl TraceKind {
             TraceKind::CacheInserted { .. } => "cache-insert",
             TraceKind::CacheEvicted { .. } => "cache-evict",
             TraceKind::NodeKilled { .. } => "node-killed",
-            TraceKind::NodeRevived => "node-revived",
             TraceKind::MigrationStarted { .. } => "migration-start",
             TraceKind::MigrationLanded { .. } => "migration-land",
             TraceKind::Replanned { .. } => "replanned",
             TraceKind::Shed { .. } => "shed",
             TraceKind::LoadFault { .. } => "load-fault",
             TraceKind::SlowLoad { .. } => "slow-load",
-            TraceKind::LinkFault { .. } => "link-fault",
             TraceKind::SlowNode { .. } => "slow-node",
             TraceKind::HedgedReroute { .. } => "hedge-reroute",
             TraceKind::BusyShed { .. } => "busy-shed",
@@ -373,10 +354,8 @@ mod tests {
                 expert: ExpertId(0),
             },
             TraceKind::NodeKilled { rerouted: 0 },
-            TraceKind::NodeRevived,
             TraceKind::MigrationStarted {
                 expert: ExpertId(0),
-                donor: None,
                 span: SimSpan::ZERO,
             },
             TraceKind::MigrationLanded {
@@ -386,10 +365,7 @@ mod tests {
                 version: 1,
                 moves: 0,
             },
-            TraceKind::Shed {
-                job: 0,
-                paced: true,
-            },
+            TraceKind::Shed { job: 0 },
             TraceKind::LoadFault {
                 exec: 0,
                 expert: ExpertId(0),
@@ -399,12 +375,6 @@ mod tests {
             TraceKind::SlowLoad {
                 exec: 0,
                 expert: ExpertId(0),
-                extra: SimSpan::ZERO,
-            },
-            TraceKind::LinkFault {
-                from: 0,
-                to: 1,
-                partitioned: false,
                 extra: SimSpan::ZERO,
             },
             TraceKind::SlowNode {

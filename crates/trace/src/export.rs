@@ -110,11 +110,9 @@ fn tid_for(kind: &TraceKind) -> u32 {
         TraceKind::Scheduled { .. } => TID_SCHEDULER,
         TraceKind::CacheInserted { .. } | TraceKind::CacheEvicted { .. } => TID_CACHE,
         TraceKind::NodeKilled { .. }
-        | TraceKind::NodeRevived
         | TraceKind::MigrationStarted { .. }
         | TraceKind::MigrationLanded { .. }
         | TraceKind::Replanned { .. }
-        | TraceKind::LinkFault { .. }
         | TraceKind::SlowNode { .. } => TID_RUNTIME,
         TraceKind::Switch { exec, .. }
         | TraceKind::Exec { exec, .. }
@@ -263,24 +261,14 @@ fn render_event(ev: &TraceEvent) -> String {
         TraceKind::NodeKilled { rerouted } => {
             let _ = write!(rec, "\"rerouted\": {rerouted}");
         }
-        TraceKind::NodeRevived => {}
-        TraceKind::MigrationStarted { expert, donor, .. } => {
-            let _ = write!(rec, "\"expert\": {}", expert.index());
-            match donor {
-                Some(d) => {
-                    let _ = write!(rec, ", \"donor\": {d}");
-                }
-                None => rec.push_str(", \"donor\": \"ssd\""),
-            }
-        }
-        TraceKind::MigrationLanded { expert } => {
+        TraceKind::MigrationStarted { expert, .. } | TraceKind::MigrationLanded { expert } => {
             let _ = write!(rec, "\"expert\": {}", expert.index());
         }
         TraceKind::Replanned { version, moves } => {
             let _ = write!(rec, "\"version\": {version}, \"moves\": {moves}");
         }
-        TraceKind::Shed { job, paced } => {
-            let _ = write!(rec, "\"job\": {job}, \"paced\": {paced}");
+        TraceKind::Shed { job } => {
+            let _ = write!(rec, "\"job\": {job}");
         }
         TraceKind::LoadFault {
             exec,
@@ -300,19 +288,6 @@ fn render_event(ev: &TraceEvent) -> String {
                 rec,
                 "\"expert\": {}, \"extra_us\": {}",
                 expert.index(),
-                micros(extra.nanos())
-            );
-        }
-        TraceKind::LinkFault {
-            from,
-            to,
-            partitioned,
-            extra,
-        } => {
-            let _ = write!(
-                rec,
-                "\"from\": {from}, \"to\": {to}, \"partitioned\": {partitioned}, \
-                 \"extra_us\": {}",
                 micros(extra.nanos())
             );
         }
@@ -429,7 +404,6 @@ mod tests {
                 node: 1,
                 kind: TraceKind::MigrationStarted {
                     expert: ExpertId(3),
-                    donor: None,
                     span: SimSpan::from_micros(100),
                 },
             },
@@ -521,7 +495,9 @@ mod tests {
         let json = chrome_trace_json(&sample_events());
         assert!(json.contains("\"name\": \"switch\", \"pid\": 0, \"tid\": 12, \"ts\": 3.000, \"ph\": \"X\", \"dur\": 4.000"));
         assert!(json.contains("\"name\": \"arrived\", \"pid\": 0, \"tid\": 0, \"ts\": 1.500, \"ph\": \"i\", \"s\": \"t\""));
-        assert!(json.contains("\"donor\": \"ssd\""));
+        assert!(json.contains(
+            "\"name\": \"migration-start\", \"pid\": 1, \"tid\": 3, \"ts\": 9.000, \"ph\": \"X\", \"dur\": 100.000, \"args\": {\"expert\": 3}}"
+        ));
     }
 
     #[test]

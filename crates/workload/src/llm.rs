@@ -40,23 +40,13 @@ pub const DOMAINS: [&str; 8] = [
 /// Architecture spec for the domain experts.
 #[must_use]
 pub fn llm_expert_arch() -> ArchSpec {
-    ArchSpec::new(
-        LLM_EXPERT,
-        "llm-expert-1.3b",
-        1_300_000_000,
-        Bytes::new(2_600_000_000),
-    )
+    ArchSpec::new(LLM_EXPERT, "llm-expert-1.3b", Bytes::new(2_600_000_000))
 }
 
 /// Architecture spec for the shared reranker.
 #[must_use]
 pub fn llm_reranker_arch() -> ArchSpec {
-    ArchSpec::new(
-        LLM_RERANKER,
-        "llm-reranker-0.4b",
-        400_000_000,
-        Bytes::new(800_000_000),
-    )
+    ArchSpec::new(LLM_RERANKER, "llm-reranker-0.4b", Bytes::new(800_000_000))
 }
 
 /// Installs cost models for the LLM architectures on a device.

@@ -14,10 +14,12 @@
 //!
 //! It then switches to the *dynamic* cluster runtime: a 4-node fleet
 //! loses a node at the midpoint of the run, the planner re-replicates
-//! the dead node's orphaned shard over the fabric, the requests it had
-//! not finished re-route, and the per-tick timeline shows the SLO dip
-//! around the failure and the recovery.
+//! the dead node's orphaned shard onto the survivors (each copy
+//! reloaded from the receiving node's checkpoint store), the requests
+//! it had not finished re-route, and the per-tick timeline shows the
+//! SLO dip around the failure and the recovery.
 
+use coserve::cluster::runtime::SLO;
 use coserve::prelude::*;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -97,7 +99,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let stream = open_loop_stream(&model, task.board(), &options);
     let horizon = stream.last_arrival().saturating_since(SimTime::ZERO);
     let midpoint = SimTime::ZERO + SimSpan::from_millis_f64(horizon.as_millis_f64() / 2.0);
-    let slo = SimSpan::from_millis(250);
     // Nine control ticks; the midpoint kill lands mid-tick, and
     // whatever the dying node has queued or in flight at that instant
     // re-routes to the survivors.
@@ -108,7 +109,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .failures(FailureSchedule::new().kill(1, midpoint))
         .replacement(ReplacementPolicy::OnFailure)
         .feedback(FeedbackMode::Corrected)
-        .slo(slo)
         .online(options.admission, 16);
     let report = cluster.serve_runtime(&stream, &runtime);
 
@@ -118,7 +118,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
     match report.recovery_time() {
         Some(recovery) => println!(
-            "  recovered in {recovery}: {} expert copies ({:.0} MiB) re-replicated over the fabric, {} requests re-routed",
+            "  recovered in {recovery}: {} expert copies ({:.0} MiB) reloaded from the receivers' checkpoint stores, {} requests re-routed",
             report.dynamics.migrations,
             report.dynamics.migration_bytes.as_mib_f64(),
             report.dynamics.rerouted,
@@ -146,7 +146,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         }
     };
     println!(
-        "  SLO ({slo}) attainment: {:.1}% before the failure, {:.1}% after (recovery + lost capacity)",
+        "  SLO ({SLO}) attainment: {:.1}% before the failure, {:.1}% after (recovery + lost capacity)",
         pct(met_before, ended_before),
         pct(met_after, ended_after),
     );
