@@ -1,12 +1,18 @@
 //! Microbenchmarks for the eviction policies: CoServe's two-stage
 //! dependency-aware selection vs LRU and FIFO, across pool sizes — the
 //! "expert management" cost the paper bounds at <0.2 % of task time.
+//!
+//! Each case runs twice: `select_victims` on a bare pool derives the
+//! dependency-aware orders on every call, while the `kept` cases call
+//! `select_victims_into` on a `RankedPool` whose orders are kept, with
+//! reused scratch — the path the engine runs on every switch.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 
 use coserve_core::evict::{
     select_victims, select_victims_into, EvictionContext, EvictionPolicy, EvictionScratch,
+    RankedPool,
 };
 use coserve_core::perf::PerfMatrix;
 use coserve_core::pool::ModelPool;
@@ -44,6 +50,8 @@ fn bench_policies(c: &mut Criterion) {
             protected: &[],
         };
         let need = Bytes::mib(400);
+        let ranked = RankedPool::new(pool.clone(), &model, &perf);
+        let mut scratch = EvictionScratch::new();
         for policy in [
             EvictionPolicy::DependencyAware,
             EvictionPolicy::Lru,
@@ -54,6 +62,13 @@ fn bench_policies(c: &mut Criterion) {
                     let victims = select_victims(policy, &pool, need, &ctx)
                         .expect("pool has enough unprotected bytes");
                     black_box(victims.len())
+                });
+            });
+            group.bench_function(format!("{policy}_kept/{residents}_residents"), |b| {
+                b.iter(|| {
+                    select_victims_into(policy, &ranked, need, &ctx, &mut scratch)
+                        .expect("pool has enough unprotected bytes");
+                    black_box(scratch.victims().len())
                 });
             });
         }
@@ -90,11 +105,26 @@ fn bench_orphan_heavy_pool(c: &mut Criterion) {
             black_box(victims.len())
         });
     });
+    let ranked = RankedPool::new(pool, &model, &perf);
+    let mut scratch = EvictionScratch::new();
+    c.bench_function("eviction_stage1_orphans_kept/18_detectors", |b| {
+        b.iter(|| {
+            select_victims_into(
+                EvictionPolicy::DependencyAware,
+                &ranked,
+                Bytes::mib(300),
+                &ctx,
+                &mut scratch,
+            )
+            .expect("orphans cover the need");
+            black_box(scratch.victims().len())
+        });
+    });
 }
 
-/// The engine's steady-state path: a pool packed to the brim (every
-/// Board A expert resident) with reusable scratch, vs the allocating
-/// wrapper.
+/// A pool packed to the brim (every Board A expert resident): the
+/// engine's path (kept orders, reusable scratch) vs the allocating
+/// wrapper that derives the orders per call.
 fn bench_full_pool_scratch_reuse(c: &mut Criterion) {
     let board = BoardSpec::board_a();
     let model = board.build_model().expect("board A validates");
@@ -116,13 +146,14 @@ fn bench_full_pool_scratch_reuse(c: &mut Criterion) {
     };
     let need = Bytes::mib(400);
     let residents = pool.len();
+    let ranked = RankedPool::new(pool.clone(), &model, &perf);
     for policy in [EvictionPolicy::DependencyAware, EvictionPolicy::Lru] {
         let mut scratch = EvictionScratch::new();
         c.bench_function(
-            format!("eviction_full_pool/{policy}_scratch/{residents}_residents"),
+            format!("eviction_full_pool/{policy}_kept/{residents}_residents"),
             |b| {
                 b.iter(|| {
-                    select_victims_into(policy, &pool, need, &ctx, &mut scratch)
+                    select_victims_into(policy, &ranked, need, &ctx, &mut scratch)
                         .expect("full pool covers the need");
                     black_box(scratch.victims().len())
                 });

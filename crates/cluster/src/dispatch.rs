@@ -172,6 +172,9 @@ pub enum Routing {
         node: usize,
         /// The job's arrival at the node.
         arrival: SimTime,
+        /// The first choice, when partition recovery hedged the job
+        /// away from it to `node`.
+        hedged_from: Option<usize>,
     },
     /// Some chain stage's expert has no live holder: the front-end
     /// cannot serve the request (only possible after node failures
@@ -270,8 +273,9 @@ impl Dispatcher {
     /// fabric: dilated links stretch the charged hops, and when a
     /// partition cuts the chosen target off from every live holder of a
     /// stage, recovery either hedges the job to the best reachable
-    /// candidate ([`RouteFaults::hedge`]) or degrades that stage to the
-    /// target's local checkpoint. With `faults` `None` the fault plan is
+    /// candidate ([`RouteFaults::hedge`]), naming the first choice in
+    /// `hedged_from`, or degrades that stage to the target's local
+    /// checkpoint. With `faults` `None` the fault plan is
     /// never consulted and no float math runs.
     ///
     /// # Panics
@@ -329,6 +333,7 @@ impl Dispatcher {
         // best candidate (same policy, same scan order) that can reach
         // all of its stages. A fleet-wide partition leaves no such
         // candidate; the job stays put and degrades per stage below.
+        let mut hedged_from = None;
         if let Some(f) = faults.as_mut() {
             let fault_plan = f.plan;
             let unreachable_stages = |t: usize| -> usize {
@@ -359,6 +364,7 @@ impl Dispatcher {
                     if let Some(alt) = alt {
                         f.ledger.hedged_reroutes += 1;
                         f.ledger.note_recovery(job.arrival);
+                        hedged_from = Some(target);
                         target = alt;
                     }
                 }
@@ -445,6 +451,7 @@ impl Dispatcher {
         Routing::Routed {
             node: target,
             arrival,
+            hedged_from,
         }
     }
 
@@ -594,7 +601,7 @@ mod tests {
         let mut per_node = vec![Vec::new(); n];
         for job in stream.jobs() {
             match d.route_job(job, plan, service, *link, &alive, None) {
-                Routing::Routed { node, arrival } => per_node[node].push(Job {
+                Routing::Routed { node, arrival, .. } => per_node[node].push(Job {
                     arrival,
                     ..job.clone()
                 }),
@@ -969,8 +976,14 @@ mod tests {
     /// the node will see it.
     #[derive(Debug, Clone, PartialEq, Eq)]
     enum ReferenceRouting {
-        Routed { node: usize, job: Job },
-        Unhosted { expert: ExpertId },
+        Routed {
+            node: usize,
+            job: Job,
+            hedged_from: Option<usize>,
+        },
+        Unhosted {
+            expert: ExpertId,
+        },
     }
 
     impl Dispatcher {
@@ -1032,6 +1045,7 @@ mod tests {
             // best candidate (same policy, same scan order) that can reach
             // all of its stages. A fleet-wide partition leaves no such
             // candidate; the job stays put and degrades per stage below.
+            let mut hedged_from = None;
             if let Some(f) = faults.as_mut() {
                 let fault_plan = f.plan;
                 let unreachable_stages = |t: usize| -> usize {
@@ -1062,6 +1076,7 @@ mod tests {
                         if let Some(alt) = alt {
                             f.ledger.hedged_reroutes += 1;
                             f.ledger.note_recovery(job.arrival);
+                            hedged_from = Some(target);
                             target = alt;
                         }
                     }
@@ -1152,6 +1167,7 @@ mod tests {
                     arrival,
                     stages: job.stages.clone(),
                 },
+                hedged_from,
             }
         }
     }
@@ -1314,13 +1330,13 @@ mod tests {
                                 hedge,
                             }),
                         ) {
-                            ReferenceRouting::Routed { node, job: routed } => {
+                            ReferenceRouting::Routed { node, job: routed, hedged_from } => {
                                 prop_assert_eq!(&routed.stages, &job.stages);
                                 prop_assert_eq!(
                                     (routed.id, routed.class),
                                     (job.id, job.class)
                                 );
-                                Routing::Routed { node, arrival: routed.arrival }
+                                Routing::Routed { node, arrival: routed.arrival, hedged_from }
                             }
                             ReferenceRouting::Unhosted { expert } => {
                                 Routing::Unhosted { expert }

@@ -233,13 +233,11 @@ pub struct ExpertMove {
 }
 
 /// The delta between two plan versions: every expert copy some node
-/// gains, with total checkpoint traffic.
+/// gains.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct MigrationPlan {
     /// The copies to make, in (node, expert) order.
     pub moves: Vec<ExpertMove>,
-    /// Total checkpoint bytes across all moves.
-    pub bytes: Bytes,
 }
 
 /// Diffs two plan versions into the expert copies each live node gains
@@ -250,16 +248,10 @@ pub struct MigrationPlan {
 ///
 /// Panics when the plans or the alive mask disagree on the node count.
 #[must_use]
-pub fn migration_plan(
-    old: &PlacementPlan,
-    new: &PlacementPlan,
-    model: &CoeModel,
-    alive: &[bool],
-) -> MigrationPlan {
+pub fn migration_plan(old: &PlacementPlan, new: &PlacementPlan, alive: &[bool]) -> MigrationPlan {
     assert_eq!(old.num_nodes(), new.num_nodes(), "plan size mismatch");
     assert_eq!(alive.len(), new.num_nodes(), "alive mask/plan mismatch");
     let mut moves = Vec::new();
-    let mut bytes = Bytes::ZERO;
     for (node, &live) in alive.iter().enumerate() {
         if !live {
             continue;
@@ -269,10 +261,9 @@ pub fn migration_plan(
                 continue;
             }
             moves.push(ExpertMove { expert, to: node });
-            bytes += model.weight_bytes(expert);
         }
     }
-    MigrationPlan { moves, bytes }
+    MigrationPlan { moves }
 }
 
 /// Plans expert placement for `nodes` nodes.
@@ -611,14 +602,15 @@ mod tests {
             assert!(plan.placed_on(n).is_subset(next.placed_on(n)));
         }
         // The delta is exactly the experts that had no live holder.
-        let mig = migration_plan(&plan, &next, &model, &alive);
+        let mig = migration_plan(&plan, &next, &alive);
         let orphans: Vec<ExpertId> = (0..model.num_experts() as u32)
             .map(ExpertId)
             .filter(|&e| !plan.is_hosted(e, &alive))
             .collect();
         assert_eq!(mig.moves.len(), orphans.len());
         assert!(!mig.moves.is_empty(), "node 2 held exclusive cold experts");
-        assert!(mig.bytes > Bytes::ZERO);
+        let bytes: Bytes = mig.moves.iter().map(|m| model.weight_bytes(m.expert)).sum();
+        assert!(bytes > Bytes::ZERO);
         for mv in &mig.moves {
             assert!(orphans.contains(&mv.expert));
             assert!(alive[mv.to]);
@@ -686,7 +678,7 @@ mod proptests {
                 }
                 alive[node] = false;
                 let next = plan.rehosted(&model, &alive);
-                let mig = migration_plan(&plan, &next, &model, &alive);
+                let mig = migration_plan(&plan, &next, &alive);
                 // Moves land on live nodes only.
                 prop_assert!(mig.moves.iter().all(|m| alive[m.to]));
                 plan = next;

@@ -557,7 +557,22 @@ impl<'a> Runtime<'a> {
             &self.alive,
             route_faults,
         ) {
-            Routing::Routed { node, arrival } => {
+            Routing::Routed {
+                node,
+                arrival,
+                hedged_from,
+            } => {
+                if let Some(from) = hedged_from.filter(|_| self.tracer.enabled()) {
+                    self.emit(
+                        job.arrival,
+                        node as u32,
+                        TraceKind::HedgedReroute {
+                            job: job.id.0,
+                            from: from as u32,
+                            to: node as u32,
+                        },
+                    );
+                }
                 // A chain touching an in-flight migrated expert waits
                 // for its copy to land.
                 let arrival = stream_job
@@ -629,7 +644,7 @@ impl<'a> Runtime<'a> {
         // requests whose experts lived only here stay servable.
         let recovered_at = if self.replaces() && self.alive.iter().any(|&a| a) {
             let next = self.plan.rehosted(self.sys.model(), &self.alive);
-            let migration = migration_plan(&self.plan, &next, self.sys.model(), &self.alive);
+            let migration = migration_plan(&self.plan, &next, &self.alive);
             let done = self.migrate(&migration, next.version(), at);
             self.plan = next;
             Some(done)
@@ -1013,6 +1028,75 @@ mod tests {
             p95(&corrected),
             p95(&open)
         );
+    }
+
+    /// fig24's partition-hedge cell, traced: every hedge the ledger
+    /// counts is on the timeline once, on the node it moved the job to,
+    /// away from a different first choice. Tracing changes no figure.
+    #[test]
+    fn traced_partition_hedges_record_every_hedge() {
+        use crate::dispatch::RoutePolicy;
+        use crate::placement::PlacementStrategy;
+        use coserve_faults::FaultWindow;
+        use coserve_trace::RingTracer;
+        use coserve_workload::arrivals::ArrivalProcess;
+        use coserve_workload::stream::StreamOrder;
+
+        let device = devices::numa_rtx3080ti();
+        let task = TaskSpec::a1();
+        let model = task.build_model().unwrap();
+        let stream = RequestStream::generate_open_loop(
+            "A1 poisson 150/s",
+            task.board(),
+            &model,
+            240,
+            ArrivalProcess::poisson(150.0),
+            StreamOrder::Iid,
+            7,
+        );
+        let cluster = ClusterSystem::homogeneous(
+            4,
+            &device,
+            &presets::coserve(&device),
+            &model,
+            LinkProfile::ethernet_10g(),
+            ClusterOptions::default()
+                .placement(PlacementStrategy::Sharded)
+                .route(RoutePolicy::RoundRobin),
+        )
+        .unwrap();
+        let horizon = stream.last_arrival().saturating_since(SimTime::ZERO);
+        let partition = FaultPlan::seeded(24).with_link(
+            0.0,
+            1.0,
+            vec![(0, 1), (0, 2), (0, 3)],
+            FaultWindow::ALWAYS,
+        );
+        let options = RuntimeOptions::default()
+            .tick(SimSpan::from_millis_f64(
+                (horizon.as_millis_f64() / 12.0).max(1.0),
+            ))
+            .faults(partition)
+            .hedge(true);
+        let untraced = cluster.serve_runtime(&stream, &options);
+
+        let mut tracer = RingTracer::new();
+        let traced = cluster.serve_runtime_traced(&stream, &options, &mut tracer);
+        assert_eq!(untraced, traced, "tracing must not perturb the run");
+        let hedges: Vec<(u32, u32, u32)> = tracer
+            .drain()
+            .into_iter()
+            .filter_map(|e| match e.kind {
+                TraceKind::HedgedReroute { from, to, .. } => Some((e.node, from, to)),
+                _ => None,
+            })
+            .collect();
+        assert!(!hedges.is_empty(), "the partition must force hedges");
+        assert_eq!(hedges.len() as u64, traced.dynamics.faults.hedged_reroutes);
+        for (node, from, to) in hedges {
+            assert_ne!(from, to, "a hedge moves the job");
+            assert_eq!(node, to, "stamped on the node it moved to");
+        }
     }
 
     #[test]

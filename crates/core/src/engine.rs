@@ -33,9 +33,9 @@ use coserve_trace::{NoopTracer, TraceEvent, TraceKind, Tracer};
 use coserve_workload::stream::RequestStream;
 
 use crate::config::{ArrangePolicy, AssignPolicy, SystemConfig};
-use crate::evict::{select_victims_into, EvictionContext, EvictionScratch};
+use crate::evict::{select_victims_into, EvictionContext, EvictionScratch, RankedPool};
 use crate::perf::PerfMatrix;
-use crate::pool::ModelPool;
+use crate::pool::{LruPool, ModelPool, Resident};
 use crate::queue::{ExecutorQueue, PendingRequest, RunDelta};
 
 /// Error detected when constructing an engine.
@@ -309,13 +309,34 @@ impl<'a> Engine<'a> {
     }
 }
 
+/// §4.1: "Experts are distributed into each executor in a round-robin
+/// manner, prioritized by descending usage probabilities, until the
+/// memory is fully utilized." A cluster placement plan may override the
+/// priority order so the node preloads its placed experts first. The
+/// order is either that override or the perf matrix's memoized
+/// descending-usage slice — no clone on the construction path. The
+/// pools are bare: a session ranks each once, after it is full.
+fn preload(engine: &Engine<'_>, layout: &MemoryLayout) -> Vec<ModelPool> {
+    let mut pools: Vec<ModelPool> = layout
+        .executors
+        .iter()
+        .map(|mem| ModelPool::new(mem.pool_capacity))
+        .collect();
+    let order: &[ExpertId] = match &engine.config.preload_order {
+        Some(order) => order,
+        None => engine.perf.experts_by_usage(),
+    };
+    preload_round_robin(&mut pools, order, |e| engine.model.weight_bytes(e));
+    pools
+}
+
 /// Round-robin expert preloading across executor pools (§4.1): experts
 /// arrive in descending-usage order; each goes to the pool at the
 /// cursor (probing forward past pools it does not fit), and the cursor
 /// advances past the pool that accepted it — so a full or too-small
 /// pool never skews placement onto a single neighbour.
 fn preload_round_robin(
-    pools: &mut [&mut ModelPool],
+    pools: &mut [ModelPool],
     order: &[ExpertId],
     weight_bytes: impl Fn(ExpertId) -> Bytes,
 ) {
@@ -459,10 +480,29 @@ struct InFlight {
     exec_start: SimTime,
 }
 
+/// Where an expert's residency changes: an executor's pool or the
+/// shared staging cache.
+#[derive(Debug, Clone, Copy)]
+enum Site {
+    Pool(usize),
+    Cache,
+}
+
+/// How an expert's residency changes.
+#[derive(Debug, Clone, Copy)]
+enum Residency {
+    /// The expert is loaded, with its checkpoint size.
+    Enter(Bytes),
+    /// The expert is evicted.
+    Leave,
+    /// A batch, or a staging-cache hit, uses the resident expert.
+    Use,
+}
+
 #[derive(Debug)]
-struct ExecState {
+struct ExecState<'a> {
     processor: ProcessorKind,
-    pool: ModelPool,
+    pool: RankedPool<'a>,
     workspace: Bytes,
     queue: ExecutorQueue,
     busy_until: SimTime,
@@ -636,8 +676,8 @@ pub struct EngineSession<'a> {
     dma: FifoResource,
     ssd: FifoResource,
     host_work: PooledResource,
-    execs: Vec<ExecState>,
-    cache: Option<ModelPool>,
+    execs: Vec<ExecState<'a>>,
+    cache: Option<LruPool>,
     jobs: Vec<JobState>,
     rr_cursor: usize,
     completed: usize,
@@ -720,14 +760,16 @@ impl fmt::Debug for EngineSession<'_> {
 impl<'a> EngineSession<'a> {
     fn new(engine: &Engine<'a>, label: impl Into<String>) -> Self {
         let layout = engine.memory_layout();
-        let execs: Vec<ExecState> = engine
+        let pools = preload(engine, &layout);
+        let execs: Vec<ExecState<'a>> = engine
             .config
             .executors
             .iter()
             .zip(&layout.executors)
-            .map(|(&processor, mem)| ExecState {
+            .zip(pools)
+            .map(|((&processor, mem), pool)| ExecState {
                 processor,
-                pool: ModelPool::new(mem.pool_capacity),
+                pool: RankedPool::new(pool, engine.model, engine.perf),
                 workspace: mem.workspace,
                 queue: ExecutorQueue::new(),
                 busy_until: SimTime::ZERO,
@@ -744,7 +786,7 @@ impl<'a> EngineSession<'a> {
             })
             .collect();
         let cache = if engine.device.has_staging_cache() {
-            Some(ModelPool::new(layout.cache))
+            Some(LruPool::new(layout.cache))
         } else {
             None
         };
@@ -791,7 +833,7 @@ impl<'a> EngineSession<'a> {
                 })
             })
             .collect();
-        let mut run = EngineSession {
+        EngineSession {
             engine: engine.clone(),
             label: label.into(),
             submitted_jobs: Vec::new(),
@@ -832,30 +874,7 @@ impl<'a> EngineSession<'a> {
             retry: RetryPolicy::none(),
             fault_ledger: FaultLedger::default(),
             service_factor: 1.0,
-        };
-        run.preload();
-        run
-    }
-
-    /// §4.1: "Experts are distributed into each executor in a
-    /// round-robin manner, prioritized by descending usage
-    /// probabilities, until the memory is fully utilized." A cluster
-    /// placement plan may override the priority order so the node
-    /// preloads its placed experts first.
-    fn preload(&mut self) {
-        // Copy the `'a` references out of the engine so the executor
-        // pools can be borrowed mutably alongside them. The order is
-        // either the configured override or the perf matrix's memoized
-        // descending-usage slice — no clone on the construction path.
-        let config = self.engine.config;
-        let perf = self.engine.perf;
-        let model = self.engine.model;
-        let order: &[ExpertId] = match &config.preload_order {
-            Some(order) => order,
-            None => perf.experts_by_usage(),
-        };
-        let mut pools: Vec<&mut ModelPool> = self.execs.iter_mut().map(|e| &mut e.pool).collect();
-        preload_round_robin(&mut pools, order, |e| model.weight_bytes(e));
+        }
     }
 
     /// The session label (report/snapshot task name).
@@ -1724,11 +1743,9 @@ impl<'a> EngineSession<'a> {
             }
             for vi in 0..self.evict_scratch.victims().len() {
                 let victim = self.evict_scratch.victims()[vi];
-                let meta = self.execs[exec_idx]
-                    .pool
-                    .remove(victim)
+                let meta = self
+                    .set_residency(Site::Pool(exec_idx), victim, Residency::Leave, now)
                     .expect("victims are resident");
-                self.reprice_switch(exec_idx, victim);
                 if self.tracing {
                     self.emit(
                         now,
@@ -1826,10 +1843,8 @@ impl<'a> EngineSession<'a> {
                 // The recovery completes when the switch legs drain.
                 self.fault_ledger.note_recovery(now + switch_busy);
             }
-            if let Some(c) = &mut self.cache {
-                if cached {
-                    c.touch(expert, now);
-                }
+            if cached {
+                self.set_residency(Site::Cache, expert, Residency::Use, now);
             }
             if source == MemoryTier::Ssd && processor == ProcessorKind::Gpu {
                 // A cold load passes through host memory; keep the copy
@@ -1837,11 +1852,7 @@ impl<'a> EngineSession<'a> {
                 // describes for NUMA devices.
                 self.cache_insert(expert, weights, now);
             }
-            self.execs[exec_idx]
-                .pool
-                .insert(expert, weights, now)
-                .expect("eviction freed enough space");
-            self.reprice_switch(exec_idx, expert);
+            self.set_residency(Site::Pool(exec_idx), expert, Residency::Enter(weights), now);
             self.execs[exec_idx].switches += 1;
             self.execs[exec_idx].switch_time += switch_busy;
             pending_switch = Some(PendingSwitch {
@@ -1872,8 +1883,8 @@ impl<'a> EngineSession<'a> {
         push_leg(&mut legs, &mut exec_busy, LegChannel::Compute, exec_span);
         let total = switch_busy + exec_busy;
 
+        self.set_residency(Site::Pool(exec_idx), expert, Residency::Use, now);
         let exec = &mut self.execs[exec_idx];
-        exec.pool.touch(expert, now);
         exec.batches += 1;
         exec.items += batch.len() as u64;
         exec.exec_time += exec_span;
@@ -1922,36 +1933,102 @@ impl<'a> EngineSession<'a> {
     /// Every expert that enters or leaves the cache is re-priced on
     /// every executor, since the cache decides its load tier.
     fn cache_insert(&mut self, expert: ExpertId, bytes: Bytes, now: SimTime) {
-        let Some(cache) = &mut self.cache else {
+        let Some(cache) = &self.cache else {
             return;
         };
         if cache.contains(expert) {
-            cache.touch(expert, now);
+            self.set_residency(Site::Cache, expert, Residency::Use, now);
             return;
         }
         if bytes > cache.capacity() {
             return;
         }
-        while let Some(cache) = self.cache.as_mut().filter(|c| !c.fits(bytes)) {
-            let lru = cache
-                .residents()
-                .min_by_key(|&(e, r)| (r.last_used, r.seq, e))
-                .map(|(e, _)| e)
-                .expect("cache is non-empty while it does not fit");
-            cache.remove(lru);
-            self.reprice_switch_everywhere(lru);
+        // The list's head is the LRU resident: no scan.
+        while let Some(lru) = self
+            .cache
+            .as_ref()
+            .filter(|c| !c.fits(bytes))
+            .and_then(|c| c.lru())
+        {
+            self.set_residency(Site::Cache, lru, Residency::Leave, now);
             if self.tracing {
                 self.emit(now, TraceKind::CacheEvicted { expert: lru });
             }
         }
-        if let Some(cache) = &mut self.cache {
-            cache
-                .insert(expert, bytes, now)
-                .expect("fits after eviction");
-        }
-        self.reprice_switch_everywhere(expert);
+        self.set_residency(Site::Cache, expert, Residency::Enter(bytes), now);
         if self.tracing {
             self.emit(now, TraceKind::CacheInserted { expert });
+        }
+    }
+
+    /// The one path by which residency changes, in an executor's pool
+    /// or in the staging cache: preload aside, every load, victim
+    /// removal, demotion, staging-cache eviction and hit goes through
+    /// here. The pool or cache moves its eviction order in the same
+    /// call; an expert that enters or leaves has its cached switch
+    /// estimate re-priced where it is queued (every executor, for the
+    /// shared cache). Debug builds then check the changed order against
+    /// a from-scratch rebuild, as `debug_verify_aggregates` does for
+    /// the work-left sums. Returns the metadata of an expert that left.
+    ///
+    /// Entering requires room: the caller evicted first.
+    fn set_residency(
+        &mut self,
+        site: Site,
+        expert: ExpertId,
+        change: Residency,
+        now: SimTime,
+    ) -> Option<Resident> {
+        let mut left = None;
+        match site {
+            Site::Pool(exec_idx) => {
+                let pool = &mut self.execs[exec_idx].pool;
+                match change {
+                    Residency::Enter(bytes) => pool
+                        .insert(expert, bytes, now)
+                        .expect("the caller made room"),
+                    Residency::Leave => left = pool.remove(expert),
+                    Residency::Use => pool.touch(expert, now),
+                }
+            }
+            Site::Cache => {
+                let Some(cache) = &mut self.cache else {
+                    return None;
+                };
+                match change {
+                    Residency::Enter(bytes) => cache
+                        .insert(expert, bytes, now)
+                        .expect("the caller made room"),
+                    Residency::Leave => left = cache.remove(expert),
+                    Residency::Use => cache.touch(expert, now),
+                }
+            }
+        }
+        if !matches!(change, Residency::Use) {
+            match site {
+                Site::Pool(exec_idx) => self.reprice_switch(exec_idx, expert),
+                Site::Cache => self.reprice_switch_everywhere(expert),
+            }
+        }
+        #[cfg(debug_assertions)]
+        assert!(
+            self.order_is_exact(site),
+            "{site:?}'s eviction order drifted from a rebuild"
+        );
+        left
+    }
+
+    /// Whether `site`'s kept eviction order equals a from-scratch
+    /// rebuild: the executor pool's orphan and rank orders, or the
+    /// staging cache's LRU list.
+    #[cfg(any(test, debug_assertions))]
+    fn order_is_exact(&self, site: Site) -> bool {
+        match site {
+            Site::Pool(exec_idx) => self
+                .execs
+                .get(exec_idx)
+                .is_some_and(|exec| exec.pool.order_is_exact()),
+            Site::Cache => self.cache.as_ref().is_none_or(LruPool::order_is_exact),
         }
     }
 
@@ -2726,14 +2803,14 @@ mod tests {
     #[test]
     fn preload_round_robin_stays_even_when_one_pool_is_full() {
         let expert_size = Bytes::mib(10);
-        let mut tiny = ModelPool::new(Bytes::mib(10)); // fits exactly one
-        let mut a = ModelPool::new(Bytes::gib(1));
-        let mut b = ModelPool::new(Bytes::gib(1));
+        let mut pools = [
+            ModelPool::new(Bytes::mib(10)), // fits exactly one
+            ModelPool::new(Bytes::gib(1)),
+            ModelPool::new(Bytes::gib(1)),
+        ];
         let order: Vec<ExpertId> = (0..11).map(ExpertId).collect();
-        {
-            let mut pools = [&mut tiny, &mut a, &mut b];
-            preload_round_robin(&mut pools, &order, |_| expert_size);
-        }
+        preload_round_robin(&mut pools, &order, |_| expert_size);
+        let [tiny, a, b] = &pools;
         assert_eq!(tiny.len(), 1, "tiny pool takes exactly one expert");
         assert_eq!(a.len() + b.len(), 10, "everything else is placed");
         assert!(
@@ -2746,14 +2823,14 @@ mod tests {
 
     #[test]
     fn preload_round_robin_skips_oversized_experts_per_pool() {
-        let mut small = ModelPool::new(Bytes::mib(5));
-        let mut big = ModelPool::new(Bytes::mib(100));
+        let mut pools = [
+            ModelPool::new(Bytes::mib(5)),
+            ModelPool::new(Bytes::mib(100)),
+        ];
         let order: Vec<ExpertId> = (0..4).map(ExpertId).collect();
-        {
-            let mut pools = [&mut small, &mut big];
-            // Every expert is 10 MiB: none ever fits the small pool.
-            preload_round_robin(&mut pools, &order, |_| Bytes::mib(10));
-        }
+        // Every expert is 10 MiB: none ever fits the small pool.
+        preload_round_robin(&mut pools, &order, |_| Bytes::mib(10));
+        let [small, big] = &pools;
         assert_eq!(small.len(), 0);
         assert_eq!(big.len(), 4);
         // Empty pool list is a no-op, not a panic.
@@ -3082,30 +3159,20 @@ mod tests {
         );
     }
 
-    /// Steps `session` dry one event at a time and, after every event,
-    /// checks each executor's cached `work_exec`, `switch_total` and
-    /// `switch_spans` entries against a from-scratch recompute. Unlike
-    /// `debug_verify_aggregates`, this also runs in release builds.
-    /// Returns the session's pool switches and trace-counted pool and
-    /// staging-cache evictions.
-    fn step_checking_aggregates(mut session: EngineSession<'_>) -> (u64, usize, usize) {
+    /// Steps `session` dry one event at a time, calling `check` with
+    /// the session and the event count after every event. Unlike the
+    /// debug-only `debug_verify_aggregates` and `set_residency` checks,
+    /// this also runs in release builds. Returns the session's pool
+    /// switches and trace-counted pool and staging-cache evictions.
+    fn step_checking(
+        mut session: EngineSession<'_>,
+        check: impl Fn(&EngineSession<'_>, usize),
+    ) -> (u64, usize, usize) {
         session.set_tracer(Box::new(coserve_trace::RingTracer::new()));
         let mut events = 0usize;
         while session.step() {
             events += 1;
-            for (i, exec) in session.execs.iter().enumerate() {
-                let (work, switch) = session.recompute_aggregates(i);
-                assert_eq!(exec.work_exec, work, "executor {i}, event {events}");
-                assert_eq!(exec.switch_total, switch, "executor {i}, event {events}");
-                let queued: BTreeSet<ExpertId> = exec.queue.runs_iter().map(|(e, _)| e).collect();
-                assert!(
-                    exec.switch_spans.iter().map(|&(e, _)| e).eq(queued),
-                    "executor {i}, event {events}: entries are not the queued experts"
-                );
-                for &(e, span) in &exec.switch_spans {
-                    assert_eq!(span, session.predicted_switch(i, e), "{e} on executor {i}");
-                }
-            }
+            check(&session, events);
         }
         let switches = session.execs.iter().map(|e| e.switches).sum();
         let trace = session.tracer_mut().drain();
@@ -3115,8 +3182,10 @@ mod tests {
         (switches, evicted, cache_evicted)
     }
 
-    #[test]
-    fn switch_aggregates_stay_exact_after_every_event() {
+    /// Runs `check` after every event of two A1 sessions on the NUMA
+    /// device whose pools thrash, and asserts they switched and evicted
+    /// often enough to exercise it.
+    fn check_thrashing_sessions(check: impl Fn(&EngineSession<'_>, usize) + Copy) {
         use crate::presets;
         use coserve_workload::arrivals::ArrivalProcess;
         use coserve_workload::task::TaskSpec;
@@ -3143,7 +3212,7 @@ mod tests {
         for job in stream.jobs() {
             session.submit(job.arrival, &job.stages).unwrap();
         }
-        let (switches, evicted, cache_evicted) = step_checking_aggregates(session);
+        let (switches, evicted, cache_evicted) = step_checking(session, check);
         assert!(switches > 100, "{switches} switches");
         assert!(evicted > 100, "{evicted} pool evictions");
         assert!(
@@ -3160,8 +3229,44 @@ mod tests {
         for job in stream.jobs() {
             session.submit(job.arrival, &job.stages).unwrap();
         }
-        let (switches, evicted, _) = step_checking_aggregates(session);
+        let (switches, evicted, _) = step_checking(session, check);
         assert!(switches > 100, "{switches} switches");
         assert!(evicted > 100, "{evicted} pool evictions");
+    }
+
+    /// Each executor's cached `work_exec`, `switch_total` and
+    /// `switch_spans` entries equal a from-scratch recompute after
+    /// every event.
+    #[test]
+    fn switch_aggregates_stay_exact_after_every_event() {
+        check_thrashing_sessions(|session, events| {
+            for (i, exec) in session.execs.iter().enumerate() {
+                let (work, switch) = session.recompute_aggregates(i);
+                assert_eq!(exec.work_exec, work, "executor {i}, event {events}");
+                assert_eq!(exec.switch_total, switch, "executor {i}, event {events}");
+                let queued: BTreeSet<ExpertId> = exec.queue.runs_iter().map(|(e, _)| e).collect();
+                assert!(
+                    exec.switch_spans.iter().map(|&(e, _)| e).eq(queued),
+                    "executor {i}, event {events}: entries are not the queued experts"
+                );
+                for &(e, span) in &exec.switch_spans {
+                    assert_eq!(span, session.predicted_switch(i, e), "{e} on executor {i}");
+                }
+            }
+        });
+    }
+
+    /// Every executor pool's orphan and rank orders, and the staging
+    /// cache's LRU list, equal a from-scratch rebuild after every event.
+    #[test]
+    fn eviction_orders_stay_exact_after_every_event() {
+        check_thrashing_sessions(|session, events| {
+            let sites = (0..session.execs.len())
+                .map(Site::Pool)
+                .chain([Site::Cache]);
+            for site in sites {
+                assert!(session.order_is_exact(site), "{site:?}, event {events}");
+            }
+        });
     }
 }

@@ -10,23 +10,47 @@
 //!    need (fewest evictions), then the smallest orphan that does
 //!    (no gratuitous over-eviction);
 //! 2. if still short, evict remaining experts in ascending pre-assessed
-//!    usage probability: the unprotected residents stage 1 left are
-//!    sorted by the usage rank [`PerfMatrix::usage_rank`] memoizes, so
-//!    the cost follows the pool's residents (under 20 on Board A), not
-//!    the model's size (370 experts).
+//!    usage probability ([`PerfMatrix::usage_rank`]).
+//!
+//! Both orders are kept, not derived per switch. A [`RankedPool`] wraps
+//! an executor's [`ModelPool`] and keeps, beside it:
+//!
+//! * per expert, how many of its preliminaries are resident;
+//! * the resident orphans (subsequents whose count is zero), by bytes
+//!   descending, then id — stage 1's order;
+//! * the residents by ascending usage rank — stage 2's order — as a
+//!   bitset over ranks, read back through
+//!   [`PerfMatrix::expert_of_rank`].
+//!
+//! [`RankedPool::insert`] and [`RankedPool::remove`] update them: one
+//! rank bit, one count per subsequent of the expert that moved (one on
+//! Boards A and B), and a binary-search insert or remove in the short
+//! orphan list when an orphan appears or goes. A switch then walks the
+//! orphans from the biggest and, when they fall short, the set rank
+//! bits from the least probable, stopping once the need is met; no
+//! resident is scanned for orphans and nothing is sorted. The engine
+//! builds each pool's orders once, in one pass over the preloaded
+//! residents, and changes residency only through its `set_residency`,
+//! which also checks the orders against a from-scratch rebuild in debug
+//! builds.
 //!
 //! The baselines' LRU (Samba-CoE) and FIFO (Samba-CoE FIFO) policies
 //! live here too, so every system shares one engine and differs only in
-//! policy.
+//! policy. They still sort the residents on every call: no benchmark
+//! workload runs them.
 
+use std::cmp::Reverse;
 use std::fmt;
+use std::ops::Deref;
 
 use coserve_model::coe::CoeModel;
 use coserve_model::expert::ExpertId;
+use coserve_model::graph::DependencyGraph;
 use coserve_sim::memory::Bytes;
+use coserve_sim::time::SimTime;
 
 use crate::perf::PerfMatrix;
-use crate::pool::ModelPool;
+use crate::pool::{ModelPool, PoolError, Resident};
 
 /// Which eviction policy an executor uses: CoServe's own, or one of the
 /// two Samba-CoE baselines the paper compares it against (§5.1).
@@ -79,14 +103,213 @@ pub struct EvictionContext<'a> {
     pub protected: &'a [ExpertId],
 }
 
+/// The dependency-aware policy's victim orders over one pool's
+/// residents.
+#[derive(Debug, Clone, PartialEq, Eq)]
+struct VictimOrder {
+    /// Per expert id, how many of its preliminaries are resident.
+    live_prelims: Vec<u32>,
+    /// Resident orphans with their bytes, by bytes descending, then id.
+    orphans: Vec<(Bytes, ExpertId)>,
+    /// The residents' usage ranks as a bitset: bit `r` is set while the
+    /// expert of rank `r` is resident, so the set bits, lowest first,
+    /// are the residents by ascending rank. Entering or leaving flips
+    /// one bit; nothing is sorted.
+    ranks: Vec<u64>,
+}
+
+/// Stage 1's sort key: bytes descending, then id.
+fn orphan_key(&(bytes, e): &(Bytes, ExpertId)) -> (Reverse<Bytes>, ExpertId) {
+    (Reverse(bytes), e)
+}
+
+/// The positions of the set bits of `words`, ascending.
+fn set_bits(words: &[u64]) -> impl Iterator<Item = usize> + '_ {
+    (0..).zip(words).flat_map(|(w, &word)| {
+        std::iter::successors(Some(word), |&bits| Some(bits & bits.wrapping_sub(1)))
+            .take_while(|&bits| bits != 0)
+            .map(move |bits| w * 64 + bits.trailing_zeros() as usize)
+    })
+}
+
+impl VictimOrder {
+    /// Builds the orders from scratch, in one pass over the residents:
+    /// the resident subsequents are the orphan candidates, and those
+    /// left with no resident preliminary are sorted (a few per pool).
+    fn derive(pool: &ModelPool, graph: &DependencyGraph, perf: &PerfMatrix) -> Self {
+        let mut order = VictimOrder {
+            live_prelims: vec![0; graph.len()],
+            orphans: Vec::new(),
+            ranks: vec![0; perf.num_experts().div_ceil(64)],
+        };
+        for (e, meta) in pool.residents() {
+            for s in graph.subsequents_of(e) {
+                if let Some(count) = order.live_prelims.get_mut(s.index()) {
+                    *count += 1;
+                }
+            }
+            order.flip_rank(perf, e);
+            if !graph.preliminaries_of(e).is_empty() {
+                order.orphans.push((meta.bytes, e));
+            }
+        }
+        let counts = &order.live_prelims;
+        order
+            .orphans
+            .retain(|&(_, e)| counts.get(e.index()) == Some(&0));
+        order.orphans.sort_unstable_by_key(orphan_key);
+        order
+    }
+
+    /// Flips `e`'s rank bit: it entered or left.
+    fn flip_rank(&mut self, perf: &PerfMatrix, e: ExpertId) {
+        let rank = perf.usage_rank(e) as usize;
+        if let Some(word) = self.ranks.get_mut(rank / 64) {
+            *word ^= 1 << (rank % 64);
+        }
+    }
+
+    /// The residents by ascending usage rank.
+    fn by_rank<'s>(&'s self, perf: &'s PerfMatrix) -> impl Iterator<Item = ExpertId> + 's {
+        set_bits(&self.ranks).filter_map(|rank| perf.expert_of_rank(rank))
+    }
+
+    /// Whether `e` is a subsequent expert none of whose preliminaries
+    /// is resident (§4.3's stage-1 predicate), read from the counts.
+    fn is_orphan(&self, graph: &DependencyGraph, e: ExpertId) -> bool {
+        self.live_prelims.get(e.index()) == Some(&0) && !graph.preliminaries_of(e).is_empty()
+    }
+
+    fn add_orphan(&mut self, entry: (Bytes, ExpertId)) {
+        let key = orphan_key(&entry);
+        if let Err(pos) = self.orphans.binary_search_by_key(&key, orphan_key) {
+            self.orphans.insert(pos, entry);
+        }
+    }
+
+    fn drop_orphan(&mut self, entry: (Bytes, ExpertId)) {
+        let key = orphan_key(&entry);
+        if let Ok(pos) = self.orphans.binary_search_by_key(&key, orphan_key) {
+            self.orphans.remove(pos);
+        }
+    }
+}
+
+/// An executor's model pool with the dependency-aware policy's victim
+/// orders kept beside it (see the [module docs](self)). Reads go
+/// through to the [`ModelPool`]; changes go through this type, whose
+/// `insert` and `remove` update residency and the orders together.
+#[derive(Debug, Clone)]
+pub struct RankedPool<'m> {
+    pool: ModelPool,
+    graph: &'m DependencyGraph,
+    perf: &'m PerfMatrix,
+    order: VictimOrder,
+}
+
+impl Deref for RankedPool<'_> {
+    type Target = ModelPool;
+
+    fn deref(&self) -> &ModelPool {
+        &self.pool
+    }
+}
+
+impl<'m> RankedPool<'m> {
+    /// Wraps `pool`, building its orders in one pass over its residents.
+    #[must_use]
+    pub fn new(pool: ModelPool, model: &'m CoeModel, perf: &'m PerfMatrix) -> Self {
+        let graph = model.graph();
+        let order = VictimOrder::derive(&pool, graph, perf);
+        RankedPool {
+            pool,
+            graph,
+            perf,
+            order,
+        }
+    }
+
+    /// [`ModelPool::insert`]; `expert` takes its place in the rank
+    /// order and, if no preliminary of it is resident, among the
+    /// orphans, and its subsequents leave the orphans.
+    ///
+    /// # Errors
+    ///
+    /// As [`ModelPool::insert`]; the orders are untouched then.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `expert` is outside the model and matrix the pool was
+    /// ranked with.
+    pub fn insert(
+        &mut self,
+        expert: ExpertId,
+        bytes: Bytes,
+        now: SimTime,
+    ) -> Result<(), PoolError> {
+        self.pool.insert(expert, bytes, now)?;
+        let order = &mut self.order;
+        order.flip_rank(self.perf, expert);
+        if order.is_orphan(self.graph, expert) {
+            order.add_orphan((bytes, expert));
+        }
+        for &s in self.graph.subsequents_of(expert) {
+            let Some(count) = order.live_prelims.get_mut(s.index()) else {
+                continue;
+            };
+            *count += 1;
+            if *count == 1 {
+                if let Some(meta) = self.pool.resident(s) {
+                    order.drop_orphan((meta.bytes, s));
+                }
+            }
+        }
+        Ok(())
+    }
+
+    /// [`ModelPool::remove`]; `expert` leaves the orders, and its
+    /// resident subsequents with no other resident preliminary join
+    /// the orphans.
+    pub fn remove(&mut self, expert: ExpertId) -> Option<Resident> {
+        let meta = self.pool.remove(expert)?;
+        let order = &mut self.order;
+        order.flip_rank(self.perf, expert);
+        if order.is_orphan(self.graph, expert) {
+            order.drop_orphan((meta.bytes, expert));
+        }
+        for &s in self.graph.subsequents_of(expert) {
+            let Some(count) = order.live_prelims.get_mut(s.index()) else {
+                continue;
+            };
+            *count = count.saturating_sub(1);
+            if *count == 0 {
+                if let Some(sub) = self.pool.resident(s) {
+                    order.add_orphan((sub.bytes, s));
+                }
+            }
+        }
+        Some(meta)
+    }
+
+    /// [`ModelPool::touch`]: last-use time orders nothing here.
+    pub fn touch(&mut self, expert: ExpertId, now: SimTime) {
+        self.pool.touch(expert, now);
+    }
+
+    /// Whether the kept orders equal a from-scratch rebuild.
+    #[cfg(any(test, debug_assertions))]
+    pub(crate) fn order_is_exact(&self) -> bool {
+        self.order == VictimOrder::derive(&self.pool, self.graph, self.perf)
+    }
+}
+
 /// Reusable scratch buffers for victim selection, so the eviction hot
 /// path allocates nothing in steady state: the candidate ordering and
 /// the victim list both live in buffers the caller keeps across
 /// evictions.
 #[derive(Debug, Clone, Default)]
 pub struct EvictionScratch {
-    /// Candidate ordering buffer (stage-1 orphans, then the stage-2
-    /// rank sort, or the LRU/FIFO sort).
+    /// Candidate ordering buffer for the LRU/FIFO sort.
     order: Vec<ExpertId>,
     /// The victims selected by the last call, in eviction order.
     victims: Vec<ExpertId>,
@@ -107,11 +330,12 @@ impl EvictionScratch {
     }
 }
 
-/// Selects victims from `pool` so that at least `need` additional bytes
-/// become free, according to `policy`.
+/// Selects victims from a bare `pool` so that at least `need`
+/// additional bytes become free, according to `policy`.
 ///
 /// The returned experts are in eviction order. The pool itself is not
-/// modified.
+/// modified. The dependency-aware orders are derived for this one call;
+/// the engine keeps them instead, in a [`RankedPool`].
 ///
 /// This convenience wrapper allocates; hot paths should use
 /// [`select_victims_into`] with a long-lived [`EvictionScratch`].
@@ -127,19 +351,32 @@ pub fn select_victims(
     need: Bytes,
     ctx: &EvictionContext<'_>,
 ) -> Result<Vec<ExpertId>, EvictError> {
+    let order = VictimOrder::derive(pool, ctx.model.graph(), ctx.perf);
     let mut scratch = EvictionScratch::new();
-    select_victims_into(policy, pool, need, ctx, &mut scratch)?;
+    select_from(
+        policy,
+        pool,
+        &order,
+        ctx.perf,
+        need,
+        ctx.protected,
+        &mut scratch,
+    )?;
     Ok(std::mem::take(&mut scratch.victims))
 }
 
-/// Allocation-free victim selection: fills `scratch.victims` with the
-/// same eviction order [`select_victims`] would return.
+/// Allocation-free victim selection from a pool whose orders are kept:
+/// fills `scratch.victims` with the same eviction order
+/// [`select_victims`] returns for the bare pool.
 ///
-/// Every scan visits the pool's residents only. Stage 2 of the
-/// dependency-aware policy sorts the residents it may still take by
-/// [`PerfMatrix::usage_rank`], which the matrix memoizes at
-/// construction, so the steady state allocates nothing and never walks
-/// the whole model.
+/// The dependency-aware policy reads the [`RankedPool`]'s kept orders.
+/// Stage 1 walks the orphans from the biggest and stage 2 the rank
+/// bitset from the least probable, each stopping as soon as the need is
+/// met. A switch's cost is the victims it takes plus the entries it
+/// skips on the way (and, in stage 2, one word per 64 ranks); no
+/// resident is scanned for orphans and nothing is sorted. The pool's
+/// `insert` and `remove` keep the orders current. LRU and FIFO sort
+/// the residents on every call.
 ///
 /// # Errors
 ///
@@ -148,9 +385,31 @@ pub fn select_victims(
 /// case.
 pub fn select_victims_into(
     policy: EvictionPolicy,
-    pool: &ModelPool,
+    pool: &RankedPool<'_>,
     need: Bytes,
     ctx: &EvictionContext<'_>,
+    scratch: &mut EvictionScratch,
+) -> Result<(), EvictError> {
+    select_from(
+        policy,
+        &pool.pool,
+        &pool.order,
+        pool.perf,
+        need,
+        ctx.protected,
+        scratch,
+    )
+}
+
+/// Victim selection over `pool` with its dependency-aware `order`,
+/// whose ranks are `perf`'s.
+fn select_from(
+    policy: EvictionPolicy,
+    pool: &ModelPool,
+    order: &VictimOrder,
+    perf: &PerfMatrix,
+    need: Bytes,
+    protected: &[ExpertId],
     scratch: &mut EvictionScratch,
 ) -> Result<(), EvictError> {
     scratch.victims.clear();
@@ -170,68 +429,47 @@ pub fn select_victims_into(
             // still needed, take the biggest (fewest evictions);
             // once one does, take the *smallest* single orphan that
             // covers the remainder and stop.
-            scratch.order.clear();
-            scratch
-                .order
-                .extend(pool.residents().map(|(e, _)| e).filter(|&e| {
-                    !ctx.protected.contains(&e)
-                        && ctx
-                            .model
-                            .graph()
-                            .is_orphaned_subsequent(e, |p| pool.contains(p))
-                }));
-            scratch.order.sort_unstable_by(|&a, &b| {
-                let ba = pool.resident(a).expect("resident").bytes;
-                let bb = pool.resident(b).expect("resident").bytes;
-                bb.cmp(&ba).then(a.cmp(&b))
-            });
-            // `lo` is the deque head: popping the biggest remaining
-            // orphan advances it without shifting the buffer.
-            let mut lo = 0usize;
-            while freed < need && lo < scratch.order.len() {
-                let still_needed = need - freed;
-                // The list is sorted descending, so the last element
-                // that covers `still_needed` is the smallest sufficient
-                // one.
-                let sufficient = scratch.order[lo..]
-                    .iter()
-                    .rposition(|&e| pool.resident(e).expect("resident").bytes >= still_needed);
-                let chosen = match sufficient {
-                    Some(off) => scratch.order.remove(lo + off),
-                    None => {
-                        let c = scratch.order[lo];
-                        lo += 1;
-                        c
-                    }
+            let mut orphans = order
+                .orphans
+                .iter()
+                .copied()
+                .filter(|(_, e)| !protected.contains(e));
+            while freed < need {
+                let Some((bytes, e)) = orphans.next() else {
+                    break;
                 };
-                freed += pool.resident(chosen).expect("resident").bytes;
-                victims.push(chosen);
+                let still_needed = need - freed;
+                // The list is sorted descending, so the orphans that
+                // cover `still_needed` run from here, and the last of
+                // that run is the smallest sufficient one.
+                let (bytes, e) = if bytes >= still_needed {
+                    orphans
+                        .by_ref()
+                        .take_while(|&(b, _)| b >= still_needed)
+                        .last()
+                        .unwrap_or((bytes, e))
+                } else {
+                    (bytes, e)
+                };
+                freed += bytes;
+                victims.push(e);
             }
 
             // Stage 2: everything else, least-probable first. When
-            // stage 2 runs, stage 1 exhausted every orphan, so the
-            // victim list so far is exactly the orphan set to exclude.
-            // Ranks are unique, so the sort is a total order.
-            if freed < need {
-                scratch.order.clear();
-                scratch.order.extend(
-                    pool.residents()
-                        .map(|(e, _)| e)
-                        .filter(|e| !ctx.protected.contains(e) && !victims.contains(e)),
-                );
-                scratch
-                    .order
-                    .sort_unstable_by_key(|&e| ctx.perf.usage_rank(e));
-                for &e in &scratch.order {
-                    if freed >= need {
-                        break;
-                    }
-                    let Some(meta) = pool.resident(e) else {
-                        continue;
-                    };
-                    victims.push(e);
-                    freed += meta.bytes;
+            // stage 2 runs, stage 1 took every unprotected orphan, so
+            // the victim list so far is exactly the orphans to skip.
+            for e in order.by_rank(perf) {
+                if freed >= need {
+                    break;
                 }
+                if protected.contains(&e) || victims.contains(&e) {
+                    continue;
+                }
+                let Some(meta) = pool.resident(e) else {
+                    continue;
+                };
+                victims.push(e);
+                freed += meta.bytes;
             }
         }
         EvictionPolicy::Lru | EvictionPolicy::Fifo => {
@@ -239,7 +477,7 @@ pub fn select_victims_into(
             scratch.order.extend(
                 pool.residents()
                     .map(|(e, _)| e)
-                    .filter(|e| !ctx.protected.contains(e)),
+                    .filter(|e| !protected.contains(e)),
             );
             scratch.order.sort_unstable_by(|&a, &b| {
                 let ra = pool.resident(a).expect("resident");
@@ -337,6 +575,67 @@ mod tests {
         // Even though det has the HIGHEST usage probability (0.6), it is
         // evicted first because it is an orphaned subsequent expert.
         assert_eq!(v, vec![e(2)]);
+    }
+
+    /// The resident orphans `pool` keeps, in stage-1 order.
+    fn kept_orphans(pool: &RankedPool<'_>) -> Vec<ExpertId> {
+        pool.order.orphans.iter().map(|&(_, e)| e).collect()
+    }
+
+    /// `det` (preliminaries c0 and c1) is kept as an orphan exactly
+    /// while neither preliminary is resident; a preliminary or a
+    /// standalone expert never is.
+    #[test]
+    fn orphaned_subsequent_detection() {
+        let model = test_model();
+        let perf = matrix_for(&model);
+        let mut pool = RankedPool::new(ModelPool::new(Bytes::gib(1)), &model, &perf);
+        pool.insert(e(2), Bytes::mib(85), t(0)).unwrap();
+        pool.insert(e(3), Bytes::mib(178), t(0)).unwrap();
+        // No preliminary loaded: orphaned.
+        assert_eq!(kept_orphans(&pool), vec![e(2)]);
+        // One preliminary loaded: not orphaned, nor while another
+        // replaces it.
+        pool.insert(e(0), Bytes::mib(178), t(1)).unwrap();
+        assert!(kept_orphans(&pool).is_empty());
+        pool.insert(e(1), Bytes::mib(178), t(2)).unwrap();
+        pool.remove(e(0)).unwrap();
+        assert!(kept_orphans(&pool).is_empty());
+        // The last preliminary leaves: orphaned again.
+        pool.remove(e(1)).unwrap();
+        assert_eq!(kept_orphans(&pool), vec![e(2)]);
+        // Preliminary experts are never orphaned subsequents.
+        pool.remove(e(2)).unwrap();
+        pool.insert(e(0), Bytes::mib(178), t(3)).unwrap();
+        assert!(kept_orphans(&pool).is_empty());
+        assert!(pool.order_is_exact());
+    }
+
+    /// The paper's pattern: many classification experts share one
+    /// detection expert, which one resident classifier keeps from being
+    /// an orphan.
+    #[test]
+    fn shared_subsequent_expert_pattern() {
+        let mut b = CoeModel::builder("shared-det");
+        b.arch(ArchSpec::resnet101());
+        b.arch(ArchSpec::yolov5m());
+        let cls: Vec<ExpertId> = (0..10)
+            .map(|i| b.expert(format!("c{i}"), RESNET101, 0.05))
+            .collect();
+        let det = b.expert("det", YOLOV5M, 0.5);
+        for (class, &c) in (0u32..).zip(&cls) {
+            b.rule(ClassId(class), RouteRule::with_follow_up(c, det, 0.5));
+        }
+        let model = b.build().unwrap();
+        let perf = matrix_for(&model);
+        assert_eq!(model.graph().preliminaries_of(det).len(), 10);
+
+        let mut pool = RankedPool::new(ModelPool::new(Bytes::gib(1)), &model, &perf);
+        pool.insert(det, Bytes::mib(85), t(0)).unwrap();
+        pool.insert(cls[7], Bytes::mib(178), t(1)).unwrap();
+        assert!(kept_orphans(&pool).is_empty());
+        pool.remove(cls[7]).unwrap();
+        assert_eq!(kept_orphans(&pool), vec![det]);
     }
 
     #[test]
@@ -584,9 +883,9 @@ mod tests {
 #[cfg(test)]
 mod proptests {
     use super::*;
+    use crate::pool::LruPool;
     use coserve_model::arch::{ArchSpec, RESNET101, YOLOV5M};
     use coserve_model::routing::{ClassId, RouteRule};
-    use coserve_sim::time::SimTime;
     use proptest::prelude::*;
 
     /// Builds a chain model with `n` classifiers sharing one detector.
@@ -602,6 +901,39 @@ mod proptests {
             b.rule(ClassId(i as u32), RouteRule::with_follow_up(c, det, 0.5));
         }
         b.build().unwrap()
+    }
+
+    fn policy_of(sel: u8) -> EvictionPolicy {
+        match sel {
+            0 => EvictionPolicy::DependencyAware,
+            1 => EvictionPolicy::Lru,
+            _ => EvictionPolicy::Fifo,
+        }
+    }
+
+    /// Selection from `pool`'s kept orders equals the oracle's on the
+    /// bare pool, for needs of ½, 1 and 1½ × `need_mib`, victims and
+    /// errors alike, reusing one scratch.
+    fn check_selection(
+        policy: EvictionPolicy,
+        pool: &RankedPool<'_>,
+        need_mib: u64,
+        ctx: &EvictionContext<'_>,
+        scratch: &mut EvictionScratch,
+    ) {
+        for need_scale in [1u64, 2, 3] {
+            let need = Bytes::mib(need_mib * need_scale / 2);
+            let want = reference_select(policy, pool, need, ctx);
+            let got = select_victims_into(policy, pool, need, ctx, scratch);
+            match (want, got) {
+                (Ok(w), Ok(())) => prop_assert_eq!(w.as_slice(), scratch.victims()),
+                (Err(we), Err(ge)) => {
+                    prop_assert_eq!(we, ge);
+                    prop_assert!(scratch.victims().is_empty());
+                }
+                (w, g) => prop_assert!(false, "outcome mismatch: {:?} vs {:?}", w, g),
+            }
+        }
     }
 
     /// Experts in [`sparse_model`]: four decades of nine classifiers
@@ -636,8 +968,21 @@ mod proptests {
         b.build().unwrap()
     }
 
-    /// The pre-refactor victim selection, verbatim: per-call sorts of
-    /// the resident set. The allocation-free path is pinned against it.
+    /// Stage-1 eviction predicate (§4.3): `e` is a subsequent expert and
+    /// *none* of its preliminaries satisfies `loaded`. The kept counts
+    /// replaced it; the oracle below still asks it per resident.
+    fn is_orphaned_subsequent(
+        graph: &DependencyGraph,
+        e: ExpertId,
+        loaded: impl Fn(ExpertId) -> bool,
+    ) -> bool {
+        let prelims = graph.preliminaries_of(e);
+        !prelims.is_empty() && !prelims.iter().any(|&p| loaded(p))
+    }
+
+    /// The pre-refactor victim selection, verbatim but for the orphan
+    /// predicate's new home: per-call sorts of the resident set. The
+    /// kept-order path is pinned against it.
     fn reference_select(
         policy: EvictionPolicy,
         pool: &ModelPool,
@@ -656,10 +1001,7 @@ mod proptests {
                     .map(|(e, _)| e)
                     .filter(|&e| {
                         !ctx.protected.contains(&e)
-                            && ctx
-                                .model
-                                .graph()
-                                .is_orphaned_subsequent(e, |p| pool.contains(p))
+                            && is_orphaned_subsequent(ctx.model.graph(), e, |p| pool.contains(p))
                     })
                     .collect();
                 stage1.sort_by(|&a, &b| {
@@ -739,11 +1081,11 @@ mod proptests {
     }
 
     proptest! {
-        /// The allocation-free selection (resident-only scans, memoized
-        /// usage ranks, reusable scratch) returns exactly what the
-        /// pre-refactor per-call-sort implementation returned, for every
-        /// policy, over arbitrary pools, needs, touch histories and
-        /// protected sets — including reusing one scratch across calls.
+        /// The allocation-free selection (kept orders, reusable
+        /// scratch) returns exactly what the pre-refactor
+        /// per-call-sort implementation returned, for every policy,
+        /// over arbitrary pools, needs, touch histories and protected
+        /// sets — including reusing one scratch across calls.
         /// Residency is sparse over a 40-expert model (two random masks
         /// ANDed: about ten residents), so both the resident id list
         /// and the rank order have gaps.
@@ -775,24 +1117,67 @@ mod proptests {
                 .into_iter()
                 .collect();
             let ctx = EvictionContext { model: &model, perf: &perf, protected: &protected };
-            let policy = match policy_sel {
-                0 => EvictionPolicy::DependencyAware,
-                1 => EvictionPolicy::Lru,
-                _ => EvictionPolicy::Fifo,
-            };
+            let policy = policy_of(policy_sel);
             let mut scratch = EvictionScratch::new();
+            let ranked = RankedPool::new(pool.clone(), &model, &perf);
+            check_selection(policy, &ranked, need_mib, &ctx, &mut scratch);
+            // The bare-pool wrapper derives the same orders per call.
             for need_scale in [1u64, 2, 3] {
                 let need = Bytes::mib(need_mib * need_scale / 2);
-                let want = reference_select(policy, &pool, need, &ctx);
-                let got = select_victims_into(policy, &pool, need, &ctx, &mut scratch);
-                match (want, got) {
-                    (Ok(w), Ok(())) => prop_assert_eq!(w.as_slice(), scratch.victims()),
-                    (Err(we), Err(ge)) => {
-                        prop_assert_eq!(we, ge);
-                        prop_assert!(scratch.victims().is_empty());
-                    }
-                    (w, g) => prop_assert!(false, "outcome mismatch: {:?} vs {:?}", w, g),
+                prop_assert_eq!(
+                    select_victims(policy, &pool, need, &ctx),
+                    reference_select(policy, &pool, need, &ctx)
+                );
+            }
+        }
+
+        /// The kept orders follow every change. Random inserts,
+        /// removes and touches (many at one instant) drive a ranked
+        /// pool and a staging cache over the 40-expert model; inserts
+        /// past capacity fail and leave both untouched. After every
+        /// step both orders equal a from-scratch rebuild, the cache's
+        /// LRU head is its resident with the smallest
+        /// `(last_used, seq)`, and selection from the kept orders
+        /// matches the per-call oracle for three needs, victims and
+        /// errors alike.
+        #[test]
+        fn kept_orders_follow_every_change(
+            ops in proptest::collection::vec((0u8..6, 0u32..SPARSE_EXPERTS, 0u64..3), 1..80),
+            need_mib in 1u64..1_200,
+            protect_sel in 0u32..SPARSE_EXPERTS + 1,
+            policy_sel in 0u8..3,
+        ) {
+            let model = sparse_model();
+            let perf = PerfMatrix::from_model_with(&model, |_, _| None);
+            let mut pool = RankedPool::new(ModelPool::new(Bytes::gib(3)), &model, &perf);
+            let mut cache = LruPool::new(Bytes::gib(1));
+            let protected = [ExpertId(protect_sel)];
+            let ctx = EvictionContext { model: &model, perf: &perf, protected: &protected };
+            let policy = policy_of(policy_sel);
+            let mut scratch = EvictionScratch::new();
+            let mut now = SimTime::ZERO;
+            for (op, id, step_ms) in ops {
+                // A zero step keeps the instant, so touches tie on it.
+                now += coserve_sim::time::SimSpan::from_millis(step_ms);
+                let e = ExpertId(id);
+                let bytes = Bytes::mib(60 + 20 * u64::from(id % 9));
+                match op {
+                    0 => drop(pool.insert(e, bytes, now)),
+                    1 => drop(pool.remove(e)),
+                    2 if pool.contains(e) => pool.touch(e, now),
+                    3 => drop(cache.insert(e, bytes, now)),
+                    4 => drop(cache.remove(e)),
+                    5 if cache.contains(e) => cache.touch(e, now),
+                    _ => {}
                 }
+                prop_assert!(pool.order_is_exact());
+                prop_assert!(cache.order_is_exact());
+                let head = cache
+                    .residents()
+                    .min_by_key(|&(_, r)| (r.last_used, r.seq))
+                    .map(|(e, _)| e);
+                prop_assert_eq!(cache.lru(), head);
+                check_selection(policy, &pool, need_mib, &ctx, &mut scratch);
             }
         }
 

@@ -51,7 +51,7 @@ pub mod prelude {
     };
     pub use crate::evict::{
         select_victims, select_victims_into, EvictError, EvictionContext, EvictionPolicy,
-        EvictionScratch,
+        EvictionScratch, RankedPool,
     };
     pub use crate::perf::{PerfEntry, PerfMatrix};
     pub use crate::pool::{ModelPool, PoolError, Resident};

@@ -80,6 +80,8 @@ pub struct PerfMatrix {
     /// Per expert id, its position in ascending usage order (ties by
     /// id): the §4.3 stage-2 eviction key.
     usage_rank: Vec<u32>,
+    /// The inverse of `usage_rank`: expert ids by ascending usage.
+    by_usage_asc: Vec<ExpertId>,
 }
 
 impl PerfMatrix {
@@ -126,6 +128,7 @@ impl PerfMatrix {
             memory_scores,
             by_usage_desc,
             usage_rank,
+            by_usage_asc,
         }
     }
 
@@ -199,6 +202,14 @@ impl PerfMatrix {
     #[must_use]
     pub fn usage_rank(&self, e: ExpertId) -> u32 {
         self.usage_rank[e.index()]
+    }
+
+    /// The expert of usage rank `rank` ([`PerfMatrix::usage_rank`]'s
+    /// inverse), or `None` past the last rank. Memoized at
+    /// construction.
+    #[must_use]
+    pub fn expert_of_rank(&self, rank: usize) -> Option<ExpertId> {
+        self.by_usage_asc.get(rank).copied()
     }
 
     /// Builds a matrix directly from a model's declared probabilities
@@ -304,5 +315,7 @@ mod tests {
         // Ascending usage: e2 (0.1), e0 (0.2), e4 (0.3), e1 (0.5), e3
         // (0.5, the tie goes to the lower id first).
         assert_eq!(ranks, vec![1, 3, 0, 4, 2]);
+        let by_rank: Vec<ExpertId> = (0..6).map_while(|r| m.expert_of_rank(r)).collect();
+        assert_eq!(by_rank, [2, 0, 4, 1, 3].map(ExpertId));
     }
 }

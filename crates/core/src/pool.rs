@@ -12,10 +12,27 @@
 //! Expert ids are dense model indices, which keeps the table small.
 //! Next to the table the pool keeps its resident ids in ascending
 //! order, so [`ModelPool::residents`] visits the residents only — a
-//! pool holds under 20 of Board A's 370 experts, and the eviction
-//! scans walk it on every switch.
+//! pool holds under 20 of Board A's 370 experts.
+//!
+//! A bare pool keeps no eviction order. The engine wraps each pool in
+//! one that does, so choosing a victim reads an order instead of
+//! sorting the residents:
+//!
+//! * an executor's pool is a [`RankedPool`](crate::evict::RankedPool),
+//!   which keeps the dependency-aware policy's orphan and usage orders;
+//! * the NUMA staging cache keeps its residents in `(last_used, seq)`
+//!   order as a doubly linked list over expert ids. Its LRU victim is
+//!   the head, read in O(1) instead of scanning the cache. A touch
+//!   moves the expert to the tail: it walks back from the tail only
+//!   past entries touched at the same instant with a larger `seq`,
+//!   which in the engine's run are few or none.
+//!
+//! Both wrappers change residency only through their own `insert`,
+//! `remove` and `touch`, which move the order in the same call, so the
+//! two can never disagree.
 
 use std::fmt;
+use std::ops::Deref;
 
 use coserve_model::expert::ExpertId;
 use coserve_sim::memory::{Bytes, MemoryPool};
@@ -225,6 +242,165 @@ impl ModelPool {
         } else {
             debug_assert!(false, "touched non-resident expert {expert}");
         }
+    }
+}
+
+/// The end of [`LruPool`]'s list: no neighbour.
+const NIL: u32 = u32::MAX;
+
+/// One entry's neighbours in [`LruPool`]'s list.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Link {
+    prev: u32,
+    next: u32,
+}
+
+impl Link {
+    const UNLINKED: Link = Link {
+        prev: NIL,
+        next: NIL,
+    };
+}
+
+/// A model pool that keeps its residents in least-recently-used order,
+/// `(last_used, seq)` ascending, as a doubly linked list over expert
+/// ids: the engine's staging cache. Reads go through to the
+/// [`ModelPool`]; changes go through this type, which moves the list
+/// with them.
+#[derive(Debug, Clone)]
+pub(crate) struct LruPool {
+    pool: ModelPool,
+    /// Per expert id, its neighbours in the list; grown on demand.
+    links: Vec<Link>,
+    /// The list's sentinel: `next` is the head (the LRU resident),
+    /// `prev` the tail (the most recently used).
+    ends: Link,
+}
+
+impl Deref for LruPool {
+    type Target = ModelPool;
+
+    fn deref(&self) -> &ModelPool {
+        &self.pool
+    }
+}
+
+impl LruPool {
+    /// An empty pool with the given byte capacity.
+    pub(crate) fn new(capacity: Bytes) -> Self {
+        LruPool {
+            pool: ModelPool::new(capacity),
+            links: Vec::new(),
+            ends: Link::UNLINKED,
+        }
+    }
+
+    /// The least recently used resident, which LRU evicts first.
+    pub(crate) fn lru(&self) -> Option<ExpertId> {
+        (self.ends.next != NIL).then_some(ExpertId(self.ends.next))
+    }
+
+    /// [`ModelPool::insert`], linking `expert` at its place in the list.
+    pub(crate) fn insert(
+        &mut self,
+        expert: ExpertId,
+        bytes: Bytes,
+        now: SimTime,
+    ) -> Result<(), PoolError> {
+        self.pool.insert(expert, bytes, now)?;
+        if self.links.len() <= expert.index() {
+            self.links.resize(expert.index() + 1, Link::UNLINKED);
+        }
+        self.link(expert);
+        Ok(())
+    }
+
+    /// [`ModelPool::remove`], unlinking `expert`.
+    pub(crate) fn remove(&mut self, expert: ExpertId) -> Option<Resident> {
+        let meta = self.pool.remove(expert)?;
+        self.unlink(expert);
+        Some(meta)
+    }
+
+    /// [`ModelPool::touch`], moving `expert` to its new place.
+    pub(crate) fn touch(&mut self, expert: ExpertId, now: SimTime) {
+        self.pool.touch(expert, now);
+        if self.pool.contains(expert) {
+            self.unlink(expert);
+            self.link(expert);
+        }
+    }
+
+    /// The LRU key of the entry `at` (`None` for [`NIL`]).
+    fn key(&self, at: u32) -> Option<(SimTime, u64)> {
+        self.pool
+            .resident(ExpertId(at))
+            .map(|r| (r.last_used, r.seq))
+    }
+
+    /// The links of entry `at`, or the sentinel's for [`NIL`].
+    fn links_of(&self, at: u32) -> Link {
+        self.links.get(at as usize).copied().unwrap_or(self.ends)
+    }
+
+    fn links_of_mut(&mut self, at: u32) -> &mut Link {
+        match self.links.get_mut(at as usize) {
+            Some(link) => link,
+            None => &mut self.ends,
+        }
+    }
+
+    /// Links the resident `expert` after the last entry whose key is
+    /// not above its own, walking back from the tail.
+    fn link(&mut self, expert: ExpertId) {
+        let key = self.key(expert.0);
+        let mut before = self.ends.prev;
+        while before != NIL && self.key(before) > key {
+            before = self.links_of(before).prev;
+        }
+        let after = self.links_of(before).next;
+        *self.links_of_mut(expert.0) = Link {
+            prev: before,
+            next: after,
+        };
+        self.links_of_mut(before).next = expert.0;
+        self.links_of_mut(after).prev = expert.0;
+    }
+
+    fn unlink(&mut self, expert: ExpertId) {
+        let Link { prev, next } = std::mem::replace(self.links_of_mut(expert.0), Link::UNLINKED);
+        self.links_of_mut(prev).next = next;
+        self.links_of_mut(next).prev = prev;
+    }
+
+    /// Whether the list, walked both ways, is exactly the residents
+    /// sorted by `(last_used, seq)` — the from-scratch rebuild the kept
+    /// list must equal after every change.
+    #[cfg(any(test, debug_assertions))]
+    pub(crate) fn order_is_exact(&self) -> bool {
+        let mut rebuilt: Vec<(SimTime, u64, ExpertId)> = self
+            .pool
+            .residents()
+            .map(|(e, r)| (r.last_used, r.seq, e))
+            .collect();
+        rebuilt.sort_unstable();
+        let walk = |start: u32, step: fn(Link) -> u32| {
+            let mut ids = Vec::new();
+            let mut at = start;
+            while at != NIL && ids.len() <= rebuilt.len() {
+                ids.push(ExpertId(at));
+                at = step(self.links_of(at));
+            }
+            ids
+        };
+        let forward = walk(self.ends.next, |l| l.next);
+        let mut backward = walk(self.ends.prev, |l| l.prev);
+        backward.reverse();
+        forward
+            .iter()
+            .copied()
+            .eq(rebuilt.iter().map(|&(_, _, e)| e))
+            && forward == backward
     }
 }
 

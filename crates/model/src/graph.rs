@@ -43,12 +43,23 @@ impl fmt::Display for GraphError {
 impl std::error::Error for GraphError {}
 
 /// A DAG of expert dependencies (edges preliminary → subsequent).
+///
+/// Adjacency lists are sorted, duplicate-free vectors: the eviction
+/// path walks an expert's subsequents whenever it enters or leaves a
+/// pool, and a slice walk is cheaper than a B-tree's.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct DependencyGraph {
-    /// `subsequents[p]` = experts that depend on `p`.
-    subsequents: Vec<BTreeSet<ExpertId>>,
-    /// `preliminaries[s]` = experts that `s` depends on.
-    preliminaries: Vec<BTreeSet<ExpertId>>,
+    /// `subsequents[p]` = experts that depend on `p`, ascending.
+    subsequents: Vec<Vec<ExpertId>>,
+    /// `preliminaries[s]` = experts that `s` depends on, ascending.
+    preliminaries: Vec<Vec<ExpertId>>,
+}
+
+/// Inserts `e` into the sorted `list` unless present.
+fn insert_sorted(list: &mut Vec<ExpertId>, e: ExpertId) {
+    if let Err(pos) = list.binary_search(&e) {
+        list.insert(pos, e);
+    }
 }
 
 impl DependencyGraph {
@@ -56,8 +67,8 @@ impl DependencyGraph {
     #[must_use]
     pub fn new(num_experts: usize) -> Self {
         DependencyGraph {
-            subsequents: vec![BTreeSet::new(); num_experts],
-            preliminaries: vec![BTreeSet::new(); num_experts],
+            subsequents: vec![Vec::new(); num_experts],
+            preliminaries: vec![Vec::new(); num_experts],
         }
     }
 
@@ -101,8 +112,8 @@ impl DependencyGraph {
         if self.reaches(subsequent, preliminary) {
             return Err(GraphError::Cycle(preliminary, subsequent));
         }
-        self.subsequents[preliminary.index()].insert(subsequent);
-        self.preliminaries[subsequent.index()].insert(preliminary);
+        insert_sorted(&mut self.subsequents[preliminary.index()], subsequent);
+        insert_sorted(&mut self.preliminaries[subsequent.index()], preliminary);
         Ok(())
     }
 
@@ -127,37 +138,24 @@ impl DependencyGraph {
         false
     }
 
-    /// The experts that depend on `e` (its subsequents).
+    /// The experts that depend on `e` (its subsequents), ascending.
     ///
     /// # Panics
     ///
     /// Panics if `e` is out of range.
     #[must_use]
-    pub fn subsequents_of(&self, e: ExpertId) -> &BTreeSet<ExpertId> {
+    pub fn subsequents_of(&self, e: ExpertId) -> &[ExpertId] {
         &self.subsequents[e.index()]
     }
 
-    /// The experts `e` depends on (its preliminaries).
+    /// The experts `e` depends on (its preliminaries), ascending.
     ///
     /// # Panics
     ///
     /// Panics if `e` is out of range.
     #[must_use]
-    pub fn preliminaries_of(&self, e: ExpertId) -> &BTreeSet<ExpertId> {
+    pub fn preliminaries_of(&self, e: ExpertId) -> &[ExpertId] {
         &self.preliminaries[e.index()]
-    }
-
-    /// Stage-1 eviction predicate (§4.3): `e` is a subsequent expert and
-    /// *none* of its preliminaries satisfies `loaded`. Such an expert
-    /// cannot run until a preliminary is re-loaded, so keeping it
-    /// resident wastes memory.
-    pub fn is_orphaned_subsequent(
-        &self,
-        e: ExpertId,
-        mut loaded: impl FnMut(ExpertId) -> bool,
-    ) -> bool {
-        let prelims = &self.preliminaries[e.index()];
-        !prelims.is_empty() && !prelims.iter().any(|&p| loaded(p))
     }
 }
 
@@ -168,7 +166,7 @@ mod tests {
     impl DependencyGraph {
         /// Number of edges.
         fn edge_count(&self) -> usize {
-            self.subsequents.iter().map(BTreeSet::len).sum()
+            self.subsequents.iter().map(Vec::len).sum()
         }
     }
 
@@ -232,34 +230,6 @@ mod tests {
         );
         // The failed insert left the graph intact.
         assert_eq!(g.edge_count(), 2);
-    }
-
-    #[test]
-    fn orphaned_subsequent_detection() {
-        // 0 -> 2 <- 1 ; 3 standalone.
-        let mut g = DependencyGraph::new(4);
-        g.add_dependency(e(0), e(2)).unwrap();
-        g.add_dependency(e(1), e(2)).unwrap();
-
-        // No preliminary loaded: orphaned.
-        assert!(g.is_orphaned_subsequent(e(2), |_| false));
-        // One preliminary loaded: not orphaned.
-        assert!(!g.is_orphaned_subsequent(e(2), |p| p == e(0)));
-        // Preliminary experts are never "orphaned subsequents".
-        assert!(!g.is_orphaned_subsequent(e(0), |_| false));
-        assert!(!g.is_orphaned_subsequent(e(3), |_| false));
-    }
-
-    #[test]
-    fn shared_subsequent_expert_pattern() {
-        // The paper's pattern: many classification experts share one
-        // detection expert.
-        let mut g = DependencyGraph::new(11);
-        for i in 0..10 {
-            g.add_dependency(e(i), e(10)).unwrap();
-        }
-        assert_eq!(g.preliminaries_of(e(10)).len(), 10);
-        assert!(!g.is_orphaned_subsequent(e(10), |p| p == e(7)));
     }
 }
 
