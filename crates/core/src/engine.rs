@@ -34,7 +34,7 @@ use coserve_workload::stream::RequestStream;
 
 use crate::config::{ArrangePolicy, AssignPolicy, SystemConfig};
 use crate::evict::{select_victims_into, EvictionContext, EvictionScratch, RankedPool};
-use crate::perf::PerfMatrix;
+use crate::perf::{PerfEntry, PerfMatrix};
 use crate::pool::{LruPool, ModelPool, Resident};
 use crate::queue::{ExecutorQueue, PendingRequest, RunDelta};
 
@@ -372,8 +372,10 @@ fn load_route(processor: ProcessorKind, cached: bool) -> Option<TransferRoute> {
     }
 }
 
-/// Events driving the serving loop.
-#[derive(Debug, Clone, Copy)]
+/// Events driving the serving loop. The calendar carries each one
+/// packed into a single `u64` word ([`Ev::pack`]), so a pop moves one
+/// register instead of a tagged enum.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Ev {
     /// A job stage became ready (arrival or previous stage finished).
     Arrive { job: u32, stage: u8 },
@@ -381,7 +383,38 @@ enum Ev {
     Sched { job: u32, stage: u8 },
     /// An executor's in-flight batch is ready to start its next leg
     /// (channel reservation) or, when no legs remain, to complete.
-    Leg { exec: usize },
+    Leg { exec: u32 },
+}
+
+impl Ev {
+    /// Width of the kind tag in the word's low bits.
+    const KIND_BITS: u32 = 2;
+    const ARRIVE: u64 = 0;
+    const SCHED: u64 = 1;
+    const LEG: u64 = 2;
+
+    /// The event as one word: the kind in the low two bits, then the
+    /// stage (8 bits) and the job (32 bits), or the executor index.
+    fn pack(self) -> u64 {
+        let job_stage =
+            |job: u32, stage: u8| (u64::from(job) << 8 | u64::from(stage)) << Self::KIND_BITS;
+        match self {
+            Ev::Arrive { job, stage } => job_stage(job, stage) | Self::ARRIVE,
+            Ev::Sched { job, stage } => job_stage(job, stage) | Self::SCHED,
+            Ev::Leg { exec } => u64::from(exec) << Self::KIND_BITS | Self::LEG,
+        }
+    }
+
+    /// Decodes a word [`Ev::pack`] produced.
+    fn unpack(word: u64) -> Ev {
+        let body = word >> Self::KIND_BITS;
+        let (job, stage) = ((body >> 8) as u32, body as u8);
+        match word & ((1 << Self::KIND_BITS) - 1) {
+            Self::ARRIVE => Ev::Arrive { job, stage },
+            Self::SCHED => Ev::Sched { job, stage },
+            _ => Ev::Leg { exec: body as u32 },
+        }
+    }
 }
 
 /// Calendar lanes, one per monotone event source (see
@@ -413,31 +446,155 @@ mod lane {
     pub const COUNT: usize = 8;
 }
 
-/// Dense per-(executor, architecture) prediction constants, precomputed
-/// at session construction so the assignment hot path never walks the
-/// perf matrix's maps or re-rounds floats:
-///
-/// - `span_k`/`span_kb` are `SimSpan::from_millis_f64(k)` and
-///   `from_millis_f64(k + b)` — exactly the two values
-///   [`EngineSession::predict_delta`] historically computed per probe
-///   (same float expression, same rounding, bit-identical).
-/// - `batch_cap` folds the workspace-capped executable batch size,
-///   which is constant per session (workspace is fixed at
-///   construction).
+/// Dense per-(executor, architecture) cost constants, built at session
+/// construction so the hot path never walks the perf matrix's or the
+/// device's maps. `batch_cap` folds the workspace-capped executable
+/// batch size, which is constant per session (workspace is fixed at
+/// construction).
 #[derive(Debug, Clone, Copy)]
 struct PerfCacheEntry {
     k_ms: f64,
     b_ms: f64,
-    span_k: SimSpan,
-    span_kb: SimSpan,
     batch_cap: u32,
-    load_from_ssd: SimSpan,
-    load_from_cpu: SimSpan,
     /// The expert's checkpoint size (per arch, shared by its experts).
     weights: Bytes,
     /// Ground-truth kernel latency model for this (arch, processor)
     /// pair — saves the device's kernel-map lookup per started batch.
     kernel: coserve_sim::compute::LatencyModel,
+    /// [`PerfCacheEntry::price_run`] of short runs: every queue insert
+    /// and batch pop prices two runs.
+    run_spans: SpanMemo,
+    /// The kernel latency of small batches, priced per started batch.
+    kernel_spans: SpanMemo,
+}
+
+impl PerfCacheEntry {
+    /// The predicted execution span of one same-expert run of `count`
+    /// requests (§4.2's linear estimate, batched by the executable
+    /// batch size), priced afresh. The unit the incremental
+    /// `work_exec` aggregate is built from.
+    fn price_run(&self, count: u32) -> SimSpan {
+        if count == 0 {
+            return SimSpan::ZERO;
+        }
+        let batches = count.div_ceil(self.batch_cap.max(1));
+        SimSpan::from_millis_f64(self.k_ms * f64::from(count) + self.b_ms * f64::from(batches))
+    }
+
+    /// [`PerfCacheEntry::price_run`], remembered for short runs.
+    fn run_span(&mut self, count: u32) -> SimSpan {
+        if let Some(span) = self.run_spans.get(count) {
+            return span;
+        }
+        let span = self.price_run(count);
+        self.run_spans.put(count, span);
+        span
+    }
+
+    /// The ground-truth latency of a batch of `items`, remembered for
+    /// small batches.
+    fn kernel_span(&mut self, items: u32) -> SimSpan {
+        if let Some(span) = self.kernel_spans.get(items) {
+            return span;
+        }
+        let span = self.kernel.latency(items);
+        self.kernel_spans.put(items, span);
+        span
+    }
+}
+
+/// How many counts, from 1 up, a [`SpanMemo`] remembers.
+const MEMO_COUNTS: usize = 8;
+
+/// Prices remembered for the counts `1..=MEMO_COUNTS`, filled on first
+/// use (a session that never runs a count never prices it). Larger
+/// counts are priced on every use.
+#[derive(Debug, Clone, Copy)]
+struct SpanMemo([SimSpan; MEMO_COUNTS]);
+
+impl SpanMemo {
+    /// An unfilled slot. A price that really is the maximum span is
+    /// never remembered, only priced again on each use.
+    const UNPRICED: SimSpan = SimSpan::from_nanos(u64::MAX);
+    const EMPTY: SpanMemo = SpanMemo([Self::UNPRICED; MEMO_COUNTS]);
+
+    /// The remembered price of `count`, if any.
+    fn get(&self, count: u32) -> Option<SimSpan> {
+        let slot = (count as usize).checked_sub(1)?;
+        self.0
+            .get(slot)
+            .copied()
+            .filter(|&span| span != Self::UNPRICED)
+    }
+
+    /// Remembers `span` as the price of `count` when the memo covers it.
+    fn put(&mut self, count: u32, span: SimSpan) {
+        if let Some(slot) = (count as usize)
+            .checked_sub(1)
+            .and_then(|i| self.0.get_mut(i))
+        {
+            *slot = span;
+        }
+    }
+}
+
+/// One executor's request-assigning constants for one architecture
+/// (§4.2), in a table laid out `[arch slot × executors + executor]`, so
+/// pricing a request on every executor reads one contiguous block.
+/// `span_k`/`span_kb` are `SimSpan::from_millis_f64(k)` and
+/// `from_millis_f64(k + b)`, the delta of joining a batch with room and
+/// of opening a new one; `switch_cold` and `switch_cached` are the
+/// predicted switch-in span of a non-resident expert that the staging
+/// cache misses or holds.
+#[derive(Debug, Clone, Copy)]
+struct AssignRow {
+    span_k: SimSpan,
+    span_kb: SimSpan,
+    /// The executable batch size, at least 1.
+    batch_cap: u32,
+    switch_cold: SimSpan,
+    switch_cached: SimSpan,
+}
+
+impl AssignRow {
+    fn new(entry: &PerfEntry, processor: ProcessorKind, workspace: Bytes) -> Self {
+        AssignRow {
+            span_k: SimSpan::from_millis_f64(entry.k_ms),
+            span_kb: SimSpan::from_millis_f64(entry.k_ms + entry.b_ms),
+            batch_cap: entry.executable_batch(workspace).max(1),
+            switch_cold: entry.load_from_ssd,
+            switch_cached: match processor {
+                ProcessorKind::Gpu => entry.load_from_cpu,
+                // A staging-cache hit for a CPU executor is a same-RAM
+                // move.
+                ProcessorKind::Cpu => SimSpan::ZERO,
+            },
+        }
+    }
+
+    /// The switch-in span of a non-resident expert, given whether the
+    /// staging cache holds it.
+    fn switch(&self, cached: bool) -> SimSpan {
+        if cached {
+            self.switch_cached
+        } else {
+            self.switch_cold
+        }
+    }
+
+    /// Predicted additional latency of appending a request for `expert`
+    /// to `exec`'s queue (§4.2): `K` when it joins an existing batch
+    /// with room, `K + B` when it opens a new batch, plus the switch
+    /// latency when the expert is neither resident nor already queued.
+    /// Membership and last-run length come from one queue-index probe.
+    fn delta(&self, exec: &ExecState<'_>, expert: ExpertId, cached: bool) -> SimSpan {
+        match exec.queue.queued_last_run_len(expert) {
+            Some(last_run_len) if last_run_len % self.batch_cap != 0 => self.span_k,
+            Some(_) => self.span_kb,
+            None if exec.pool.contains(expert) => self.span_kb,
+            None => self.span_kb + self.switch(cached),
+        }
+    }
 }
 
 /// Which serially-reusable resource a leg occupies.
@@ -662,14 +819,18 @@ pub struct EngineSession<'a> {
     submitted_jobs: Vec<SubmittedJob>,
     stage_arena: Vec<ExpertId>,
     completions: Vec<Completion>,
-    events: Calendar<Ev>,
+    /// Pending events, each an [`Ev::pack`] word.
+    events: Calendar<u64>,
     /// Dense arch slot per expert (`ExpertId::index` → position in the
     /// model's sorted arch-id list).
     arch_slot: Vec<u32>,
-    /// Per-(executor, arch-slot) prediction constants, row-major by
+    /// Per-(executor, arch-slot) cost constants, row-major by
     /// executor: `perf_cache[exec * num_arch_slots + slot]`.
     perf_cache: Vec<PerfCacheEntry>,
     num_arch_slots: usize,
+    /// Per-(arch-slot, executor) assignment constants, row-major by
+    /// arch slot: `assign_rows[slot * executors + exec]`.
+    assign_rows: Vec<AssignRow>,
     scheduler: PooledResource,
     gpu_compute: FifoResource,
     cpu_compute: FifoResource,
@@ -815,11 +976,7 @@ impl<'a> EngineSession<'a> {
                     PerfCacheEntry {
                         k_ms: entry.k_ms,
                         b_ms: entry.b_ms,
-                        span_k: SimSpan::from_millis_f64(entry.k_ms),
-                        span_kb: SimSpan::from_millis_f64(entry.k_ms + entry.b_ms),
                         batch_cap: entry.executable_batch(workspace),
-                        load_from_ssd: entry.load_from_ssd,
-                        load_from_cpu: entry.load_from_cpu,
                         weights: model
                             .archs()
                             .find(|a| a.id() == arch)
@@ -829,7 +986,18 @@ impl<'a> EngineSession<'a> {
                             .kernel(arch, processor)
                             .expect("validated at engine construction")
                             .latency,
+                        run_spans: SpanMemo::EMPTY,
+                        kernel_spans: SpanMemo::EMPTY,
                     }
+                })
+            })
+            .collect();
+        let assign_rows: Vec<AssignRow> = arch_ids
+            .iter()
+            .flat_map(|&arch| {
+                execs.iter().map(move |exec| {
+                    let entry = engine.perf.expect_entry(arch, exec.processor);
+                    AssignRow::new(entry, exec.processor, exec.workspace)
                 })
             })
             .collect();
@@ -843,6 +1011,7 @@ impl<'a> EngineSession<'a> {
             arch_slot,
             perf_cache,
             num_arch_slots: arch_ids.len(),
+            assign_rows,
             scheduler: PooledResource::new("scheduler", SCHEDULER_SLOTS),
             gpu_compute: FifoResource::new("gpu-compute"),
             cpu_compute: FifoResource::new("cpu-compute"),
@@ -933,7 +1102,7 @@ impl<'a> EngineSession<'a> {
         });
         self.jobs.push(JobState::default());
         self.events
-            .push_lane(lane::ARRIVE, arrival, Ev::Arrive { job, stage: 0 });
+            .push_lane(lane::ARRIVE, arrival, Ev::Arrive { job, stage: 0 }.pack());
         if self.tracing {
             self.emit(
                 arrival,
@@ -946,11 +1115,11 @@ impl<'a> EngineSession<'a> {
         Ok(job)
     }
 
-    fn handle_event(&mut self, at: SimTime, ev: Ev) {
-        match ev {
+    fn handle_event(&mut self, at: SimTime, word: u64) {
+        match Ev::unpack(word) {
             Ev::Arrive { job, stage } => self.on_arrive(job, stage, at),
             Ev::Sched { job, stage } => self.on_sched(job, stage, at),
-            Ev::Leg { exec } => self.on_leg(exec, at),
+            Ev::Leg { exec } => self.on_leg(exec as usize, at),
         }
     }
 
@@ -1124,7 +1293,7 @@ impl<'a> EngineSession<'a> {
         self.sched_latencies
             .push(res.end.saturating_since(res.start));
         self.events
-            .push_lane(lane::SCHED, res.end, Ev::Sched { job, stage });
+            .push_lane(lane::SCHED, res.end, Ev::Sched { job, stage }.pack());
         if self.tracing {
             self.emit(
                 res.start,
@@ -1289,8 +1458,10 @@ impl<'a> EngineSession<'a> {
             }
         }
         self.execs[exec_idx].busy_until = res.end + remaining;
-        self.events
-            .push_lane(ch_lane, res.end, Ev::Leg { exec: exec_idx });
+        let leg = Ev::Leg {
+            exec: exec_idx as u32,
+        };
+        self.events.push_lane(ch_lane, res.end, leg.pack());
     }
 
     fn finish_batch(&mut self, exec_idx: usize, now: SimTime) {
@@ -1338,7 +1509,8 @@ impl<'a> EngineSession<'a> {
                     Ev::Arrive {
                         job: req.job.0,
                         stage: next_stage,
-                    },
+                    }
+                    .pack(),
                 );
             } else {
                 let state = &mut self.jobs[req.job.index()];
@@ -1385,44 +1557,61 @@ impl<'a> EngineSession<'a> {
         self.perf_of(exec_idx, expert).batch_cap
     }
 
-    /// Dense per-(executor, arch) performance constants for `expert` —
+    /// Dense arch slot of `expert`.
+    fn arch_slot_of(&self, expert: ExpertId) -> usize {
+        self.arch_slot[expert.index()] as usize
+    }
+
+    /// Position of `(exec_idx, expert's arch)` in `perf_cache`.
+    fn perf_index(&self, exec_idx: usize, expert: ExpertId) -> usize {
+        exec_idx * self.num_arch_slots + self.arch_slot_of(expert)
+    }
+
+    /// Dense per-(executor, arch) cost constants for `expert` —
     /// replaces the per-probe `expect_entry` map lookups on the hot
-    /// prediction path.
+    /// path.
     #[inline]
     fn perf_of(&self, exec_idx: usize, expert: ExpertId) -> &PerfCacheEntry {
-        let slot = self.arch_slot[expert.index()] as usize;
-        &self.perf_cache[exec_idx * self.num_arch_slots + slot]
+        &self.perf_cache[self.perf_index(exec_idx, expert)]
+    }
+
+    /// [`EngineSession::perf_of`], writable to fill its memos.
+    fn perf_of_mut(&mut self, exec_idx: usize, expert: ExpertId) -> &mut PerfCacheEntry {
+        let index = self.perf_index(exec_idx, expert);
+        &mut self.perf_cache[index]
+    }
+
+    /// The assignment rows of `expert`'s architecture, one per
+    /// executor in executor order.
+    fn assign_rows(&self, expert: ExpertId) -> &[AssignRow] {
+        let n = self.execs.len();
+        let start = self.arch_slot_of(expert) * n;
+        &self.assign_rows[start..start + n]
+    }
+
+    /// Whether the staging cache holds `expert`.
+    fn cached(&self, expert: ExpertId) -> bool {
+        self.cache.as_ref().is_some_and(|c| c.contains(expert))
     }
 
     /// Predicted load latency for `expert` on executor `exec_idx` if it
-    /// had to be switched in right now (0 when resident).
+    /// had to be switched in right now (0 when resident, or when there
+    /// is no such executor).
     fn predicted_switch(&self, exec_idx: usize, expert: ExpertId) -> SimSpan {
-        let exec = &self.execs[exec_idx];
-        if exec.pool.contains(expert) {
-            return SimSpan::ZERO;
-        }
-        let entry = self.perf_of(exec_idx, expert);
-        let cached = self.cache.as_ref().is_some_and(|c| c.contains(expert));
-        match (exec.processor, cached) {
-            (ProcessorKind::Gpu, true) => entry.load_from_cpu,
-            (ProcessorKind::Gpu, false) => entry.load_from_ssd,
-            // A staging-cache hit for a CPU executor is a same-RAM move.
-            (ProcessorKind::Cpu, true) => SimSpan::ZERO,
-            (ProcessorKind::Cpu, false) => entry.load_from_ssd,
+        match (
+            self.execs.get(exec_idx),
+            self.assign_rows(expert).get(exec_idx),
+        ) {
+            (Some(exec), Some(row)) if !exec.pool.contains(expert) => {
+                row.switch(self.cached(expert))
+            }
+            _ => SimSpan::ZERO,
         }
     }
 
-    /// The predicted execution span of one same-expert run of `count`
-    /// requests (§4.2's linear estimate, batched by the executable
-    /// batch size). The unit the incremental `work_exec` aggregate is
-    /// built from.
-    fn run_exec_span(&self, exec_idx: usize, expert: ExpertId, count: u32) -> SimSpan {
-        if count == 0 {
-            return SimSpan::ZERO;
-        }
-        let entry = self.perf_of(exec_idx, expert);
-        let batches = count.div_ceil(entry.batch_cap.max(1));
-        SimSpan::from_millis_f64(entry.k_ms * f64::from(count) + entry.b_ms * f64::from(batches))
+    /// [`PerfCacheEntry::run_span`] of `expert`'s run on `exec_idx`.
+    fn run_exec_span(&mut self, exec_idx: usize, expert: ExpertId, count: u32) -> SimSpan {
+        self.perf_of_mut(exec_idx, expert).run_span(count)
     }
 
     /// Folds a queue-insert [`RunDelta`] into the executor's cached
@@ -1518,12 +1707,42 @@ impl<'a> EngineSession<'a> {
         let mut fresh_exec = SimSpan::ZERO;
         let mut fresh_switch = SimSpan::ZERO;
         for (expert, count) in exec.queue.runs_iter() {
-            fresh_exec += self.run_exec_span(exec_idx, expert, count);
+            fresh_exec += self.perf_of(exec_idx, expert).price_run(count);
             if seen.insert(expert) {
                 fresh_switch += self.predicted_switch(exec_idx, expert);
             }
         }
         (fresh_exec, fresh_switch)
+    }
+
+    /// The request-assigning oracle (§4.2), priced from the perf matrix
+    /// instead of the session's tables: the predicted additional latency
+    /// of appending a request for `expert` to queue `exec_idx` — `K`
+    /// when it joins an existing batch with room, `K + B` when it opens
+    /// a new batch, plus the switch latency when the expert is neither
+    /// resident nor already queued. [`AssignRow::delta`] must match it.
+    #[cfg(any(test, debug_assertions))]
+    fn predict_delta(&self, exec_idx: usize, expert: ExpertId) -> SimSpan {
+        let Some(exec) = self.execs.get(exec_idx) else {
+            return SimSpan::ZERO;
+        };
+        let arch = self.engine.model.expert(expert).arch();
+        let entry = self.engine.perf.expect_entry(arch, exec.processor);
+        let span_kb = SimSpan::from_millis_f64(entry.k_ms + entry.b_ms);
+        let switch = match (exec.processor, self.cached(expert)) {
+            _ if exec.pool.contains(expert) => SimSpan::ZERO,
+            (ProcessorKind::Gpu, true) => entry.load_from_cpu,
+            (ProcessorKind::Cpu, true) => SimSpan::ZERO,
+            (_, false) => entry.load_from_ssd,
+        };
+        let batch_cap = entry.executable_batch(exec.workspace).max(1);
+        match exec.queue.queued_last_run_len(expert) {
+            Some(last_run_len) if last_run_len % batch_cap != 0 => {
+                SimSpan::from_millis_f64(entry.k_ms)
+            }
+            Some(_) => span_kb,
+            None => span_kb + switch,
+        }
     }
 
     /// Debug-only: the cached aggregates must equal a from-scratch
@@ -1534,29 +1753,6 @@ impl<'a> EngineSession<'a> {
         let (fresh_exec, fresh_switch) = self.recompute_aggregates(exec_idx);
         debug_assert_eq!(exec.work_exec, fresh_exec, "work_exec aggregate drifted");
         debug_assert_eq!(exec.switch_total, fresh_switch, "switch aggregate drifted");
-    }
-
-    /// Predicted additional latency of appending a request for `expert`
-    /// to queue `exec_idx` (§4.2): `K` when it joins an existing batch
-    /// with room, `K + B` when it opens a new batch, plus the switch
-    /// latency when the expert is neither resident nor already queued.
-    fn predict_delta(&self, exec_idx: usize, expert: ExpertId, _now: SimTime) -> SimSpan {
-        let entry = self.perf_of(exec_idx, expert);
-        // `span_k`/`span_kb` were precomputed with the same
-        // `from_millis_f64(k)` / `from_millis_f64(k + b)` float
-        // expressions the per-probe path used, so the pick is
-        // bit-identical to recomputing here. Membership and last-run
-        // length come from one queue-index probe.
-        match self.execs[exec_idx].queue.queued_last_run_len(expert) {
-            Some(last_run_len) => {
-                if last_run_len % entry.batch_cap.max(1) != 0 {
-                    entry.span_k
-                } else {
-                    entry.span_kb
-                }
-            }
-            None => entry.span_kb + self.predicted_switch(exec_idx, expert),
-        }
     }
 
     /// Chooses the executor for a request (§4.2's request assigning).
@@ -1576,10 +1772,10 @@ impl<'a> EngineSession<'a> {
                 // unless q *is* the (unique) argmax, in which case it is
                 // the runner-up — O(executors) total instead of
                 // O(executors²) refolds.
-                let mut max1 = totals[0];
+                let mut max1 = SimSpan::ZERO;
                 let mut max1_idx = 0usize;
                 let mut max2 = SimSpan::ZERO;
-                for (i, &t) in totals.iter().enumerate().skip(1) {
+                for (i, &t) in totals.iter().enumerate() {
                     if t > max1 {
                         max2 = max1;
                         max1 = t;
@@ -1588,9 +1784,21 @@ impl<'a> EngineSession<'a> {
                         max2 = t;
                     }
                 }
+                // One staging-cache probe prices the switch on every
+                // executor; the rows are one contiguous block.
+                let cached = self.cached(expert);
+                let rows = self.assign_rows(expert);
                 let mut best: Option<(SimSpan, SimSpan, usize)> = None;
-                for (q, &total) in totals.iter().enumerate() {
-                    let delta = self.predict_delta(q, expert, now);
+                for (q, ((&total, exec), row)) in
+                    totals.iter().zip(&self.execs).zip(rows).enumerate()
+                {
+                    let delta = row.delta(exec, expert, cached);
+                    #[cfg(debug_assertions)]
+                    assert_eq!(
+                        delta,
+                        self.predict_delta(q, expert),
+                        "assignment row drifted"
+                    );
                     // Makespan if the request goes to q: q's new total
                     // vs the max of the other queues.
                     let others = if q == max1_idx { max2 } else { max1 };
@@ -1644,8 +1852,7 @@ impl<'a> EngineSession<'a> {
         now: SimTime,
     ) -> bool {
         let model = self.engine.model;
-        let entry = *self.perf_of(exec_idx, expert);
-        let weights = entry.weights;
+        let weights = self.perf_of(exec_idx, expert).weights;
         let processor = self.execs[exec_idx].processor;
 
         let mut legs: std::collections::VecDeque<Leg> = self.legs_pool.pop().unwrap_or_default();
@@ -1687,7 +1894,7 @@ impl<'a> EngineSession<'a> {
                             // policy allowed was spent for nothing.
                             // Price each as one read from the tier the
                             // load would come from right now.
-                            let cached = self.cache.as_ref().is_some_and(|c| c.contains(expert));
+                            let cached = self.cached(expert);
                             let read_est = load_route(processor, cached)
                                 .map_or(SimSpan::ZERO, |r| {
                                     self.engine.device.transfer_stages(weights, r).ssd
@@ -1773,7 +1980,7 @@ impl<'a> EngineSession<'a> {
             }
 
             // Load the expert from its best source tier.
-            let cached = self.cache.as_ref().is_some_and(|c| c.contains(expert));
+            let cached = self.cached(expert);
             let source = if cached {
                 MemoryTier::Cpu
             } else {
@@ -1875,7 +2082,9 @@ impl<'a> EngineSession<'a> {
         // Execute on the processor's compute channel (ground truth
         // latency, not the profiler's estimate), stretched on a slow
         // node.
-        let mut exec_span = entry.kernel.latency(batch.len() as u32);
+        let mut exec_span = self
+            .perf_of_mut(exec_idx, expert)
+            .kernel_span(batch.len() as u32);
         if self.service_factor > 1.0 {
             exec_span = exec_span.mul_f64(self.service_factor);
         }
@@ -1897,8 +2106,10 @@ impl<'a> EngineSession<'a> {
             switch_done: now,
             exec_start: now,
         });
-        self.events
-            .push_lane(lane::NOW, now, Ev::Leg { exec: exec_idx });
+        let leg = Ev::Leg {
+            exec: exec_idx as u32,
+        };
+        self.events.push_lane(lane::NOW, now, leg.pack());
         true
     }
 
@@ -3254,6 +3465,77 @@ mod tests {
                 }
             }
         });
+    }
+
+    /// Each executor's assignment-row delta equals the perf-matrix
+    /// oracle `predict_delta` for every queued expert and a sample of
+    /// unqueued ones, and every memoized run and kernel span equals a
+    /// fresh computation, after every event.
+    #[test]
+    fn assignment_rows_and_span_memos_stay_exact_after_every_event() {
+        let memoized = std::cell::Cell::new(0usize);
+        let memoized = &memoized;
+        check_thrashing_sessions(|session, events| {
+            let sampled = (0..session.engine.model.num_experts())
+                .step_by(29)
+                .map(|i| ExpertId(i as u32));
+            for (i, exec) in session.execs.iter().enumerate() {
+                let queued = exec.queue.runs_iter().map(|(e, _)| e);
+                for expert in queued.chain(sampled.clone()) {
+                    let row = session.assign_rows(expert)[i];
+                    assert_eq!(
+                        row.delta(exec, expert, session.cached(expert)),
+                        session.predict_delta(i, expert),
+                        "{expert} on executor {i}, event {events}"
+                    );
+                }
+            }
+            let mut filled = 0;
+            for entry in &session.perf_cache {
+                for n in 1..=MEMO_COUNTS as u32 {
+                    if let Some(span) = entry.run_spans.get(n) {
+                        assert_eq!(span, entry.price_run(n), "run of {n}, event {events}");
+                        filled += 1;
+                    }
+                    if let Some(span) = entry.kernel_spans.get(n) {
+                        assert_eq!(
+                            span,
+                            entry.kernel.latency(n),
+                            "batch of {n}, event {events}"
+                        );
+                        filled += 1;
+                    }
+                }
+            }
+            memoized.set(memoized.get().max(filled));
+        });
+        assert!(
+            memoized.get() > MEMO_COUNTS,
+            "only {} memo slots filled",
+            memoized.get()
+        );
+    }
+
+    /// Each event kind survives packing into one calendar word with its
+    /// fields at their extremes.
+    #[test]
+    fn packed_events_round_trip_at_the_extremes() {
+        for ev in [
+            Ev::Arrive { job: 0, stage: 0 },
+            Ev::Arrive {
+                job: u32::MAX,
+                stage: u8::MAX,
+            },
+            Ev::Sched { job: 0, stage: 0 },
+            Ev::Sched {
+                job: u32::MAX,
+                stage: u8::MAX,
+            },
+            Ev::Leg { exec: 0 },
+            Ev::Leg { exec: u32::MAX },
+        ] {
+            assert_eq!(Ev::unpack(ev.pack()), ev);
+        }
     }
 
     /// Every executor pool's orphan and rank orders, and the staging

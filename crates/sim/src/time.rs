@@ -119,8 +119,9 @@ impl SimSpan {
         Self::from_secs_f64(millis / 1e3)
     }
 
-    /// Creates a span from fractional seconds; negatives and NaN clamp
-    /// to zero, `+∞` saturates.
+    /// Creates a span from fractional seconds, rounded to the nearest
+    /// nanosecond (halves away from zero); negatives and NaN clamp to
+    /// zero, `+∞` saturates.
     #[must_use]
     pub fn from_secs_f64(secs: f64) -> Self {
         if secs.is_nan() || secs <= 0.0 {
@@ -128,10 +129,19 @@ impl SimSpan {
         }
         let nanos = secs * 1e9;
         if nanos >= u64::MAX as f64 {
-            SimSpan(u64::MAX)
-        } else {
-            SimSpan(nanos.round() as u64)
+            return SimSpan(u64::MAX);
         }
+        // `f64::round` is a libm call on baseline x86-64 (no SSE4.1
+        // `roundsd`), and every cost-model price passes through here.
+        // Truncate and compare the remainder instead, which is exact for
+        // every non-negative `nanos` below 2^64: the cast truncates
+        // exactly; below 2^53 the truncation is an exact double and the
+        // remainder is exact (Sterbenz: `whole` lies within a factor of
+        // two of `nanos` once `nanos >= 1`, and is 0 below); at or
+        // above 2^53 every double is an integer, so the remainder is 0.
+        let whole = nanos as u64;
+        let rest = nanos - whole as f64;
+        SimSpan(whole + u64::from(rest >= 0.5))
     }
 
     /// Raw nanoseconds.
@@ -378,5 +388,92 @@ mod tests {
     #[should_panic(expected = "SimSpan subtraction went negative")]
     fn reordered_span_subtraction_panics_in_debug() {
         let _ = SimSpan::from_nanos(5) - SimSpan::from_nanos(9);
+    }
+}
+
+#[cfg(test)]
+mod proptests {
+    use super::*;
+    use proptest::prelude::*;
+
+    /// What `from_secs_f64` must return: the product rounded by
+    /// `f64::round`, through the saturating float-to-integer cast.
+    fn rounded(secs: f64) -> u64 {
+        (secs * 1e9).round() as u64
+    }
+
+    /// `secs` and its three nearest doubles on either side.
+    fn neighbours(secs: f64) -> impl Iterator<Item = f64> {
+        (-3i64..=3).map(move |step| f64::from_bits(secs.to_bits().wrapping_add_signed(step)))
+    }
+
+    /// Spans that land exactly on a half nanosecond, or on either side
+    /// of the doubles' integer and saturation edges.
+    #[test]
+    fn from_secs_f64_rounds_like_f64_round_at_the_edges() {
+        let two_52 = (1u64 << 52) as f64;
+        let two_53 = (1u64 << 53) as f64;
+        let edges = [
+            0.5,
+            1.5,
+            2.5,
+            1e6 + 0.5,
+            two_52 - 0.5,
+            two_52 + 0.5,
+            two_52,
+            two_53,
+            two_53 - 1.0,
+            u64::MAX as f64,
+            u64::MAX as f64 / 2.0,
+        ];
+        for nanos in edges {
+            for secs in neighbours(nanos / 1e9) {
+                assert_eq!(
+                    SimSpan::from_secs_f64(secs).nanos(),
+                    rounded(secs),
+                    "{secs:e}"
+                );
+            }
+        }
+        for secs in [
+            -0.0,
+            -1.0,
+            -1e300,
+            f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::MIN_POSITIVE,
+            f64::MAX,
+        ] {
+            assert_eq!(
+                SimSpan::from_secs_f64(secs).nanos(),
+                rounded(secs),
+                "{secs:e}"
+            );
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(4096))]
+        /// `from_secs_f64` agrees with `(secs * 1e9).round() as u64` on
+        /// every double: random bit patterns (every sign, exponent,
+        /// NaN and infinity), exact half nanoseconds up to 2^53, and
+        /// values scaled across the whole range below saturation.
+        #[test]
+        fn from_secs_f64_matches_f64_round(
+            bits in any::<u64>(),
+            whole in 0u64..(1 << 53),
+            scale in 0u32..65,
+            unit in 0.0f64..1.0,
+        ) {
+            let random = f64::from_bits(bits);
+            prop_assert_eq!(SimSpan::from_secs_f64(random).nanos(), rounded(random));
+            let half = (whole as f64 + 0.5) / 1e9;
+            prop_assert_eq!(SimSpan::from_secs_f64(half).nanos(), rounded(half));
+            let scaled = unit * 2f64.powi(scale as i32) / 1e9;
+            for secs in neighbours(scaled) {
+                prop_assert_eq!(SimSpan::from_secs_f64(secs).nanos(), rounded(secs));
+            }
+        }
     }
 }
