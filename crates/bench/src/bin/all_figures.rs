@@ -1,7 +1,9 @@
 //! Regenerates the tables and figures of the paper: every entry of
 //! `figures::REGISTRY` in order, or only the entries named on the
 //! command line (`all_figures fig24_fault_matrix`). An unknown name
-//! prints the valid names and exits with status 2.
+//! prints the valid names and exits with status 2. A file that fails to
+//! write is reported on stderr; the other writes are still attempted,
+//! and the run then exits with status 1.
 //!
 //! `--trace PATH` additionally runs the CoServe configuration on the
 //! first (device, task) cell with tracing enabled and writes the
@@ -43,7 +45,8 @@ fn parse_args() -> (Option<std::path::PathBuf>, Vec<&'static Figure>) {
 
 /// One traced CoServe run on the first paper cell: writes the Perfetto
 /// dump and prints the trace-derived attribution and heat tables.
-fn emit_trace(path: &std::path::Path) {
+/// Returns whether the dump was written.
+fn emit_trace(path: &std::path::Path) -> bool {
     let device = coserve_bench::paper_devices().remove(0);
     let task = coserve_bench::paper_tasks().remove(0);
     let bench = Bench::prepare(device, task);
@@ -70,16 +73,24 @@ fn emit_trace(path: &std::path::Path) {
     };
     match write() {
         Ok(()) => println!("[trace] {}", path.display()),
-        Err(err) => eprintln!("[trace] failed to write {}: {err}", path.display()),
+        Err(err) => {
+            eprintln!("[trace] failed to write {}: {err}", path.display());
+            return false;
+        }
     }
+    true
 }
 
 fn main() {
     let (trace_path, selected) = parse_args();
+    let mut written = true;
     for figure in selected {
-        (figure.run)().emit();
+        written &= (figure.run)().emit();
     }
     if let Some(path) = trace_path {
-        emit_trace(&path);
+        written &= emit_trace(&path);
+    }
+    if !written {
+        std::process::exit(1);
     }
 }

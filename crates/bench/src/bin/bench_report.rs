@@ -5,12 +5,13 @@
 //! `COSERVE_JOBS` controls the sweep width (artifacts are byte-identical
 //! at any width); `COSERVE_SCALE` scales the workload. The committed
 //! copy at the workspace root seeds the perf trajectory future PRs are
-//! held against.
+//! held against. A figure file or the baseline failing to write makes
+//! the run exit with status 1.
 
 use coserve_bench::{out_dir, perf_report};
 
 fn main() {
-    let report = perf_report::collect();
+    let (report, figures_written) = perf_report::collect();
     let json = report.to_json();
     let path = out_dir().join("BENCH_core.json");
     if let Some(parent) = path.parent() {
@@ -42,4 +43,8 @@ fn main() {
         report.jobs,
         report.scale,
     );
+    if !figures_written {
+        eprintln!("some figure files failed to write; see above");
+        std::process::exit(1);
+    }
 }

@@ -60,29 +60,35 @@ impl FigureOutput {
 
     /// Prints every table and writes it as a CSV, then writes every
     /// JSON artifact, into [`crate::out_dir`]. A failed write is
-    /// reported on stderr and does not stop the others.
-    pub fn emit(&self) {
+    /// reported on stderr and does not stop the others; returns whether
+    /// every write succeeded.
+    #[must_use]
+    pub fn emit(&self) -> bool {
         let dir = crate::out_dir();
+        let mut written = true;
         for (stem, table) in &self.tables {
             print!("{}", table.render());
             let path = dir.join(format!("{stem}.csv"));
-            report_write("csv", &path, table.write_csv(&path));
+            written &= report_write("csv", &path, table.write_csv(&path));
         }
         for (stem, json) in &self.artifacts {
             let path = dir.join(format!("{stem}.json"));
-            let written = std::fs::create_dir_all(&dir).and_then(|()| std::fs::write(&path, json));
-            report_write("json", &path, written);
+            let write = std::fs::create_dir_all(&dir).and_then(|()| std::fs::write(&path, json));
+            written &= report_write("json", &path, write);
         }
+        written
     }
 }
 
-/// Reports one artifact write. Harness output shared by every figure —
-/// stdout is the product here, not debug residue.
-fn report_write(kind: &str, path: &std::path::Path, written: std::io::Result<()>) {
+/// Reports one artifact write and returns whether it succeeded.
+/// Harness output shared by every figure — stdout is the product here,
+/// not debug residue.
+fn report_write(kind: &str, path: &std::path::Path, written: std::io::Result<()>) -> bool {
     match written {
         Ok(()) => println!("[{kind}] {}\n", path.display()), // tidy:allow(trace-hygiene)
-        Err(err) => eprintln!("[{kind}] failed to write {}: {err}\n", path.display()), // tidy:allow(trace-hygiene)
+        Err(ref err) => eprintln!("[{kind}] failed to write {}: {err}\n", path.display()), // tidy:allow(trace-hygiene)
     }
+    written.is_ok()
 }
 
 /// One entry of [`REGISTRY`].

@@ -106,16 +106,18 @@ impl PerfReport {
 
 /// Regenerates every figure, emitting its tables, CSVs and JSON
 /// artifacts exactly like `all_figures`, while timing each; then times
-/// an end-to-end engine run, and returns the assembled [`PerfReport`].
+/// an end-to-end engine run. Returns the assembled [`PerfReport`] and
+/// whether every figure file was written.
 #[must_use]
-pub fn collect() -> PerfReport {
+pub fn collect() -> (PerfReport, bool) {
     let mut timings = Vec::new();
+    let mut written = true;
     let suite_start = Instant::now();
     for figure in figures::REGISTRY {
         let started = Instant::now();
         let output = (figure.run)();
         let wall_ms = started.elapsed().as_secs_f64() * 1e3;
-        output.emit();
+        written &= output.emit();
         timings.push(FigureTiming {
             name: figure.name.to_string(),
             wall_ms,
@@ -146,13 +148,14 @@ pub fn collect() -> PerfReport {
         },
     };
 
-    PerfReport {
+    let report = PerfReport {
         scale: scale(),
         jobs: sweep::jobs(),
         figures: timings,
         all_figures_wall_ms,
         engine,
-    }
+    };
+    (report, written)
 }
 
 #[cfg(test)]

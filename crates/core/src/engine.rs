@@ -33,9 +33,9 @@ use coserve_trace::{NoopTracer, TraceEvent, TraceKind, Tracer};
 use coserve_workload::stream::RequestStream;
 
 use crate::config::{ArrangePolicy, AssignPolicy, SystemConfig};
-use crate::evict::{select_victims_into, EvictionContext, EvictionScratch, RankedPool};
+use crate::evict::EvictionPolicy;
 use crate::perf::{PerfEntry, PerfMatrix};
-use crate::pool::{LruPool, ModelPool, Resident};
+use crate::pool::{ModelPool, Resident};
 use crate::queue::{ExecutorQueue, PendingRequest, RunDelta};
 
 /// Error detected when constructing an engine.
@@ -314,13 +314,17 @@ impl<'a> Engine<'a> {
 /// memory is fully utilized." A cluster placement plan may override the
 /// priority order so the node preloads its placed experts first. The
 /// order is either that override or the perf matrix's memoized
-/// descending-usage slice — no clone on the construction path. The
-/// pools are bare: a session ranks each once, after it is full.
-fn preload(engine: &Engine<'_>, layout: &MemoryLayout) -> Vec<ModelPool> {
-    let mut pools: Vec<ModelPool> = layout
+/// descending-usage slice — no clone on the construction path. Each
+/// pool keeps the configured policy's victim order from its first
+/// insert on.
+fn preload<'a>(engine: &Engine<'a>, layout: &MemoryLayout) -> Vec<ModelPool<'a>> {
+    let mut pools: Vec<ModelPool<'a>> = layout
         .executors
         .iter()
-        .map(|mem| ModelPool::new(mem.pool_capacity))
+        .map(|mem| {
+            let policy = engine.config.eviction;
+            ModelPool::new(mem.pool_capacity, policy, engine.model, engine.perf)
+        })
         .collect();
     let order: &[ExpertId] = match &engine.config.preload_order {
         Some(order) => order,
@@ -336,7 +340,7 @@ fn preload(engine: &Engine<'_>, layout: &MemoryLayout) -> Vec<ModelPool> {
 /// advances past the pool that accepted it — so a full or too-small
 /// pool never skews placement onto a single neighbour.
 fn preload_round_robin(
-    pools: &mut [ModelPool],
+    pools: &mut [ModelPool<'_>],
     order: &[ExpertId],
     weight_bytes: impl Fn(ExpertId) -> Bytes,
 ) {
@@ -659,7 +663,7 @@ enum Residency {
 #[derive(Debug)]
 struct ExecState<'a> {
     processor: ProcessorKind,
-    pool: RankedPool<'a>,
+    pool: ModelPool<'a>,
     workspace: Bytes,
     queue: ExecutorQueue,
     busy_until: SimTime,
@@ -838,7 +842,8 @@ pub struct EngineSession<'a> {
     ssd: FifoResource,
     host_work: PooledResource,
     execs: Vec<ExecState<'a>>,
-    cache: Option<LruPool>,
+    /// The NUMA staging cache: an LRU pool.
+    cache: Option<ModelPool<'a>>,
     jobs: Vec<JobState>,
     rr_cursor: usize,
     completed: usize,
@@ -864,8 +869,11 @@ pub struct EngineSession<'a> {
     /// Recycled leg deques (free-list twin of `batch_pool`): a batch's
     /// drained leg buffer returns here when it completes.
     legs_pool: Vec<std::collections::VecDeque<Leg>>,
-    /// Reusable victim-selection buffers.
-    evict_scratch: EvictionScratch,
+    /// Reusable victim lists for executor pools and for the staging
+    /// cache, which an executor's eviction fills while the pool's
+    /// victims are still being demoted.
+    victims: Vec<ExpertId>,
+    cache_victims: Vec<ExpertId>,
     /// Structured-event sink; [`NoopTracer`] unless a collector was
     /// installed with [`EngineSession::set_tracer`]. Every emission
     /// site is guarded by the cached `tracing` flag, so the disabled
@@ -930,7 +938,7 @@ impl<'a> EngineSession<'a> {
             .zip(pools)
             .map(|((&processor, mem), pool)| ExecState {
                 processor,
-                pool: RankedPool::new(pool, engine.model, engine.perf),
+                pool,
                 workspace: mem.workspace,
                 queue: ExecutorQueue::new(),
                 busy_until: SimTime::ZERO,
@@ -946,11 +954,10 @@ impl<'a> EngineSession<'a> {
                 switch_total: SimSpan::ZERO,
             })
             .collect();
-        let cache = if engine.device.has_staging_cache() {
-            Some(LruPool::new(layout.cache))
-        } else {
-            None
-        };
+        let cache = engine
+            .device
+            .has_staging_cache()
+            .then(|| ModelPool::new(layout.cache, EvictionPolicy::Lru, engine.model, engine.perf));
         // Dense prediction tables: arch ids are sparse, so map each to
         // its position in the model's sorted arch list and precompute
         // every per-(executor, arch) constant the hot path consults.
@@ -1035,7 +1042,8 @@ impl<'a> EngineSession<'a> {
             totals_scratch: Vec::new(),
             batch_pool: Vec::new(),
             legs_pool: Vec::new(),
-            evict_scratch: EvictionScratch::new(),
+            victims: Vec::new(),
+            cache_victims: Vec::new(),
             tracer: Box::new(NoopTracer),
             tracing: false,
             trace_node: 0,
@@ -1851,7 +1859,6 @@ impl<'a> EngineSession<'a> {
         batch: Vec<PendingRequest>,
         now: SimTime,
     ) -> bool {
-        let model = self.engine.model;
         let weights = self.perf_of(exec_idx, expert).weights;
         let processor = self.execs[exec_idx].processor;
 
@@ -1925,31 +1932,23 @@ impl<'a> EngineSession<'a> {
                     }
                 }
             }
-            // Free space via the configured eviction policy. The
-            // protected set is a one-element slice over `expert`; the
-            // candidate ordering and victim list live in buffers reused
-            // across evictions, so none of this allocates.
-            let need = weights.saturating_sub(self.execs[exec_idx].pool.available());
-            let ctx = EvictionContext {
-                model,
-                perf: self.engine.perf,
-                protected: std::slice::from_ref(&expert),
-            };
-            if select_victims_into(
-                self.engine.config.eviction,
-                &self.execs[exec_idx].pool,
-                need,
-                &ctx,
-                &mut self.evict_scratch,
-            )
-            .is_err()
+            // Free space from the pool's kept victim order. The
+            // protected set is a one-element slice over `expert`, and
+            // the victim list is reused across evictions, so none of
+            // this allocates.
+            let pool = &self.execs[exec_idx].pool;
+            let need = weights.saturating_sub(pool.available());
+            let protected = std::slice::from_ref(&expert);
+            if pool
+                .select_victims_into(need, protected, &mut self.victims)
+                .is_err()
             {
                 self.fail_batch(&batch, now);
                 self.recycle_batch(batch);
                 return false;
             }
-            for vi in 0..self.evict_scratch.victims().len() {
-                let victim = self.evict_scratch.victims()[vi];
+            for vi in 0..self.victims.len() {
+                let victim = self.victims[vi];
                 let meta = self
                     .set_residency(Site::Pool(exec_idx), victim, Residency::Leave, now)
                     .expect("victims are resident");
@@ -2140,9 +2139,10 @@ impl<'a> EngineSession<'a> {
     }
 
     /// Inserts into the staging cache, evicting least-recently-used
-    /// entries as needed. Oversized experts are simply not cached.
-    /// Every expert that enters or leaves the cache is re-priced on
-    /// every executor, since the cache decides its load tier.
+    /// entries from the head of its list until the expert fits.
+    /// Oversized experts are simply not cached. Every expert that
+    /// enters or leaves the cache is re-priced on every executor, since
+    /// the cache decides its load tier.
     fn cache_insert(&mut self, expert: ExpertId, bytes: Bytes, now: SimTime) {
         let Some(cache) = &self.cache else {
             return;
@@ -2151,16 +2151,16 @@ impl<'a> EngineSession<'a> {
             self.set_residency(Site::Cache, expert, Residency::Use, now);
             return;
         }
-        if bytes > cache.capacity() {
+        let need = bytes.saturating_sub(cache.available());
+        if bytes > cache.capacity()
+            || cache
+                .select_victims_into(need, &[], &mut self.cache_victims)
+                .is_err()
+        {
             return;
         }
-        // The list's head is the LRU resident: no scan.
-        while let Some(lru) = self
-            .cache
-            .as_ref()
-            .filter(|c| !c.fits(bytes))
-            .and_then(|c| c.lru())
-        {
+        for vi in 0..self.cache_victims.len() {
+            let lru = self.cache_victims[vi];
             self.set_residency(Site::Cache, lru, Residency::Leave, now);
             if self.tracing {
                 self.emit(now, TraceKind::CacheEvicted { expert: lru });
@@ -2190,30 +2190,17 @@ impl<'a> EngineSession<'a> {
         change: Residency,
         now: SimTime,
     ) -> Option<Resident> {
+        let pool = match site {
+            Site::Pool(exec_idx) => self.execs.get_mut(exec_idx).map(|exec| &mut exec.pool),
+            Site::Cache => self.cache.as_mut(),
+        }?;
         let mut left = None;
-        match site {
-            Site::Pool(exec_idx) => {
-                let pool = &mut self.execs[exec_idx].pool;
-                match change {
-                    Residency::Enter(bytes) => pool
-                        .insert(expert, bytes, now)
-                        .expect("the caller made room"),
-                    Residency::Leave => left = pool.remove(expert),
-                    Residency::Use => pool.touch(expert, now),
-                }
-            }
-            Site::Cache => {
-                let Some(cache) = &mut self.cache else {
-                    return None;
-                };
-                match change {
-                    Residency::Enter(bytes) => cache
-                        .insert(expert, bytes, now)
-                        .expect("the caller made room"),
-                    Residency::Leave => left = cache.remove(expert),
-                    Residency::Use => cache.touch(expert, now),
-                }
-            }
+        match change {
+            Residency::Enter(bytes) => pool
+                .insert(expert, bytes, now)
+                .expect("the caller made room"),
+            Residency::Leave => left = pool.remove(expert),
+            Residency::Use => pool.touch(expert, now),
         }
         if !matches!(change, Residency::Use) {
             match site {
@@ -2230,17 +2217,14 @@ impl<'a> EngineSession<'a> {
     }
 
     /// Whether `site`'s kept eviction order equals a from-scratch
-    /// rebuild: the executor pool's orphan and rank orders, or the
-    /// staging cache's LRU list.
+    /// rebuild (a site without a pool has none to drift).
     #[cfg(any(test, debug_assertions))]
     fn order_is_exact(&self, site: Site) -> bool {
-        match site {
-            Site::Pool(exec_idx) => self
-                .execs
-                .get(exec_idx)
-                .is_some_and(|exec| exec.pool.order_is_exact()),
-            Site::Cache => self.cache.as_ref().is_none_or(LruPool::order_is_exact),
-        }
+        let pool = match site {
+            Site::Pool(exec_idx) => self.execs.get(exec_idx).map(|exec| &exec.pool),
+            Site::Cache => self.cache.as_ref(),
+        };
+        pool.is_none_or(ModelPool::order_is_exact)
     }
 
     /// Consumes the session into the classic batch [`RunReport`]. The
@@ -2555,11 +2539,11 @@ mod proptests {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::SystemConfig;
     use crate::profiler::{Profiler, UsageSource};
     use coserve_model::devices;
     use coserve_workload::board::BoardSpec;
     use coserve_workload::stream::StreamOrder;
+    use coserve_workload::task::TaskSpec;
 
     fn setup(
         num_components: usize,
@@ -3013,11 +2997,13 @@ mod tests {
     /// onto one neighbour.
     #[test]
     fn preload_round_robin_stays_even_when_one_pool_is_full() {
+        let (_, model, perf, _) = setup(12, 1);
+        let pool = |capacity| ModelPool::new(capacity, EvictionPolicy::Lru, &model, &perf);
         let expert_size = Bytes::mib(10);
         let mut pools = [
-            ModelPool::new(Bytes::mib(10)), // fits exactly one
-            ModelPool::new(Bytes::gib(1)),
-            ModelPool::new(Bytes::gib(1)),
+            pool(Bytes::mib(10)), // fits exactly one
+            pool(Bytes::gib(1)),
+            pool(Bytes::gib(1)),
         ];
         let order: Vec<ExpertId> = (0..11).map(ExpertId).collect();
         preload_round_robin(&mut pools, &order, |_| expert_size);
@@ -3034,10 +3020,9 @@ mod tests {
 
     #[test]
     fn preload_round_robin_skips_oversized_experts_per_pool() {
-        let mut pools = [
-            ModelPool::new(Bytes::mib(5)),
-            ModelPool::new(Bytes::mib(100)),
-        ];
+        let (_, model, perf, _) = setup(12, 1);
+        let pool = |capacity| ModelPool::new(capacity, EvictionPolicy::Fifo, &model, &perf);
+        let mut pools = [pool(Bytes::mib(5)), pool(Bytes::mib(100))];
         let order: Vec<ExpertId> = (0..4).map(ExpertId).collect();
         // Every expert is 10 MiB: none ever fits the small pool.
         preload_round_robin(&mut pools, &order, |_| Bytes::mib(10));
@@ -3393,23 +3378,44 @@ mod tests {
         (switches, evicted, cache_evicted)
     }
 
+    /// Task A1 on the NUMA device: the device, the task, its model and
+    /// the model's profiled matrix.
+    fn a1_on_numa() -> (DeviceProfile, TaskSpec, CoeModel, PerfMatrix) {
+        let device = devices::numa_rtx3080ti();
+        let task = TaskSpec::a1();
+        let model = task.build_model().unwrap();
+        let perf = Profiler::with_defaults().profile(&device, &model, UsageSource::Declared);
+        (device, task, model, perf)
+    }
+
+    /// Submits every job of `stream` to a fresh session of `config` and
+    /// steps it dry through [`step_checking`].
+    fn step_stream(
+        (device, model, perf): (&DeviceProfile, &CoeModel, &PerfMatrix),
+        config: &SystemConfig,
+        stream: &RequestStream,
+        check: impl Fn(&EngineSession<'_>, usize),
+    ) -> (u64, usize, usize) {
+        let engine = Engine::new(device, model, perf, config).unwrap();
+        let mut session = engine.session(stream.name());
+        for job in stream.jobs() {
+            session.submit(job.arrival, &job.stages).unwrap();
+        }
+        step_checking(session, check)
+    }
+
     /// Runs `check` after every event of two A1 sessions on the NUMA
     /// device whose pools thrash, and asserts they switched and evicted
     /// often enough to exercise it.
     fn check_thrashing_sessions(check: impl Fn(&EngineSession<'_>, usize) + Copy) {
         use crate::presets;
         use coserve_workload::arrivals::ArrivalProcess;
-        use coserve_workload::task::TaskSpec;
 
-        let device = devices::numa_rtx3080ti();
-        let task = TaskSpec::a1();
-        let model = task.build_model().unwrap();
-        let perf = Profiler::with_defaults().profile(&device, &model, UsageSource::Declared);
+        let (device, task, model, perf) = a1_on_numa();
+        let setup = (&device, &model, &perf);
 
         // Online preset, iid Poisson A1 well above capacity: the pools
         // and the staging cache thrash, so entries are re-priced often.
-        let config = presets::coserve_online(&device);
-        let engine = Engine::new(&device, &model, &perf, &config).unwrap();
         let stream = RequestStream::generate_open_loop(
             "iid-overload",
             task.board(),
@@ -3419,11 +3425,8 @@ mod tests {
             StreamOrder::Iid,
             7,
         );
-        let mut session = engine.session(stream.name());
-        for job in stream.jobs() {
-            session.submit(job.arrival, &job.stages).unwrap();
-        }
-        let (switches, evicted, cache_evicted) = step_checking(session, check);
+        let config = presets::coserve_online(&device);
+        let (switches, evicted, cache_evicted) = step_stream(setup, &config, &stream, check);
         assert!(switches > 100, "{switches} switches");
         assert!(evicted > 100, "{evicted} pool evictions");
         assert!(
@@ -3433,14 +3436,9 @@ mod tests {
 
         // Offline preset, board-order A1 at the paper's 4 ms interval:
         // deep queues hold many distinct experts per executor.
-        let config = presets::coserve(&device);
-        let engine = Engine::new(&device, &model, &perf, &config).unwrap();
         let stream = task.sample(400).stream(&model);
-        let mut session = engine.session(stream.name());
-        for job in stream.jobs() {
-            session.submit(job.arrival, &job.stages).unwrap();
-        }
-        let (switches, evicted, _) = step_checking(session, check);
+        let config = presets::coserve(&device);
+        let (switches, evicted, _) = step_stream(setup, &config, &stream, check);
         assert!(switches > 100, "{switches} switches");
         assert!(evicted > 100, "{evicted} pool evictions");
     }
@@ -3538,17 +3536,36 @@ mod tests {
         }
     }
 
-    /// Every executor pool's orphan and rank orders, and the staging
-    /// cache's LRU list, equal a from-scratch rebuild after every event.
+    /// Every pool's kept victim order equals a from-scratch rebuild
+    /// after every event: the executor pools' orphan and rank orders
+    /// and the staging cache's LRU list under CoServe, and the executor
+    /// pools' LRU lists under Samba-CoE (one GPU executor) and FIFO
+    /// lists under CoServe None (round-robin assignment).
     #[test]
     fn eviction_orders_stay_exact_after_every_event() {
-        check_thrashing_sessions(|session, events| {
+        let check = |session: &EngineSession<'_>, events| {
             let sites = (0..session.execs.len())
                 .map(Site::Pool)
                 .chain([Site::Cache]);
             for site in sites {
                 assert!(session.order_is_exact(site), "{site:?}, event {events}");
             }
-        });
+        };
+        check_thrashing_sessions(check);
+
+        let (device, task, model, perf) = a1_on_numa();
+        let stream = task.sample(400).stream(&model);
+        let samba = SystemConfig::builder("Samba-CoE")
+            .assign(AssignPolicy::RoundRobin)
+            .arrange(ArrangePolicy::Fcfs)
+            .eviction(EvictionPolicy::Lru)
+            .gpu_executors(1)
+            .build();
+        let none = crate::presets::coserve_none(&device);
+        for config in [samba, none] {
+            let setup = (&device, &model, &perf);
+            let (_, evicted, _) = step_stream(setup, &config, &stream, check);
+            assert!(evicted > 100, "{}: {evicted} pool evictions", config.name);
+        }
     }
 }

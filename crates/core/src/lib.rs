@@ -49,10 +49,7 @@ pub mod prelude {
         plan_memory, Completion, CompletionStatus, Engine, EngineError, EngineSession,
         MemoryLayout, SubmitError,
     };
-    pub use crate::evict::{
-        select_victims, select_victims_into, EvictError, EvictionContext, EvictionPolicy,
-        EvictionScratch, RankedPool,
-    };
+    pub use crate::evict::{EvictError, EvictionPolicy};
     pub use crate::perf::{PerfEntry, PerfMatrix};
     pub use crate::pool::{ModelPool, PoolError, Resident};
     pub use crate::presets;

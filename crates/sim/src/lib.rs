@@ -6,7 +6,7 @@
 //! The CoServe paper evaluates a serving system on two physical edge
 //! devices. This crate supplies the *hardware* those experiments need,
 //! as a simulator: a nanosecond clock and event queue, serially-reusable
-//! channels (GPU compute, DMA, SSD), byte-accurate memory pools, a
+//! channels (GPU compute, DMA, SSD), byte quantities and memory tiers, a
 //! transfer-cost model for moving experts between tiers, execution cost
 //! models (`K·n + B` with a saturation knee), and device profiles
 //! matching the paper's Table 1.
@@ -43,7 +43,7 @@ pub mod prelude {
     pub use crate::compute::{LatencyModel, MemoryModel};
     pub use crate::device::{ArchId, DeviceProfile, KernelProfile, MemoryArch, ProcessorKind};
     pub use crate::events::Calendar;
-    pub use crate::memory::{AllocError, Bytes, MemoryPool, MemoryTier};
+    pub use crate::memory::{Bytes, MemoryTier};
     pub use crate::network::LinkProfile;
     pub use crate::resource::{FifoResource, Reservation};
     pub use crate::rng::SimRng;
