@@ -1,7 +1,8 @@
 //! End-to-end engine benchmarks: how fast the simulator serves the
-//! paper workloads under each system, plus an ablation of the
-//! dependency-aware assignment's prediction cost (the engine's most
-//! expensive per-request computation).
+//! paper workloads under each system, an online-shaped stream whose
+//! queues stay shallow, plus an ablation of the dependency-aware
+//! assignment's prediction cost (the engine's most expensive
+//! per-request computation).
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
@@ -14,7 +15,8 @@ use coserve_core::presets;
 use coserve_core::profiler::{Profiler, UsageSource};
 use coserve_model::coe::CoeModel;
 use coserve_sim::device::DeviceProfile;
-use coserve_workload::stream::RequestStream;
+use coserve_workload::arrivals::ArrivalProcess;
+use coserve_workload::stream::{RequestStream, StreamOrder};
 use coserve_workload::task::TaskSpec;
 
 struct Ctx {
@@ -60,6 +62,31 @@ fn bench_systems(c: &mut Criterion) {
     let none_cfg = presets::coserve_none(&ctx.device);
     group.bench_function("coserve_none", |b| {
         b.iter(|| black_box(run(&ctx, &none_cfg)));
+    });
+    group.finish();
+}
+
+/// Live traffic below capacity, shaped like perfbench's
+/// `online-poisson` stream: 2 000 iid A1 requests with Poisson arrivals
+/// at 4 req/s under the online preset. Queues stay shallow, so most
+/// stages reach an idle executor, unlike the board-order streams above.
+fn bench_online(c: &mut Criterion) {
+    let mut ctx = ctx(0.02);
+    let task = TaskSpec::a1();
+    ctx.stream = RequestStream::generate_open_loop(
+        "iid poisson 4 rps",
+        task.board(),
+        &ctx.model,
+        2_000,
+        ArrivalProcess::poisson(4.0),
+        StreamOrder::Iid,
+        7,
+    );
+    let mut group = c.benchmark_group("engine_serve_online");
+    group.sample_size(10);
+    let online_cfg = presets::coserve_online(&ctx.device);
+    group.bench_function("coserve_online_poisson_4rps_2000_requests", |b| {
+        b.iter(|| black_box(run(&ctx, &online_cfg)));
     });
     group.finish();
 }
@@ -122,6 +149,7 @@ fn bench_eviction_policies(c: &mut Criterion) {
 criterion_group!(
     benches,
     bench_systems,
+    bench_online,
     bench_assignment_cost,
     bench_preload,
     bench_eviction_policies

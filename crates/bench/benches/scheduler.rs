@@ -149,13 +149,15 @@ fn bench_assign_arrange_engine(c: &mut Criterion) {
 }
 
 fn bench_batch_peeling(c: &mut Criterion) {
-    c.bench_function("pop_front_group/1000", |b| {
+    c.bench_function("pop_front_group_into/1000", |b| {
         b.iter_batched(
             || filled_queue(1_000, 16, true, 3),
             |mut q| {
                 let mut popped = 0;
+                let mut batch = Vec::new();
                 while !q.is_empty() {
-                    popped += q.pop_front_group(16).len();
+                    q.pop_front_group_into(16, &mut batch);
+                    popped += batch.len();
                 }
                 black_box(popped)
             },

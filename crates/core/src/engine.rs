@@ -28,7 +28,7 @@ use coserve_sim::events::Calendar;
 use coserve_sim::memory::{Bytes, MemoryTier};
 use coserve_sim::resource::{FifoResource, PooledResource};
 use coserve_sim::time::{SimSpan, SimTime};
-use coserve_sim::transfer::TransferRoute;
+use coserve_sim::transfer::{TransferRoute, TransferStages};
 use coserve_trace::{NoopTracer, TraceEvent, TraceKind, Tracer};
 use coserve_workload::stream::RequestStream;
 
@@ -452,24 +452,34 @@ mod lane {
 
 /// Dense per-(executor, architecture) cost constants, built at session
 /// construction so the hot path never walks the perf matrix's or the
-/// device's maps. `batch_cap` folds the workspace-capped executable
-/// batch size, which is constant per session (workspace is fixed at
-/// construction).
-#[derive(Debug, Clone, Copy)]
+/// device's maps, and the prices derived from them, each remembered on
+/// first use (a session never prices what it does not run).
+#[derive(Debug, Clone)]
 struct PerfCacheEntry {
     k_ms: f64,
     b_ms: f64,
+    /// The workspace-capped executable batch size, constant per session
+    /// (workspace is fixed at construction). The floor of 1 lives in
+    /// [`PerfEntry::executable_batch`]; it is why a lone request on an
+    /// idle executor always makes a batch of its own, which the direct
+    /// start in [`EngineSession::on_sched`] relies on.
     batch_cap: u32,
     /// The expert's checkpoint size (per arch, shared by its experts).
     weights: Bytes,
     /// Ground-truth kernel latency model for this (arch, processor)
     /// pair — saves the device's kernel-map lookup per started batch.
     kernel: coserve_sim::compute::LatencyModel,
-    /// [`PerfCacheEntry::price_run`] of short runs: every queue insert
-    /// and batch pop prices two runs.
+    /// [`PerfCacheEntry::price_run`] of every run length priced so
+    /// far: every queue insert and batch pop prices two runs.
     run_spans: SpanMemo,
-    /// The kernel latency of small batches, priced per started batch.
+    /// The kernel latency of every batch size started so far.
     kernel_spans: SpanMemo,
+    /// The stages of loading the checkpoint from SSD (`load_miss`) or
+    /// from the staging cache (`load_hit`): [`load_route`] priced by
+    /// [`DeviceProfile::transfer_stages`]. The outer `None` means not
+    /// priced yet; the inner one is a load without a transfer.
+    load_miss: Option<Option<TransferStages>>,
+    load_hit: Option<Option<TransferStages>>,
 }
 
 impl PerfCacheEntry {
@@ -481,11 +491,11 @@ impl PerfCacheEntry {
         if count == 0 {
             return SimSpan::ZERO;
         }
-        let batches = count.div_ceil(self.batch_cap.max(1));
+        let batches = count.div_ceil(self.batch_cap);
         SimSpan::from_millis_f64(self.k_ms * f64::from(count) + self.b_ms * f64::from(batches))
     }
 
-    /// [`PerfCacheEntry::price_run`], remembered for short runs.
+    /// [`PerfCacheEntry::price_run`], remembered.
     fn run_span(&mut self, count: u32) -> SimSpan {
         if let Some(span) = self.run_spans.get(count) {
             return span;
@@ -495,8 +505,7 @@ impl PerfCacheEntry {
         span
     }
 
-    /// The ground-truth latency of a batch of `items`, remembered for
-    /// small batches.
+    /// The ground-truth latency of a batch of `items`, remembered.
     fn kernel_span(&mut self, items: u32) -> SimSpan {
         if let Some(span) = self.kernel_spans.get(items) {
             return span;
@@ -507,20 +516,16 @@ impl PerfCacheEntry {
     }
 }
 
-/// How many counts, from 1 up, a [`SpanMemo`] remembers.
-const MEMO_COUNTS: usize = 8;
-
-/// Prices remembered for the counts `1..=MEMO_COUNTS`, filled on first
-/// use (a session that never runs a count never prices it). Larger
-/// counts are priced on every use.
-#[derive(Debug, Clone, Copy)]
-struct SpanMemo([SimSpan; MEMO_COUNTS]);
+/// Prices remembered by count, from 1 up, filled on first use. The
+/// memo grows to the largest count priced, so a long run is priced once
+/// per session, not on every use.
+#[derive(Debug, Clone, Default)]
+struct SpanMemo(Vec<SimSpan>);
 
 impl SpanMemo {
     /// An unfilled slot. A price that really is the maximum span is
     /// never remembered, only priced again on each use.
     const UNPRICED: SimSpan = SimSpan::from_nanos(u64::MAX);
-    const EMPTY: SpanMemo = SpanMemo([Self::UNPRICED; MEMO_COUNTS]);
 
     /// The remembered price of `count`, if any.
     fn get(&self, count: u32) -> Option<SimSpan> {
@@ -531,13 +536,17 @@ impl SpanMemo {
             .filter(|&span| span != Self::UNPRICED)
     }
 
-    /// Remembers `span` as the price of `count` when the memo covers it.
+    /// Remembers `span` as the price of `count` (a count of 0 has no
+    /// slot), growing the memo to cover it.
     fn put(&mut self, count: u32, span: SimSpan) {
-        if let Some(slot) = (count as usize)
-            .checked_sub(1)
-            .and_then(|i| self.0.get_mut(i))
-        {
-            *slot = span;
+        let Some(slot) = (count as usize).checked_sub(1) else {
+            return;
+        };
+        if self.0.len() <= slot {
+            self.0.resize(slot + 1, Self::UNPRICED);
+        }
+        if let Some(memo) = self.0.get_mut(slot) {
+            *memo = span;
         }
     }
 }
@@ -554,7 +563,7 @@ impl SpanMemo {
 struct AssignRow {
     span_k: SimSpan,
     span_kb: SimSpan,
-    /// The executable batch size, at least 1.
+    /// The executable batch size, as [`PerfCacheEntry::batch_cap`].
     batch_cap: u32,
     switch_cold: SimSpan,
     switch_cached: SimSpan,
@@ -565,7 +574,7 @@ impl AssignRow {
         AssignRow {
             span_k: SimSpan::from_millis_f64(entry.k_ms),
             span_kb: SimSpan::from_millis_f64(entry.k_ms + entry.b_ms),
-            batch_cap: entry.executable_batch(workspace).max(1),
+            batch_cap: entry.executable_batch(workspace),
             switch_cold: entry.load_from_ssd,
             switch_cached: match processor {
                 ProcessorKind::Gpu => entry.load_from_cpu,
@@ -835,6 +844,9 @@ pub struct EngineSession<'a> {
     /// Per-(arch-slot, executor) assignment constants, row-major by
     /// arch slot: `assign_rows[slot * executors + exec]`.
     assign_rows: Vec<AssignRow>,
+    /// Per arch slot, the GPU→CPU demotion span of its checkpoint,
+    /// `None` until first priced ([`EngineSession::demotion_span`]).
+    demotions: Vec<Option<SimSpan>>,
     scheduler: PooledResource,
     gpu_compute: FifoResource,
     cpu_compute: FifoResource,
@@ -993,8 +1005,10 @@ impl<'a> EngineSession<'a> {
                             .kernel(arch, processor)
                             .expect("validated at engine construction")
                             .latency,
-                        run_spans: SpanMemo::EMPTY,
-                        kernel_spans: SpanMemo::EMPTY,
+                        run_spans: SpanMemo::default(),
+                        kernel_spans: SpanMemo::default(),
+                        load_miss: None,
+                        load_hit: None,
                     }
                 })
             })
@@ -1019,6 +1033,7 @@ impl<'a> EngineSession<'a> {
             perf_cache,
             num_arch_slots: arch_ids.len(),
             assign_rows,
+            demotions: vec![None; arch_ids.len()],
             scheduler: PooledResource::new("scheduler", SCHEDULER_SLOTS),
             gpu_compute: FifoResource::new("gpu-compute"),
             cpu_compute: FifoResource::new("cpu-compute"),
@@ -1359,14 +1374,6 @@ impl<'a> EngineSession<'a> {
             expert,
             ready_at: now,
         };
-        let delta = match (self.engine.config.arrange, self.engine.config.max_overtake) {
-            (ArrangePolicy::Grouped, Some(bound)) => self.execs[exec_idx]
-                .queue
-                .insert_grouped_bounded(req, bound),
-            (ArrangePolicy::Grouped, None) => self.execs[exec_idx].queue.insert_grouped(req),
-            (ArrangePolicy::Fcfs, _) => self.execs[exec_idx].queue.push_back(req),
-        };
-        self.apply_insert_delta(exec_idx, delta);
         if self.tracing {
             self.emit(
                 now,
@@ -1378,6 +1385,24 @@ impl<'a> EngineSession<'a> {
                 },
             );
         }
+        let exec = &mut self.execs[exec_idx];
+        if exec.in_flight.is_none() && exec.queue.is_empty() {
+            // Direct start: on an idle executor with nothing queued, a
+            // queue insert and the pop right behind it would cancel out
+            // (the batch is this request alone, since the executable
+            // batch is at least 1, and the work-left sums return to
+            // zero), so the request starts its batch without queueing.
+            let mut batch = self.batch_pool.pop().unwrap_or_default();
+            batch.push(req);
+            self.start_batch(exec_idx, expert, batch, now);
+            return;
+        }
+        let delta = match (self.engine.config.arrange, self.engine.config.max_overtake) {
+            (ArrangePolicy::Grouped, Some(bound)) => exec.queue.insert_grouped_bounded(req, bound),
+            (ArrangePolicy::Grouped, None) => exec.queue.insert_grouped(req),
+            (ArrangePolicy::Fcfs, _) => exec.queue.push_back(req),
+        };
+        self.apply_insert_delta(exec_idx, delta);
         self.try_start(exec_idx, now);
     }
 
@@ -1622,6 +1647,51 @@ impl<'a> EngineSession<'a> {
         self.perf_of_mut(exec_idx, expert).run_span(count)
     }
 
+    /// The transfer stages of loading `expert` onto executor `exec_idx`,
+    /// a `processor`, from the staging cache (`cached`) or from SSD:
+    /// [`load_route`] priced by [`DeviceProfile::transfer_stages`], or
+    /// `None` when the load moves nothing. Priced once per session per
+    /// (executor, architecture, source).
+    fn load_stages(
+        &mut self,
+        exec_idx: usize,
+        expert: ExpertId,
+        processor: ProcessorKind,
+        cached: bool,
+    ) -> Option<TransferStages> {
+        let device = self.engine.device;
+        let entry = self.perf_of_mut(exec_idx, expert);
+        let weights = entry.weights;
+        let memo = if cached {
+            &mut entry.load_hit
+        } else {
+            &mut entry.load_miss
+        };
+        *memo.get_or_insert_with(|| {
+            load_route(processor, cached).map(|r| device.transfer_stages(weights, r))
+        })
+    }
+
+    /// The GPU→CPU demotion span of `victim`, resident on executor
+    /// `exec_idx` with `bytes`, priced once per session per
+    /// architecture. Exact because a resident's bytes are always its
+    /// architecture's checkpoint size: preload inserts
+    /// `CoeModel::weight_bytes` and loads insert the architecture's
+    /// `weights`.
+    fn demotion_span(&mut self, exec_idx: usize, victim: ExpertId, bytes: Bytes) -> SimSpan {
+        debug_assert_eq!(
+            bytes,
+            self.perf_of(exec_idx, victim).weights,
+            "{victim} resident with other than its checkpoint size"
+        );
+        let device = self.engine.device;
+        let price = || device.transfer_duration(bytes, TransferRoute::GpuToCpu);
+        let slot = self.arch_slot_of(victim);
+        self.demotions
+            .get_mut(slot)
+            .map_or_else(price, |memo| *memo.get_or_insert_with(price))
+    }
+
     /// Folds a queue-insert [`RunDelta`] into the executor's cached
     /// work-left aggregates.
     fn apply_insert_delta(&mut self, exec_idx: usize, delta: RunDelta) {
@@ -1743,7 +1813,7 @@ impl<'a> EngineSession<'a> {
             (ProcessorKind::Cpu, true) => SimSpan::ZERO,
             (_, false) => entry.load_from_ssd,
         };
-        let batch_cap = entry.executable_batch(exec.workspace).max(1);
+        let batch_cap = entry.executable_batch(exec.workspace);
         match exec.queue.queued_last_run_len(expert) {
             Some(last_run_len) if last_run_len % batch_cap != 0 => {
                 SimSpan::from_millis_f64(entry.k_ms)
@@ -1902,10 +1972,9 @@ impl<'a> EngineSession<'a> {
                             // Price each as one read from the tier the
                             // load would come from right now.
                             let cached = self.cached(expert);
-                            let read_est = load_route(processor, cached)
-                                .map_or(SimSpan::ZERO, |r| {
-                                    self.engine.device.transfer_stages(weights, r).ssd
-                                });
+                            let read_est = self
+                                .load_stages(exec_idx, expert, processor, cached)
+                                .map_or(SimSpan::ZERO, |s| s.ssd);
                             let spent = retry.max_retries;
                             self.fault_ledger.retries += u64::from(spent);
                             self.fault_ledger.load_exhausted += 1;
@@ -1966,10 +2035,7 @@ impl<'a> EngineSession<'a> {
                     if processor == ProcessorKind::Gpu {
                         // Demote over the DMA channel into the staging
                         // cache (device→host copy).
-                        let span = self
-                            .engine
-                            .device
-                            .transfer_duration(meta.bytes, TransferRoute::GpuToCpu);
+                        let span = self.demotion_span(exec_idx, victim, meta.bytes);
                         push_leg(&mut legs, &mut switch_busy, LegChannel::Dma, span);
                     }
                     // CPU-executor evictions are already in host RAM;
@@ -1985,8 +2051,7 @@ impl<'a> EngineSession<'a> {
             } else {
                 MemoryTier::Ssd
             };
-            let route = load_route(processor, cached);
-            let stages = route.map(|r| self.engine.device.transfer_stages(weights, r));
+            let stages = self.load_stages(exec_idx, expert, processor, cached);
             // Charge each failed attempt as a full read on the storage
             // channel (the read fails at the tier, after occupying it)
             // followed by exponential backoff on the executor's own
@@ -2045,7 +2110,7 @@ impl<'a> EngineSession<'a> {
                 push_leg(&mut legs, &mut switch_busy, LegChannel::Local, stages.local);
                 push_leg(&mut legs, &mut switch_busy, LegChannel::Dma, stages.dma);
             }
-            if fault_retries > 0 || (fault_slow > 1.0 && route.is_some()) {
+            if fault_retries > 0 || (fault_slow > 1.0 && stages.is_some()) {
                 // The recovery completes when the switch legs drain.
                 self.fault_ledger.note_recovery(now + switch_busy);
             }
@@ -3355,15 +3420,30 @@ mod tests {
         );
     }
 
+    /// What a session stepped dry by [`step_checking`] did.
+    struct Stepped {
+        /// Expert switches, summed over the executors.
+        switches: u64,
+        /// Trace-counted pool evictions.
+        evicted: usize,
+        /// Trace-counted staging-cache evictions.
+        cache_evicted: usize,
+        /// Batches started, summed over the executors.
+        batches: u64,
+        /// Runs the executors' queues retired at their fronts.
+        runs_retired: u64,
+    }
+
     /// Steps `session` dry one event at a time, calling `check` with
     /// the session and the event count after every event. Unlike the
     /// debug-only `debug_verify_aggregates` and `set_residency` checks,
-    /// this also runs in release builds. Returns the session's pool
-    /// switches and trace-counted pool and staging-cache evictions.
+    /// this also runs in release builds. Every stage that ran must have
+    /// been traced as assigned, and every assigned stage must have run
+    /// (these sessions fail no batch).
     fn step_checking(
         mut session: EngineSession<'_>,
         check: impl Fn(&EngineSession<'_>, usize),
-    ) -> (u64, usize, usize) {
+    ) -> Stepped {
         session.set_tracer(Box::new(coserve_trace::RingTracer::new()));
         let mut events = 0usize;
         while session.step() {
@@ -3371,11 +3451,35 @@ mod tests {
             check(&session, events);
         }
         let switches = session.execs.iter().map(|e| e.switches).sum();
+        let batches = session.execs.iter().map(|e| e.batches).sum();
+        let runs_retired = session.execs.iter().map(|e| e.queue.runs_retired()).sum();
         let trace = session.tracer_mut().drain();
         let count = |pick: fn(&TraceKind) -> bool| trace.iter().filter(|ev| pick(&ev.kind)).count();
-        let evicted = count(|k| matches!(k, TraceKind::Evicted { .. }));
-        let cache_evicted = count(|k| matches!(k, TraceKind::CacheEvicted { .. }));
-        (switches, evicted, cache_evicted)
+        let stages = |pick: fn(&TraceKind) -> Option<(u32, u8)>| -> Vec<(u32, u8)> {
+            let mut stages: Vec<(u32, u8)> = trace.iter().filter_map(|ev| pick(&ev.kind)).collect();
+            stages.sort_unstable();
+            stages
+        };
+        let assigned = stages(|k| match *k {
+            TraceKind::Assigned { job, stage, .. } => Some((job, stage)),
+            _ => None,
+        });
+        let done = stages(|k| match *k {
+            TraceKind::StageDone { job, stage, .. } => Some((job, stage)),
+            _ => None,
+        });
+        assert!(!done.is_empty(), "no stage ran");
+        assert!(
+            assigned == done,
+            "assigned stages are not the stages that ran"
+        );
+        Stepped {
+            switches,
+            evicted: count(|k| matches!(k, TraceKind::Evicted { .. })),
+            cache_evicted: count(|k| matches!(k, TraceKind::CacheEvicted { .. })),
+            batches,
+            runs_retired,
+        }
     }
 
     /// Task A1 on the NUMA device: the device, the task, its model and
@@ -3395,7 +3499,7 @@ mod tests {
         config: &SystemConfig,
         stream: &RequestStream,
         check: impl Fn(&EngineSession<'_>, usize),
-    ) -> (u64, usize, usize) {
+    ) -> Stepped {
         let engine = Engine::new(device, model, perf, config).unwrap();
         let mut session = engine.session(stream.name());
         for job in stream.jobs() {
@@ -3404,43 +3508,65 @@ mod tests {
         step_checking(session, check)
     }
 
-    /// Runs `check` after every event of two A1 sessions on the NUMA
+    /// Runs `check` after every event of three A1 sessions on the NUMA
     /// device whose pools thrash, and asserts they switched and evicted
-    /// often enough to exercise it.
+    /// often enough to exercise it: two whose queues run deep, and one
+    /// at `online-poisson`'s load, where most stages start directly on
+    /// an idle executor.
     fn check_thrashing_sessions(check: impl Fn(&EngineSession<'_>, usize) + Copy) {
         use crate::presets;
         use coserve_workload::arrivals::ArrivalProcess;
 
         let (device, task, model, perf) = a1_on_numa();
         let setup = (&device, &model, &perf);
+        let iid_poisson = |name: &str, rate: f64| {
+            RequestStream::generate_open_loop(
+                name,
+                task.board(),
+                &model,
+                1_000,
+                ArrivalProcess::poisson(rate),
+                StreamOrder::Iid,
+                7,
+            )
+        };
 
         // Online preset, iid Poisson A1 well above capacity: the pools
         // and the staging cache thrash, so entries are re-priced often.
-        let stream = RequestStream::generate_open_loop(
-            "iid-overload",
-            task.board(),
-            &model,
-            1_000,
-            ArrivalProcess::poisson(40.0),
-            StreamOrder::Iid,
-            7,
-        );
-        let config = presets::coserve_online(&device);
-        let (switches, evicted, cache_evicted) = step_stream(setup, &config, &stream, check);
-        assert!(switches > 100, "{switches} switches");
-        assert!(evicted > 100, "{evicted} pool evictions");
+        let online = presets::coserve_online(&device);
+        let stream = iid_poisson("iid-overload", 40.0);
+        let stepped = step_stream(setup, &online, &stream, check);
+        assert!(stepped.switches > 100, "{} switches", stepped.switches);
+        assert!(stepped.evicted > 100, "{} pool evictions", stepped.evicted);
         assert!(
-            cache_evicted > 100,
-            "{cache_evicted} staging-cache evictions"
+            stepped.cache_evicted > 100,
+            "{} staging-cache evictions",
+            stepped.cache_evicted
         );
 
         // Offline preset, board-order A1 at the paper's 4 ms interval:
         // deep queues hold many distinct experts per executor.
         let stream = task.sample(400).stream(&model);
         let config = presets::coserve(&device);
-        let (switches, evicted, _) = step_stream(setup, &config, &stream, check);
-        assert!(switches > 100, "{switches} switches");
-        assert!(evicted > 100, "{evicted} pool evictions");
+        let stepped = step_stream(setup, &config, &stream, check);
+        assert!(stepped.switches > 100, "{} switches", stepped.switches);
+        assert!(stepped.evicted > 100, "{} pool evictions", stepped.evicted);
+
+        // Online preset at `online-poisson`'s 4 req/s: queues stay
+        // shallow and the pools still thrash. A batch popped off a
+        // queue mostly empties, and so retires, a run; a batch started
+        // directly retires none. Fewer runs retired than half the
+        // batches means most stages started directly.
+        let stream = iid_poisson("iid-online", 4.0);
+        let stepped = step_stream(setup, &online, &stream, check);
+        assert!(stepped.switches > 100, "{} switches", stepped.switches);
+        assert!(stepped.evicted > 100, "{} pool evictions", stepped.evicted);
+        assert!(
+            stepped.runs_retired * 2 < stepped.batches,
+            "{} of {} batches retired a queue run",
+            stepped.runs_retired,
+            stepped.batches
+        );
     }
 
     /// Each executor's cached `work_exec`, `switch_total` and
@@ -3465,14 +3591,25 @@ mod tests {
         });
     }
 
+    /// The filled slots of a span memo, as `(count, price)`.
+    fn memo_slots(memo: &SpanMemo) -> impl Iterator<Item = (u32, SimSpan)> + '_ {
+        (1u32..)
+            .zip(&memo.0)
+            .filter(|&(_, &span)| span != SpanMemo::UNPRICED)
+            .map(|(count, &span)| (count, span))
+    }
+
     /// Each executor's assignment-row delta equals the perf-matrix
     /// oracle `predict_delta` for every queued expert and a sample of
-    /// unqueued ones, and every memoized run and kernel span equals a
-    /// fresh computation, after every event.
+    /// unqueued ones, and every memoized price equals a fresh
+    /// computation, after every event: run prices of any length, kernel
+    /// latencies, load stages and demotion spans.
     #[test]
     fn assignment_rows_and_span_memos_stay_exact_after_every_event() {
-        let memoized = std::cell::Cell::new(0usize);
-        let memoized = &memoized;
+        let longest_run = std::cell::Cell::new(0usize);
+        let loads = std::cell::Cell::new(0usize);
+        let demotions = std::cell::Cell::new(0usize);
+        let (longest_run, loads, demotions) = (&longest_run, &loads, &demotions);
         check_thrashing_sessions(|session, events| {
             let sampled = (0..session.engine.model.num_experts())
                 .step_by(29)
@@ -3488,30 +3625,41 @@ mod tests {
                     );
                 }
             }
-            let mut filled = 0;
-            for entry in &session.perf_cache {
-                for n in 1..=MEMO_COUNTS as u32 {
-                    if let Some(span) = entry.run_spans.get(n) {
+            let device = session.engine.device;
+            let executors = session.perf_cache.chunks(session.num_arch_slots);
+            for (exec, entries) in session.execs.iter().zip(executors) {
+                for entry in entries {
+                    for (n, span) in memo_slots(&entry.run_spans) {
                         assert_eq!(span, entry.price_run(n), "run of {n}, event {events}");
-                        filled += 1;
                     }
-                    if let Some(span) = entry.kernel_spans.get(n) {
-                        assert_eq!(
-                            span,
-                            entry.kernel.latency(n),
-                            "batch of {n}, event {events}"
-                        );
-                        filled += 1;
+                    longest_run.set(longest_run.get().max(entry.run_spans.0.len()));
+                    for (n, span) in memo_slots(&entry.kernel_spans) {
+                        let fresh = entry.kernel.latency(n);
+                        assert_eq!(span, fresh, "batch of {n}, event {events}");
+                    }
+                    for (cached, memo) in [(false, entry.load_miss), (true, entry.load_hit)] {
+                        let Some(stages) = memo else { continue };
+                        let fresh = load_route(exec.processor, cached)
+                            .map(|r| device.transfer_stages(entry.weights, r));
+                        assert_eq!(stages, fresh, "load (cached: {cached}), event {events}");
+                        loads.set(loads.get() + 1);
                     }
                 }
             }
-            memoized.set(memoized.get().max(filled));
+            for (entry, memo) in session.perf_cache.iter().zip(&session.demotions) {
+                let Some(span) = *memo else { continue };
+                let fresh = device.transfer_duration(entry.weights, TransferRoute::GpuToCpu);
+                assert_eq!(span, fresh, "demotion, event {events}");
+                demotions.set(demotions.get() + 1);
+            }
         });
         assert!(
-            memoized.get() > MEMO_COUNTS,
-            "only {} memo slots filled",
-            memoized.get()
+            longest_run.get() > 8,
+            "runs of at most {} priced",
+            longest_run.get()
         );
+        assert!(loads.get() > 0, "no load stages memoized");
+        assert!(demotions.get() > 0, "no demotion span memoized");
     }
 
     /// Each event kind survives packing into one calendar word with its
@@ -3564,7 +3712,7 @@ mod tests {
         let none = crate::presets::coserve_none(&device);
         for config in [samba, none] {
             let setup = (&device, &model, &perf);
-            let (_, evicted, _) = step_stream(setup, &config, &stream, check);
+            let evicted = step_stream(setup, &config, &stream, check).evicted;
             assert!(evicted > 100, "{}: {evicted} pool evictions", config.name);
         }
     }

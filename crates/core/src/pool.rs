@@ -10,11 +10,12 @@
 //! Residency is stored as a dense expert-indexed table (`Vec<Option>`),
 //! not a map: the engine probes [`ModelPool::contains`] on every
 //! assignment prediction, so membership must be an O(1) slot read.
-//! Expert ids are dense model indices, so the table, the resident id
-//! list and the victim order are sized once, from the model's expert
-//! count. Next to the table the pool keeps its resident ids in
-//! ascending order, so [`ModelPool::residents`] visits the residents
-//! only — a pool holds under 20 of Board A's 370 experts.
+//! Expert ids are dense model indices, so the table and the victim
+//! order are sized once, from the model's expert count. Beside the
+//! table the pool counts its residents and keeps no id list: a switch
+//! pays for nothing that only [`ModelPool::residents`] reads, and that
+//! walk (a tracer's residency snapshot, the order checks) visits the
+//! table's slots in id order — 370 on Board A.
 //!
 //! Residency changes only through [`ModelPool::insert`],
 //! [`ModelPool::remove`] and [`ModelPool::touch`], which move the victim
@@ -82,8 +83,8 @@ pub struct ModelPool<'m> {
     /// Dense expert-indexed residency slots, one per model expert,
     /// `None` for non-resident experts.
     residents: Vec<Option<Resident>>,
-    /// The ids of the `Some` slots, ascending.
-    ids: Vec<ExpertId>,
+    /// How many slots are `Some`.
+    len: usize,
     next_seq: u64,
     order: VictimOrder<'m>,
 }
@@ -105,7 +106,7 @@ impl<'m> ModelPool<'m> {
             used: Bytes::ZERO,
             peak: Bytes::ZERO,
             residents: vec![None; experts],
-            ids: Vec::with_capacity(experts),
+            len: 0,
             next_seq: 0,
             order: VictimOrder::new(policy, model, perf),
         }
@@ -132,13 +133,13 @@ impl<'m> ModelPool<'m> {
     /// Number of resident experts.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.ids.len()
+        self.len
     }
 
     /// Whether no experts are resident.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.ids.is_empty()
+        self.len == 0
     }
 
     /// Whether `expert` is resident — an O(1) slot read.
@@ -159,12 +160,12 @@ impl<'m> ModelPool<'m> {
         self.residents.get(expert.index()).and_then(Option::as_ref)
     }
 
-    /// Iterates residents in expert-id order (deterministic), visiting
-    /// the residents only, never the empty slots.
+    /// Iterates residents in expert-id order (deterministic) by walking
+    /// the slot table.
     pub fn residents(&self) -> impl Iterator<Item = (ExpertId, &Resident)> {
-        self.ids
-            .iter()
-            .filter_map(|&e| self.resident(e).map(|r| (e, r)))
+        (0u32..)
+            .zip(&self.residents)
+            .filter_map(|(i, slot)| slot.as_ref().map(|r| (ExpertId(i), r)))
     }
 
     /// Inserts `expert` with the given size; it takes its place in the
@@ -203,9 +204,7 @@ impl<'m> ModelPool<'m> {
         self.next_seq += 1;
         self.used += bytes;
         self.peak = self.peak.max(self.used);
-        if let Err(pos) = self.ids.binary_search(&expert) {
-            self.ids.insert(pos, expert);
-        }
+        self.len += 1;
         self.order.entered(&self.residents, expert, bytes);
         Ok(())
     }
@@ -214,9 +213,7 @@ impl<'m> ModelPool<'m> {
     /// it leaves the victim order.
     pub fn remove(&mut self, expert: ExpertId) -> Option<Resident> {
         let meta = self.residents.get_mut(expert.index())?.take()?;
-        if let Ok(pos) = self.ids.binary_search(&expert) {
-            self.ids.remove(pos);
-        }
+        self.len -= 1;
         self.used -= meta.bytes;
         self.order.left(&self.residents, expert, meta.bytes);
         Some(meta)
@@ -271,7 +268,8 @@ impl<'m> ModelPool<'m> {
     /// the residents.
     #[cfg(any(test, debug_assertions))]
     pub(crate) fn order_is_exact(&self) -> bool {
-        self.order.is_exact(&self.residents, &self.ids)
+        let ids: Vec<ExpertId> = self.residents().map(|(e, _)| e).collect();
+        self.order.is_exact(&self.residents, &ids)
     }
 }
 
@@ -452,17 +450,8 @@ mod proptests {
                 prop_assert_eq!(pool.used, expected);
                 prop_assert!(pool.used <= pool.capacity());
                 prop_assert!(pool.peak() >= pool.used);
+                // The kept count matches the walk over the slots.
                 prop_assert_eq!(pool.len(), pool.residents().count());
-                // The id list is exactly the occupied slots, ascending.
-                let listed: Vec<ExpertId> = pool.residents().map(|(e, _)| e).collect();
-                let occupied: Vec<ExpertId> = pool
-                    .residents
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, slot)| slot.is_some())
-                    .map(|(i, _)| ExpertId(i as u32))
-                    .collect();
-                prop_assert_eq!(listed, occupied);
                 for (e, meta) in pool.residents() {
                     prop_assert_eq!(pool.resident(e), Some(meta));
                 }

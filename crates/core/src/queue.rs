@@ -285,23 +285,11 @@ impl ExecutorQueue {
         self.runs.front().map(|r| r.expert)
     }
 
-    /// Removes and returns the maximal same-expert prefix, capped at
-    /// `max_batch` requests — the batch splitter's unit of work.
-    ///
-    /// Returns an empty vector when the queue is empty or `max_batch`
-    /// is zero. Hot paths should prefer
-    /// [`ExecutorQueue::pop_front_group_into`], which reuses a caller
-    /// buffer instead of allocating.
-    pub fn pop_front_group(&mut self, max_batch: u32) -> Vec<PendingRequest> {
-        let mut batch = Vec::new();
-        self.pop_front_group_into(max_batch, &mut batch);
-        batch
-    }
-
-    /// Like [`ExecutorQueue::pop_front_group`], but appends the batch to
-    /// `out` (which is cleared first) so the caller can recycle the
-    /// buffer across pops. Returns what happened to the front run, or
-    /// `None` when nothing was popped.
+    /// Moves the maximal same-expert prefix, capped at `max_batch`
+    /// requests — the batch splitter's unit of work — into `out`, which
+    /// is cleared first so the caller can recycle the buffer across
+    /// pops. Returns what happened to the front run, or `None` when
+    /// nothing was popped (an empty queue, or a `max_batch` of zero).
     pub fn pop_front_group_into(
         &mut self,
         max_batch: u32,
@@ -406,6 +394,11 @@ mod tests {
         /// The maintained runs as a fresh vector.
         pub(super) fn runs(&self) -> Vec<(ExpertId, u32)> {
             self.runs_iter().collect()
+        }
+
+        /// How many runs ever left the queue's front, emptied by a pop.
+        pub(crate) fn runs_retired(&self) -> u64 {
+            self.runs_retired
         }
 
         /// Panics unless the incremental index exactly matches a from-
@@ -580,7 +573,8 @@ mod tests {
         for (j, e) in [(0, 5), (1, 5), (2, 5), (3, 7)] {
             q.push_back(req(j, e));
         }
-        let batch = q.pop_front_group(10);
+        let mut batch = Vec::new();
+        q.pop_front_group_into(10, &mut batch);
         assert_eq!(batch.len(), 3);
         assert!(batch.iter().all(|r| r.expert == ExpertId(5)));
         assert_eq!(q.len(), 1);
@@ -594,12 +588,14 @@ mod tests {
         for j in 0..6 {
             q.push_back(req(j, 5));
         }
-        let batch = q.pop_front_group(4);
+        let mut batch = Vec::new();
+        q.pop_front_group_into(4, &mut batch);
         assert_eq!(batch.len(), 4);
         assert_eq!(q.len(), 2);
         q.assert_index_consistent();
         // Zero max batch yields nothing and removes nothing.
-        assert!(q.pop_front_group(0).is_empty());
+        assert_eq!(q.pop_front_group_into(0, &mut batch), None);
+        assert!(batch.is_empty());
         assert_eq!(q.len(), 2);
         q.assert_index_consistent();
     }
@@ -607,7 +603,6 @@ mod tests {
     #[test]
     fn pop_from_empty_queue() {
         let mut q = ExecutorQueue::new();
-        assert!(q.pop_front_group(8).is_empty());
         assert_eq!(q.front_expert(), None);
         assert!(q.is_empty());
         let mut out = vec![req(9, 9)];
@@ -657,7 +652,7 @@ mod tests {
         // Same final order, different mutation history: still equal.
         let mut a = ExecutorQueue::new();
         a.push_back(req(9, 1));
-        a.pop_front_group(4);
+        a.pop_front_group_into(4, &mut Vec::new());
         a.push_back(req(0, 5));
         a.push_back(req(1, 7));
         let mut b = ExecutorQueue::new();
@@ -743,6 +738,7 @@ mod proptests {
         ) {
             let mut q = ExecutorQueue::new();
             let mut reference = ReferenceQueue::default();
+            let mut got = Vec::new();
             for (j, &(sel, e, b)) in ops.iter().enumerate() {
                 let r = |e: u32| PendingRequest {
                     job: JobId(j as u32),
@@ -765,9 +761,9 @@ mod proptests {
                     }
                     _ => {
                         let max_batch = b + 1;
-                        let got = q.pop_front_group(max_batch);
+                        q.pop_front_group_into(max_batch, &mut got);
                         let want = reference.pop_front_group(max_batch);
-                        prop_assert_eq!(got, want);
+                        prop_assert_eq!(&got, &want);
                     }
                 }
                 let order: Vec<PendingRequest> = q.iter().copied().collect();
@@ -845,8 +841,9 @@ mod proptests {
                 });
             }
             let mut popped = 0;
+            let mut batch = Vec::new();
             while !q.is_empty() {
-                let batch = q.pop_front_group(max_batch);
+                q.pop_front_group_into(max_batch, &mut batch);
                 prop_assert!(!batch.is_empty());
                 prop_assert!(batch.len() <= max_batch as usize);
                 let first = batch[0].expert;

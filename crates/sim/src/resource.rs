@@ -63,6 +63,7 @@ impl FifoResource {
     /// Reserves the resource for `duration`, starting no earlier than
     /// `not_before`. Zero-length reservations are permitted and do not
     /// delay anyone.
+    #[inline]
     pub fn reserve(&mut self, not_before: SimTime, duration: SimSpan) -> Reservation {
         let start = self.next_free.max(not_before);
         let end = start + duration;
@@ -145,6 +146,7 @@ impl PooledResource {
     /// Reserves the earliest-available server for `duration`, starting
     /// no earlier than `not_before`. Deterministic: ties pick the
     /// lowest-indexed server.
+    #[inline]
     pub fn reserve(&mut self, not_before: SimTime, duration: SimSpan) -> Reservation {
         let (idx, _) = self
             .slots

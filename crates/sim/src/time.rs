@@ -39,36 +39,42 @@ impl SimTime {
     /// assert_eq!(SimTime::from_nanos(5).nanos(), 5);
     /// ```
     #[must_use]
+    #[inline]
     pub const fn from_nanos(nanos: u64) -> Self {
         SimTime(nanos)
     }
 
     /// Raw nanoseconds since the start of the run.
     #[must_use]
+    #[inline]
     pub const fn nanos(self) -> u64 {
         self.0
     }
 
     /// Seconds since the start of the run, as a float.
     #[must_use]
+    #[inline]
     pub fn as_secs_f64(self) -> f64 {
         self.0 as f64 / 1e9
     }
 
     /// Milliseconds since the start of the run, as a float.
     #[must_use]
+    #[inline]
     pub fn as_millis_f64(self) -> f64 {
         self.0 as f64 / 1e6
     }
 
     /// The later of two instants.
     #[must_use]
+    #[inline]
     pub fn max(self, other: SimTime) -> SimTime {
         SimTime(self.0.max(other.0))
     }
 
     /// The earlier of two instants.
     #[must_use]
+    #[inline]
     pub fn min(self, other: SimTime) -> SimTime {
         SimTime(self.0.min(other.0))
     }
@@ -76,6 +82,7 @@ impl SimTime {
     /// The span from `earlier` to `self`, or [`SimSpan::ZERO`] when
     /// `earlier` is actually later (saturating).
     #[must_use]
+    #[inline]
     pub fn saturating_since(self, earlier: SimTime) -> SimSpan {
         SimSpan(self.0.saturating_sub(earlier.0))
     }
@@ -87,24 +94,28 @@ impl SimSpan {
 
     /// Creates a span from raw nanoseconds.
     #[must_use]
+    #[inline]
     pub const fn from_nanos(nanos: u64) -> Self {
         SimSpan(nanos)
     }
 
     /// Creates a span from whole microseconds.
     #[must_use]
+    #[inline]
     pub const fn from_micros(micros: u64) -> Self {
         SimSpan(micros * 1_000)
     }
 
     /// Creates a span from whole milliseconds.
     #[must_use]
+    #[inline]
     pub const fn from_millis(millis: u64) -> Self {
         SimSpan(millis * 1_000_000)
     }
 
     /// Creates a span from whole seconds.
     #[must_use]
+    #[inline]
     pub const fn from_secs(secs: u64) -> Self {
         SimSpan(secs * 1_000_000_000)
     }
@@ -115,6 +126,7 @@ impl SimSpan {
     /// non-negative and a simulation must never move backwards); `+∞`
     /// saturates to the maximum representable span.
     #[must_use]
+    #[inline]
     pub fn from_millis_f64(millis: f64) -> Self {
         Self::from_secs_f64(millis / 1e3)
     }
@@ -123,6 +135,7 @@ impl SimSpan {
     /// nanosecond (halves away from zero); negatives and NaN clamp to
     /// zero, `+∞` saturates.
     #[must_use]
+    #[inline]
     pub fn from_secs_f64(secs: f64) -> Self {
         if secs.is_nan() || secs <= 0.0 {
             return SimSpan::ZERO;
@@ -146,42 +159,49 @@ impl SimSpan {
 
     /// Raw nanoseconds.
     #[must_use]
+    #[inline]
     pub const fn nanos(self) -> u64 {
         self.0
     }
 
     /// The span as fractional seconds.
     #[must_use]
+    #[inline]
     pub fn as_secs_f64(self) -> f64 {
         self.0 as f64 / 1e9
     }
 
     /// The span as fractional milliseconds.
     #[must_use]
+    #[inline]
     pub fn as_millis_f64(self) -> f64 {
         self.0 as f64 / 1e6
     }
 
     /// Whether the span is empty.
     #[must_use]
+    #[inline]
     pub const fn is_zero(self) -> bool {
         self.0 == 0
     }
 
     /// The larger of two spans.
     #[must_use]
+    #[inline]
     pub fn max(self, other: SimSpan) -> SimSpan {
         SimSpan(self.0.max(other.0))
     }
 
     /// The smaller of two spans.
     #[must_use]
+    #[inline]
     pub fn min(self, other: SimSpan) -> SimSpan {
         SimSpan(self.0.min(other.0))
     }
 
     /// Saturating subtraction.
     #[must_use]
+    #[inline]
     pub fn saturating_sub(self, other: SimSpan) -> SimSpan {
         SimSpan(self.0.saturating_sub(other.0))
     }
@@ -190,6 +210,7 @@ impl SimSpan {
     /// The float-to-integer cast saturates: a negative or NaN factor
     /// gives zero and an overflowing product the maximum span.
     #[must_use]
+    #[inline]
     pub fn mul_f64(self, factor: f64) -> SimSpan {
         SimSpan((self.0 as f64 * factor).round() as u64)
     }
@@ -197,12 +218,14 @@ impl SimSpan {
 
 impl Add<SimSpan> for SimTime {
     type Output = SimTime;
+    #[inline]
     fn add(self, rhs: SimSpan) -> SimTime {
         SimTime(self.0.saturating_add(rhs.0))
     }
 }
 
 impl AddAssign<SimSpan> for SimTime {
+    #[inline]
     fn add_assign(&mut self, rhs: SimSpan) {
         *self = *self + rhs;
     }
@@ -215,6 +238,7 @@ impl Sub<SimTime> for SimTime {
     /// Panics in debug builds when subtracting a later instant from an
     /// earlier one; use [`SimTime::saturating_since`] when the ordering is
     /// not statically known.
+    #[inline]
     fn sub(self, rhs: SimTime) -> SimSpan {
         debug_assert!(self.0 >= rhs.0, "SimTime subtraction went negative");
         SimSpan(self.0.saturating_sub(rhs.0))
@@ -223,12 +247,14 @@ impl Sub<SimTime> for SimTime {
 
 impl Add for SimSpan {
     type Output = SimSpan;
+    #[inline]
     fn add(self, rhs: SimSpan) -> SimSpan {
         SimSpan(self.0.saturating_add(rhs.0))
     }
 }
 
 impl AddAssign for SimSpan {
+    #[inline]
     fn add_assign(&mut self, rhs: SimSpan) {
         *self = *self + rhs;
     }
@@ -236,6 +262,7 @@ impl AddAssign for SimSpan {
 
 impl Sub for SimSpan {
     type Output = SimSpan;
+    #[inline]
     fn sub(self, rhs: SimSpan) -> SimSpan {
         debug_assert!(self.0 >= rhs.0, "SimSpan subtraction went negative");
         SimSpan(self.0.saturating_sub(rhs.0))
@@ -243,6 +270,7 @@ impl Sub for SimSpan {
 }
 
 impl SubAssign for SimSpan {
+    #[inline]
     fn sub_assign(&mut self, rhs: SimSpan) {
         *self = *self - rhs;
     }
@@ -250,6 +278,7 @@ impl SubAssign for SimSpan {
 
 impl Mul<u64> for SimSpan {
     type Output = SimSpan;
+    #[inline]
     fn mul(self, rhs: u64) -> SimSpan {
         SimSpan(self.0.saturating_mul(rhs))
     }
@@ -260,6 +289,7 @@ impl Div<u64> for SimSpan {
     /// # Panics
     ///
     /// Panics when dividing by zero.
+    #[inline]
     fn div(self, rhs: u64) -> SimSpan {
         SimSpan(self.0 / rhs)
     }
